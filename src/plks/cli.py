@@ -60,7 +60,12 @@ from .params import (
     compact_support_admissible,
     derive_params,
 )
-from .radial_ode import IntegratorOptions, ProfileSolution, Termination
+from .radial_ode import (
+    IntegratorOptions,
+    ProfileSolution,
+    Termination,
+    energy_derivative_check,
+)
 from .reconstruct import (
     Direction,
     assemble,
@@ -99,6 +104,8 @@ def _fmt(x: float) -> str:
 
 
 def _csv_cell(v) -> str:
+    if type(v) is float:    # the common cell, formatted as _fmt does
+        return "%.17g" % v
     if v is None:
         return ""
     if isinstance(v, str):
@@ -116,6 +123,8 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def _jval(v, indent: int) -> str:
+    if type(v) is float:    # the common value, formatted as _fmt does
+        return "%.17g" % v if math.isfinite(v) else "null"
     if v is None:
         return "null"
     if v is True:
@@ -162,7 +171,6 @@ def _columns(header: Sequence[str], rows: Sequence[Sequence]) -> dict:
 
 
 def _report(command: str, config: dict, derived: dict, results: dict,
-            header: Sequence[str], rows: Sequence[Sequence],
             tolerances: dict) -> dict:
     return {
         "schema": 1,
@@ -170,7 +178,7 @@ def _report(command: str, config: dict, derived: dict, results: dict,
         "config": config,
         "derived": derived,
         "results": results,
-        "columns": _columns(header, rows),
+        "columns": None,    # the table, filled in only when JSON is written
         "wall_clock_s": None,
         "tolerances_met": tolerances,
     }
@@ -248,15 +256,13 @@ def _profile_table(params: ModelParams, sol: ProfileSolution):
 
 
 def _energy_flags(params: ModelParams, sol: ProfileSolution):
+    """Energy drift figure and the library's verdict on the energy law."""
     E = sol.energy
-    scale = max(abs(float(E[0])), 1e-300)
     if params.N == 1:
         drift = float(np.max(np.abs(E - E[0])))
-        ok = drift <= 1e-6 * scale
     else:
         drift = float(np.max(np.diff(E))) if len(E) > 1 else 0.0
-        ok = drift <= 1e-8 * scale
-    return drift, ok
+    return drift, energy_derivative_check(sol, raise_on_violation=False).passed
 
 
 def _tail_block(tail) -> Optional[dict]:
@@ -302,7 +308,7 @@ def cmd_solve_backward(args):
     }
     tol = {"energy_law": energy_ok}
     report = _report("solve-backward", _config_echo(args, a=args.a),
-                     _derived_block(params), results, header, rows, tol)
+                     _derived_block(params), results, tol)
     return report, header, rows
 
 
@@ -352,7 +358,7 @@ def cmd_solve_forward(args):
                      _config_echo(args, b=args.b, fit_decay=args.fit_decay,
                                   u_floor=args.u_floor,
                                   u_ceiling=args.u_ceiling),
-                     _derived_block(params), results, header, rows, tol)
+                     _derived_block(params), results, tol)
     return report, header, rows
 
 
@@ -413,7 +419,7 @@ def cmd_find_critical(args):
     report = _report("find-critical",
                      _config_echo(args, a_lo=args.a_lo, a_hi=args.a_hi,
                                   a_tol=args.a_tol, slope_tol=args.slope_tol),
-                     _derived_block(params), results, header, rows, tol)
+                     _derived_block(params), results, tol)
     return report, header, rows
 
 
@@ -459,7 +465,7 @@ def cmd_sweep(args):
     report = _report("sweep",
                      _config_echo(args, a_grid=args.a_grid,
                                   slope_tol=args.slope_tol),
-                     _derived_block(params), results, header, rows, tol)
+                     _derived_block(params), results, tol)
     return report, header, rows
 
 
@@ -543,7 +549,7 @@ def cmd_reconstruct(args):
                                   direction=direction.value,
                                   n_grid=args.n_grid,
                                   residual_grade=args.residual_grade),
-                     _derived_block(params), results, header, rows, tol)
+                     _derived_block(params), results, tol)
     return report, header, rows
 
 
@@ -591,7 +597,7 @@ def cmd_delta_test(args):
                                   direction=direction.value, T=args.T,
                                   t0=args.t0, ratio=args.ratio,
                                   steps=args.steps),
-                     _derived_block(params), results, header, rows, tol)
+                     _derived_block(params), results, tol)
     return report, header, rows
 
 
@@ -715,16 +721,19 @@ def _gnuplot_text(base: str, header: Sequence[str]) -> str:
 
 def _emit(args, report: dict, header: Sequence[str],
           rows: Sequence[Sequence]) -> None:
-    csv_text = _csv_text(header, rows)
-    json_text = _json_text(report)
+    """Format and write only the streams that go out."""
+    if args.output or args.format == "json":
+        report["columns"] = _columns(header, rows)
     if args.output:
-        Path(args.output + ".csv").write_text(csv_text)
-        Path(args.output + ".json").write_text(json_text)
+        Path(args.output + ".csv").write_text(_csv_text(header, rows))
+        Path(args.output + ".json").write_text(_json_text(report))
         if args.gnuplot:
             Path(args.output + ".gp").write_text(
                 _gnuplot_text(args.output, header))
+    elif args.format == "csv":
+        sys.stdout.write(_csv_text(header, rows))
     else:
-        sys.stdout.write(csv_text if args.format == "csv" else json_text)
+        sys.stdout.write(_json_text(report))
 
 
 def _fail(exc: Exception, code: int) -> int:

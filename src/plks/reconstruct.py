@@ -17,12 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma as _gamma_fn, gammaincc
 
 from .backward import MultiBubbleProfile
 from .errors import (
@@ -68,9 +66,64 @@ class Direction(Enum):
     FORWARD = "forward"
 
 
+# Gamma(N/2) for N = 1..10 as scipy.special.gamma returns it.  At odd N it
+# is an ulp away from math.gamma, and every mass and potential carries it,
+# so the table keeps results bitwise stable without importing scipy.
+_GAMMA_HALF = (1.7724538509055159, 1.0, 0.8862269254527579, 1.0,
+               1.329340388179137, 2.0, 3.323350970447843, 6.0,
+               11.63172839656745, 24.0)
+
+
+def _gamma_half(N: int) -> float:
+    if 1 <= N <= len(_GAMMA_HALF):
+        return _GAMMA_HALF[N - 1]
+    from scipy.special import gamma
+    return float(gamma(N / 2.0))
+
+
 def surface_area_unit_ball(N: int) -> float:
     """omega_N = 2 pi^(N/2) / Gamma(N/2); 2, 2pi, 4pi for N = 1, 2, 3."""
-    return 2.0 * math.pi ** (N / 2.0) / _gamma_fn(N / 2.0)
+    return 2.0 * math.pi ** (N / 2.0) / _gamma_half(N)
+
+
+def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integral over the first interval of each pair of intervals."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of y over the grid x, starting at 0.
+
+    The 1-D case of scipy.integrate.cumulative_simpson(y, x=x, initial=0)
+    with the same operations in the same order, so results agree bitwise:
+    each interval takes the Simpson piece of the pair it opens (forward
+    pass) or closes (backward pass), alternately; fewer than 3 nodes fall
+    back to the trapezoid rule.
+    """
+    dx = np.diff(x)
+    if len(y) < 3:
+        res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    else:
+        if np.any(dx <= 0):
+            raise ValueError("Input x must be strictly increasing.")
+        h1 = _simpson_pieces(y, dx)
+        h2 = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+        pieces = np.empty(len(dx))
+        pieces[:-1:2] = h1[::2]
+        pieces[1::2] = h2[::2]
+        pieces[-1] = h2[-1]
+        res = np.cumsum(pieces)
+    res += 0.0    # scipy adds `initial` here, which turns -0.0 into 0.0
+    return np.concatenate(([0.0], res))
 
 
 @dataclass(frozen=True)
@@ -174,7 +227,8 @@ def psi_well_posed_threshold(N: int) -> float:
 def _scaled_upper_gamma(s: float, z: float) -> float:
     """e^z Gamma(s, z), stable for large z where e^z alone overflows."""
     if z < 30.0:
-        return math.exp(z) * _gamma_fn(s) * gammaincc(s, z)
+        from scipy.special import gamma, gammaincc
+        return math.exp(z) * gamma(s) * gammaincc(s, z)
     # asymptotic expansion Gamma(s,z) e^z = z^(s-1) sum_k (s-1)...(s-k)/z^k,
     # truncated at the smallest term; remainder is below the last term kept
     acc = term = 1.0
@@ -249,24 +303,24 @@ def psi_from_phi(phi: PhiProfile, params: ModelParams,
     src = phi.phi ** m
     r0, s0 = float(r[0]), float(src[0])
     # [0, r0] sliver with the source frozen at its innermost value
-    i1 = s0 * r0 ** N / N + cumulative_simpson(r ** (N - 1) * src, x=r, initial=0.0)
+    i1 = s0 * r0 ** N / N + _cumulative_simpson(r ** (N - 1) * src, r)
     with np.errstate(divide="ignore"):
         psi_prime = -i1 / r ** (N - 1)
 
     if N == 1:
         i0 = i1
-        j1 = cumulative_simpson(r * src, x=r, initial=0.0)
+        j1 = _cumulative_simpson(r * src, r)
         upper = (j1[-1] - j1) + t1
         psi = -r * i0 - upper
         return PsiProfile(r, psi, psi_prime, N, detail is None, detail,
                           float(i1[-1]) + i1_tail, float(i0[-1]) + i1_tail)
     if N == 2:
-        jlog = cumulative_simpson(r * np.log(r) * src, x=r, initial=0.0)
+        jlog = _cumulative_simpson(r * np.log(r) * src, r)
         upper = (jlog[-1] - jlog) + tlog
         psi = -np.log(r) * i1 - upper
         return PsiProfile(r, psi, psi_prime, N, detail is None, detail,
                           float(i1[-1]) + i1_tail)
-    j1 = cumulative_simpson(r * src, x=r, initial=0.0)
+    j1 = _cumulative_simpson(r * src, r)
     upper = (j1[-1] - j1) + t1
     psi = r ** (2 - N) * i1 / (N - 2.0) + upper / (N - 2.0)
     return PsiProfile(r, psi, psi_prime, N, detail is None, detail,
@@ -279,7 +333,7 @@ def mass(phi: PhiProfile, params: ModelParams) -> float:
     r = phi.r
     r0 = float(r[0])
     grid = (float(phi.phi[0]) * r0 ** N / N
-            + float(cumulative_simpson(r ** (N - 1) * phi.phi, x=r, initial=0.0)[-1]))
+            + float(_cumulative_simpson(r ** (N - 1) * phi.phi, r)[-1]))
     tail = phi.tail
     if tail is None:
         if phi.support_radius is None:
@@ -360,9 +414,10 @@ def _phi_at(ss: SelfSimilarSolution, xi: float) -> float:
     return float(phi.phi[-1]) * math.exp(tail.coefficient * (xi ** 2 - r[-1] ** 2))
 
 
-def _psi_interp(ss: SelfSimilarSolution) -> PchipInterpolator:
+def _psi_interp(ss: SelfSimilarSolution):
     cache = getattr(ss, "_psi_cache", None)
     if cache is None:
+        from scipy.interpolate import PchipInterpolator
         cache = PchipInterpolator(ss.psi.r, ss.psi.psi, extrapolate=False)
         object.__setattr__(ss, "_psi_cache", cache)
     return cache
@@ -396,29 +451,70 @@ def evaluate(ss: SelfSimilarSolution, x, t: float) -> tuple[float, float]:
     return rho, c
 
 
-def _angular_average(f: Callable, N: int, s: float) -> float:
-    if s == 0.0:
-        return float(f(np.zeros(N)))
+@cache
+def _azimuths(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """math.cos and math.sin of n equally spaced azimuths."""
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return (np.array([math.cos(a) for a in th]),
+            np.array([math.sin(a) for a in th]))
+
+
+@cache
+def _polar_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """12-point Gauss-Legendre nodes c and weights in the polar cosine,
+    with the ring radii sqrt(1 - c^2)."""
+    cs, wt = np.polynomial.legendre.leggauss(12)
+    return cs, wt, np.sqrt(1.0 - cs * cs)
+
+
+# radii per block of quadrature points: about 4.7 MB of points at N = 3
+_ANGULAR_BLOCK = 1024
+
+
+def _angular_averages(f: Callable, N: int, s: np.ndarray) -> np.ndarray:
+    """Spherical averages of f at the nonzero radii s.
+
+    N = 1 averages the two points +-s, N = 2 a 32-point ring, N = 3 takes
+    Gauss-Legendre in the polar cosine and a 16-point ring in azimuth;
+    higher N treats f as radial.  f is called once per point, on that
+    point's own row of an array built for the call, and never on a batch.
+    Each coordinate is formed as the scalar rule forms it, (s sin) cos, and
+    ring means and weighted sums run in the scalar rule's order, so the
+    averages are bitwise those of evaluating the rule radius by radius.
+    """
+    if len(s) > _ANGULAR_BLOCK:
+        return np.concatenate([_angular_averages(f, N, s[i:i + _ANGULAR_BLOCK])
+                               for i in range(0, len(s), _ANGULAR_BLOCK)])
     if N == 1:
-        return 0.5 * (float(f(np.array([s]))) + float(f(np.array([-s]))))
+        pts = np.stack((s, -s), axis=1)[:, :, None]
+    elif N == 2:
+        cos, sin = _azimuths(32)
+        pts = np.stack((np.multiply.outer(s, cos), np.multiply.outer(s, sin)),
+                       axis=-1)
+    elif N == 3:
+        cos, sin = _azimuths(16)
+        cs, wt, sn = _polar_rule()
+        ring = np.multiply.outer(s, sn)[:, :, None]
+        pts = np.empty((len(s), len(cs), len(cos), 3))
+        pts[..., 0] = ring * cos
+        pts[..., 1] = ring * sin
+        pts[..., 2] = np.multiply.outer(s, cs)[:, :, None]
+    else:
+        pts = np.zeros((len(s), 1, N))
+        pts[:, 0, 0] = s
+    vals = np.array([f(x) for x in pts.reshape(-1, N)], dtype=float)
+    vals = vals.reshape(pts.shape[:-1])
+    if N == 1:
+        return 0.5 * (vals[:, 0] + vals[:, 1])
     if N == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-        return float(np.mean([f(np.array([s * math.cos(a), s * math.sin(a)]))
-                              for a in th]))
+        return np.mean(vals, axis=1)
     if N == 3:
-        # Gauss-Legendre in the polar cosine, trapezoid in azimuth
-        cs, wt = np.polynomial.legendre.leggauss(12)
-        th = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        rings = np.mean(vals, axis=2)
         acc = 0.0
-        for c0, w in zip(cs, wt):
-            sn = math.sqrt(1.0 - c0 * c0)
-            ring = np.mean([f(np.array([s * sn * math.cos(a),
-                                        s * sn * math.sin(a), s * c0]))
-                            for a in th])
-            acc += w * ring
-        return float(acc / 2.0)
-    # higher N: treat f as radial
-    return float(f(np.concatenate([[s], np.zeros(N - 1)])))
+        for k in range(len(wt)):
+            acc = acc + wt[k] * rings[:, k]
+        return acc / 2.0
+    return vals[:, 0]
 
 
 def delta_test(ss: SelfSimilarSolution, f: Callable, times: Sequence[float],
@@ -430,6 +526,7 @@ def delta_test(ss: SelfSimilarSolution, f: Callable, times: Sequence[float],
     average of f, so the scale theta(t) -> 0 drives the deviation to 0.
     Times are processed in approach order (toward T backward, toward 0
     forward) and the deviation must decrease monotonically along them.
+    f takes one point, an array of shape (N,), per call.
     """
     if ss.M is None:
         raise InfiniteMassError("delta test needs a finite-mass profile")
@@ -438,20 +535,22 @@ def delta_test(ss: SelfSimilarSolution, f: Callable, times: Sequence[float],
     f0 = float(f(np.zeros(N)))
     r = ss.phi.r
     grid_mass = omega * (float(ss.phi.phi[0]) * float(r[0]) ** N / N
-                         + float(cumulative_simpson(
-                             r ** (N - 1) * ss.phi.phi, x=r, initial=0.0)[-1]))
+                         + float(_cumulative_simpson(
+                             r ** (N - 1) * ss.phi.phi, r)[-1]))
     tail_mass = ss.M - grid_mass
 
     order = sorted(times, reverse=(ss.direction is Direction.FORWARD))
     out = []
     for t in order:
-        theta = ss.similarity_scale(t)
-        fbar = np.array([_angular_average(f, N, theta * float(s)) for s in r])
+        s = ss.similarity_scale(t) * r
+        fbar = np.full(len(r), f0)
+        inside = s != 0.0
+        fbar[inside] = _angular_averages(f, N, s[inside])
         integral = omega * (float(ss.phi.phi[0]) * fbar[0] * float(r[0]) ** N / N
-                            + float(cumulative_simpson(
-                                r ** (N - 1) * ss.phi.phi * fbar, x=r,
-                                initial=0.0)[-1]))
-        integral += tail_mass * _angular_average(f, N, theta * float(r[-1]))
+                            + float(_cumulative_simpson(
+                                r ** (N - 1) * ss.phi.phi * fbar, r)[-1]))
+        # the tail mass sits at the last node, whose average is fbar[-1]
+        integral += tail_mass * fbar[-1]
         out.append((t, abs(integral - ss.M * f0)))
     if assert_decreasing:
         for (t_a, d_a), (t_b, d_b) in zip(out, out[1:]):

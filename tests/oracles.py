@@ -3,12 +3,16 @@
 Everything here is written directly from the model definition, not imported
 from the package: exponents, source terms, flux inversion, startup series,
 and a classical fourth-order Runge-Kutta sweep.  Oracle trajectories are the
-ground truth the adaptive integrator is compared against.
+ground truth the adaptive integrator is compared against.  The spherical
+average at the end is the point-by-point rule the delta test's vectorized
+quadrature must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def oracle_exponents(N: int, p: float) -> dict:
@@ -111,3 +115,29 @@ def oracle_u_at_one(N: int, p: float, chi: float, problem: str, u0: float,
                     h: float = 1e-5, r0: float = 1e-6) -> float:
     n = max(1, round((1.0 - r0) / h))
     return rk4_trajectory(N, p, chi, problem, u0, r0, 1.0, n)[0]
+
+
+def angular_average(f, N: int, s: float) -> float:
+    """Spherical average of f at radius s, one point at a time."""
+    if s == 0.0:
+        return float(f(np.zeros(N)))
+    if N == 1:
+        return 0.5 * (float(f(np.array([s]))) + float(f(np.array([-s]))))
+    if N == 2:
+        th = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+        return float(np.mean([f(np.array([s * math.cos(a), s * math.sin(a)]))
+                              for a in th]))
+    if N == 3:
+        # Gauss-Legendre in the polar cosine, trapezoid in azimuth
+        cs, wt = np.polynomial.legendre.leggauss(12)
+        th = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        acc = 0.0
+        for c0, w in zip(cs, wt):
+            sn = math.sqrt(1.0 - c0 * c0)
+            ring = np.mean([f(np.array([s * sn * math.cos(a),
+                                        s * sn * math.sin(a), s * c0]))
+                            for a in th])
+            acc += w * ring
+        return float(acc / 2.0)
+    # higher N: treat f as radial
+    return float(f(np.concatenate([[s], np.zeros(N - 1)])))

@@ -179,6 +179,15 @@ def test_closed_form_recovery_one_dimension(p, chi):
     assert res.R_c > 0.0
 
 
+@pytest.mark.parametrize("p", [2.003, 2.05, 2.081])
+def test_bisection_survives_overflowing_error_norm(p):
+    # near p = 2 at N = 1 the embedded error ratio of a trial step can pass
+    # 1e154, whose square overflows; such a step is rejected, not fatal
+    P = derive_params(1, p, 1.0)
+    exact = ((P.q + 1.0) / (P.m * P.chi)) ** (1.0 / P.q)
+    assert abs(find_critical_a(P).a_c - exact) / exact < 1e-6
+
+
 def test_critical_bracket_straddles():
     P = derive_params(2, 3.0, 1.0)
     res = find_critical_a(P)

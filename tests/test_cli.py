@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,15 @@ def test_solve_backward_report_fields(capsys):
     assert set(rep["columns"]) == {"r", "u", "w", "E", "phi"}
     n = len(rep["columns"]["r"])
     assert all(len(col) == n for col in rep["columns"].values())
+
+
+def test_solve_backward_energy_verdict_is_the_library_law(capsys):
+    # |E(r0)| is about 4e-11 here; the law's scale is floored at the well
+    # depth, and the report must carry the library's verdict
+    rc, out, _ = _run(["solve-backward", "--N", "3", "--p", "2.5",
+                       "--a", "1.3915788418568702", "--format", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["tolerances_met"]["energy_law"] is True
 
 
 def test_solve_backward_low_p_exit2(capsys):
@@ -337,6 +347,30 @@ def test_gnuplot_needs_output(capsys):
                        "--r-max", "5", "--gnuplot"], capsys)
     assert rc == 2
     assert "--output" in err
+
+
+def _child_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def test_cli_loads_no_scipy():
+    # importing the CLI and running a reconstruction and a delta test load
+    # nothing from scipy
+    code = (
+        "import sys, contextlib, io, plks, plks.cli\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    plks.cli.main(['reconstruct', '--N', '2', '--p', '3', '--a', '2.126'])\n"
+        "    plks.cli.main(['delta-test', '--N', '3', '--p', '1.8', '--b', '1.0',\n"
+        "                   '--steps', '2'])\n"
+        "print(scipy())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_module_entry_point():

@@ -1,0 +1,63 @@
+"""Byte identity of the README commands against recorded digests.
+
+Each of the six commands in the README writes its CSV table and JSON report
+with `--output`; their sha256 digests must equal the ones recorded here.
+The digests pin every printed double, so they hold only for the Python and
+numpy versions they were recorded with; on other versions the test skips.
+Regenerate them with `plks <command> --output BASE` and `sha256sum BASE.*`
+when a change is meant to alter output, and say which outputs changed.
+"""
+
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+
+from plks.cli import main
+
+RECORDED_WITH = {"python": "3.11.7", "numpy": "2.4.6"}
+
+# command line, sha256 of BASE.csv, sha256 of BASE.json
+GOLDEN = {
+    "solve-backward": (
+        "solve-backward --N 2 --p 3 --a 2.0",
+        "4095da1887266bb2d455195b1315e17ba89f483f4d853a3df39ba9d1c7c08904",
+        "ef1381c40cbb902f56d64defe652f9cc549f4c2488a7369a8cc40efac766f501"),
+    "solve-forward": (
+        "solve-forward --N 3 --p 1.8 --b 1.0 --fit-decay",
+        "ffb453aac5d40cecb6981f907b12370158f3fcf9135bf9829ef41c6ad656afab",
+        "99961f7bec9fabb7fd7ecd5d97c0c06b5d8fc1d82ce119420ef9b196950a3b75"),
+    "find-critical": (
+        "find-critical --N 1 --p 3",
+        "337de13a1daede53b5a45d0b7800ce2ace03dcffeb4c6d25dac038d8c367dba1",
+        "2a3d97ed442e380f4acc6d2018e83254c0d83a045c53c40455d52ca4ccf408d3"),
+    "sweep": (
+        "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
+        "0e18fe5bfc32c7a2c93c77fc4ea87db7c4f7d0a0c63ff25659c8fdb0c2ea3216",
+        "ec3c5bec23219a6d1fa7f24ff42664abbe87a7598ba5293c1502ba325022a07b"),
+    "reconstruct": (
+        "reconstruct --N 2 --p 3 --a 2.126 --residual-grade",
+        "d210825431f5c6df20a0f53b6d75b5abf73209e19f01bcb8d975f9b8ad7f733b",
+        "afae6a9d827c1aeff96ea203a3f8bcbae9d2586fa63877b646b5d14ed37d097b"),
+    "delta-test": (
+        "delta-test --N 3 --p 1.8 --b 1.0",
+        "58bf9018c4d19144dc955f2ed8fc5ee3b860b96506a6e5c8c216520c08001966",
+        "be046f976c298fa0752446f35821d5207836b17e1724edbc88fb52a892c531ee"),
+}
+
+_RUNNING = {"python": platform.python_version(), "numpy": np.__version__}
+
+
+@pytest.mark.skipif(
+    _RUNNING != RECORDED_WITH,
+    reason=f"digests recorded with {RECORDED_WITH}, running {_RUNNING}")
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_readme_command_outputs_are_byte_identical(name, tmp_path, capsys):
+    argv, csv_digest, json_digest = GOLDEN[name]
+    base = str(tmp_path / name)
+    assert main(argv.split() + ["--output", base]) == 0
+    capsys.readouterr()
+    for ext, want in (("csv", csv_digest), ("json", json_digest)):
+        data = (tmp_path / f"{name}.{ext}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want, f"{name}.{ext} changed"

@@ -7,6 +7,7 @@ import pytest
 
 from plks import (
     DomainError,
+    EnergyLawError,
     EventKind,
     IntegratorOptions,
     Termination,
@@ -340,6 +341,20 @@ def test_energy_nonincreasing_higher_dimensions():
         assert chk.max_increase <= 1e-8 * chk.scale
         # the decrease matches the dissipation integral
         assert chk.max_defect <= 1e-6 * chk.scale
+
+
+def test_energy_verdict_matches_raising():
+    for N, p, u0 in [(1, 3.0, 0.85), (2, 2.5, 1.5)]:
+        sol = integrate(_ode(N, p, 1.0, "backward"), u0,
+                        IntegratorOptions(r_max=20.0, stop_at_u_zero=False))
+        assert energy_derivative_check(sol).passed
+        # a negative tolerance fails every trajectory: the verdict says so,
+        # and only the raising mode raises
+        tight = dict(increase_tol=-1.0, drift_tol=-1.0)
+        assert not energy_derivative_check(
+            sol, raise_on_violation=False, **tight).passed
+        with pytest.raises(EnergyLawError):
+            energy_derivative_check(sol, **tight)
 
 
 def test_energy_dissipation_identity_random_points():

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, simpson
+from scipy.integrate import cumulative_simpson, quad, simpson
+from scipy.special import gamma
 
 from plks import derive_params
 from plks.backward import (
@@ -23,6 +24,9 @@ from plks.errors import (
 from plks.forward import CompactTail, ForwardOptions, PowerTail, solve_forward
 from plks.radial_ode import IntegratorOptions
 from plks.reconstruct import (
+    _angular_averages,
+    _cumulative_simpson,
+    _gamma_half,
     Direction,
     PhiProfile,
     SelfSimilarSolution,
@@ -40,6 +44,8 @@ from plks.reconstruct import (
     surface_area_unit_ball,
     system_residual,
 )
+
+from oracles import angular_average
 
 _CACHE = {}
 
@@ -392,6 +398,74 @@ def test_delta_needs_finite_mass():
     assert ss.M is None
     with pytest.raises(InfiniteMassError):
         delta_test(ss, lambda x: 1.0, [0.5])
+
+
+def _one_point(N):
+    """An off-center Gaussian that refuses anything but a single point."""
+    center = np.array([0.3, -0.2, 0.1, 0.05])[:N]
+
+    def f(x):
+        if np.shape(x) != (N,):
+            raise ValueError(f"one point of R^{N} per call, got shape {np.shape(x)}")
+        d = x - center
+        return math.exp(-float(np.dot(d, d)))
+    return f
+
+
+def _reference_deviations(ss, f, times):
+    """delta_test's deviations with the point-by-point average and scipy."""
+    N = ss.params.N
+    omega = surface_area_unit_ball(N)
+    f0 = float(f(np.zeros(N)))
+    r, ph = ss.phi.r, ss.phi.phi
+    grid_mass = omega * (float(ph[0]) * float(r[0]) ** N / N + float(
+        cumulative_simpson(r ** (N - 1) * ph, x=r, initial=0.0)[-1]))
+    out = []
+    for t in sorted(times, reverse=(ss.direction is Direction.FORWARD)):
+        theta = ss.similarity_scale(t)
+        fbar = np.array([angular_average(f, N, theta * float(s)) for s in r])
+        integral = omega * (float(ph[0]) * fbar[0] * float(r[0]) ** N / N
+                            + float(cumulative_simpson(
+                                r ** (N - 1) * ph * fbar, x=r, initial=0.0)[-1]))
+        integral += (ss.M - grid_mass) * angular_average(f, N, theta * float(r[-1]))
+        out.append((t, abs(integral - ss.M * f0)))
+    return out
+
+
+@pytest.mark.parametrize("N,p,a", [(1, 3.0, 1.5), (2, 3.0, 2.126),
+                                   (3, 2.5, 8.0), (4, 3.0, 5.0)])
+def test_delta_test_bitwise_matches_pointwise_rule(N, p, a):
+    P = derive_params(N, p, 1.0)
+    phi = phi_from_u(solve_backward(P, a), P)
+    ss = assemble(P, phi, psi_from_phi(phi, P), Direction.BACKWARD)
+    f = _one_point(N)
+    times = [0.5, 0.9, 0.99]
+    got = delta_test(ss, f, times, assert_decreasing=False)
+    assert got == _reference_deviations(ss, f, times)
+
+
+@pytest.mark.parametrize("N,n", [(1, 2500), (2, 50), (3, 50), (4, 50)])
+def test_angular_averages_bitwise_match_pointwise_rule(N, n):
+    # n = 2500 spans three blocks of radii
+    f = _one_point(N)
+    s = np.geomspace(1e-9, 30.0, n)
+    want = np.array([angular_average(f, N, float(x)) for x in s])
+    assert _angular_averages(f, N, s).tobytes() == want.tobytes()
+
+
+def test_cumulative_simpson_bitwise_matches_scipy():
+    rng = np.random.default_rng(7)
+    grids = [np.cumsum(rng.uniform(0.01, 1.0, n)) for n in range(2, 10)]
+    grids.append(np.cumsum(rng.uniform(1e-4, 1e-2, 40_000)))
+    for x in grids:
+        y = np.sin(3.0 * x) + rng.normal(size=len(x))
+        want = cumulative_simpson(y, x=x, initial=0.0)
+        assert _cumulative_simpson(y, x).tobytes() == want.tobytes()
+
+
+def test_gamma_table_matches_scipy():
+    for N in range(1, 13):
+        assert _gamma_half(N) == float(gamma(N / 2.0))
 
 
 # ------------------------------------------------- system residuals
