@@ -24,7 +24,7 @@ from .params import (
     Regime,
     ModelParams,
     derive_params,
-    regime_of,
+    phi_of_u,
     critical_p_from_m,
     admissible_p_threshold,
     compact_support_admissible,

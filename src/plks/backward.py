@@ -33,7 +33,7 @@ from .errors import (
     DomainError,
     NotEnoughZerosError,
 )
-from .params import ModelParams, Regime
+from .params import ModelParams, Regime, phi_of_u
 from .radial_ode import (
     EventKind,
     IntegratorOptions,
@@ -230,7 +230,12 @@ def zero_energy_height(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class CriticalResult:
-    """Bisection output for the P/N boundary."""
+    """Bisection output for the P/N boundary.
+
+    lower and upper are the classifications of the final bracket's
+    endpoints, P below and N above; they are None when an endpoint of the
+    initial bracket is itself tangential (N0) and bracket_width is 0.
+    """
 
     a_c: float
     bracket_width: float
@@ -238,6 +243,8 @@ class CriticalResult:
     profile: ProfileSolution
     n_iterations: int
     classification: Classification
+    lower: Optional[Classification] = None
+    upper: Optional[Classification] = None
 
 
 def find_critical_a(params: ModelParams,
@@ -286,7 +293,6 @@ def find_critical_a(params: ModelParams,
             f"upper endpoint a = {hi:g} classifies {c_hi.label}, need N")
 
     n_iter = n_expand
-    last_n = c_hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -299,17 +305,18 @@ def find_critical_a(params: ModelParams,
             lo, c_lo = mid, c
         elif c.set is ProfileClass.N:
             hi, c_hi = mid, c
-            last_n = c
         elif c.set is ProfileClass.N0:
-            return CriticalResult(mid, hi - lo, c.R_of_a, c.solution, n_iter, c)
+            return CriticalResult(mid, hi - lo, c.R_of_a, c.solution, n_iter, c,
+                                  c_lo, c_hi)
         else:
             raise AmbiguousBracketError(
                 f"inconclusive classification at a = {mid:g}: {c.reason}")
 
     a_c = 0.5 * (lo + hi)
     c_mid = classify(params, a_c, opts)
-    R_c = c_mid.R_of_a if c_mid.R_of_a is not None else last_n.R_of_a
-    return CriticalResult(a_c, hi - lo, R_c, c_mid.solution, n_iter + 1, c_mid)
+    R_c = c_mid.R_of_a if c_mid.R_of_a is not None else c_hi.R_of_a
+    return CriticalResult(a_c, hi - lo, R_c, c_mid.solution, n_iter + 1, c_mid,
+                          c_lo, c_hi)
 
 
 def rescaled_limit_check(params: ModelParams, a: float,
@@ -371,7 +378,6 @@ class MultiBubbleProfile:
     def phi(self, r) -> np.ndarray:
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.zeros_like(r_arr)
-        ex = (self.params.p - 1.0) / (self.params.p - 2.0)
         r0 = self.solution.r[0]
         for lo, hi in self.intervals:
             mask = (r_arr >= lo) & (r_arr <= hi)
@@ -379,7 +385,7 @@ class MultiBubbleProfile:
                 continue
             rs = np.clip(r_arr[mask], r0, self.solution.r[-1])
             u, _ = self.solution.sample(rs)
-            out[mask] = np.maximum(u, 0.0) ** ex
+            out[mask] = phi_of_u(self.params, u)
         if np.isscalar(r) or np.ndim(r) == 0:
             return float(out[0])
         return out

@@ -23,10 +23,10 @@ import numpy as np
 from .backward import (
     ClassifyOptions,
     ProfileClass,
-    classify,
     find_critical_a,
     solve_backward,
     sweep_a,
+    zero_energy_height,
 )
 from .errors import (
     AmbiguousBracketError,
@@ -59,6 +59,7 @@ from .params import (
     admissible_p_threshold,
     compact_support_admissible,
     derive_params,
+    phi_of_u,
 )
 from .radial_ode import (
     IntegratorOptions,
@@ -194,9 +195,15 @@ def _integrator(args) -> IntegratorOptions:
 
 def _classify_opts(args) -> ClassifyOptions:
     return ClassifyOptions(slope_tol=args.slope_tol, r_scan=args.r_max,
-                           integrator=IntegratorOptions(
-                               rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                               event_tol=args.event_tol))
+                           integrator=_integrator(args))
+
+
+def _backward_profile(params: ModelParams, args) -> ProfileSolution:
+    sol = solve_backward(params, args.a, _integrator(args))
+    if sol.termination in (Termination.STEP_UNDERFLOW, Termination.DIVERGED):
+        raise IntegrationError(
+            f"integration failed ({sol.termination.value}) at r = {sol.r_end:g}")
+    return sol
 
 
 def _config_echo(args, **specific) -> dict:
@@ -234,35 +241,12 @@ def _derived_block(params: ModelParams) -> dict:
     return d
 
 
-def _phi_column(params: ModelParams, u: np.ndarray) -> np.ndarray:
-    if params.regime is Regime.LINEAR:
-        return np.exp(u)
-    ex = (params.p - 1.0) / (params.p - 2.0)
-    pos = np.maximum(u, 0.0)
-    if params.regime is Regime.SLOW:
-        return pos ** ex
-    # fast regime: ex < 0, u stays positive; map stray zeros to 0 density
-    out = np.zeros_like(pos)
-    np.power(pos, ex, out=out, where=pos > 0.0)
-    return out
-
-
 def _profile_table(params: ModelParams, sol: ProfileSolution):
-    phi = _phi_column(params, sol.u)
+    phi = phi_of_u(params, sol.u)
     header = ["r", "u", "w", "E", "phi"]
     rows = [(float(r), float(u), float(w), float(e), float(f))
             for r, u, w, e, f in zip(sol.r, sol.u, sol.w, sol.energy, phi)]
     return header, rows
-
-
-def _energy_flags(params: ModelParams, sol: ProfileSolution):
-    """Energy drift figure and the library's verdict on the energy law."""
-    E = sol.energy
-    if params.N == 1:
-        drift = float(np.max(np.abs(E - E[0])))
-    else:
-        drift = float(np.max(np.diff(E))) if len(E) > 1 else 0.0
-    return drift, energy_derivative_check(sol, raise_on_violation=False).passed
 
 
 def _tail_block(tail) -> Optional[dict]:
@@ -278,6 +262,10 @@ def _tail_block(tail) -> Optional[dict]:
     raise TypeError(f"unknown tail {tail!r}")
 
 
+def _class_row(key, c) -> tuple:
+    return (key, c.a, c.label, c.R_of_a, c.terminal_slope)
+
+
 def _class_block(c) -> dict:
     return {"a": c.a, "class": c.label, "R": c.R_of_a,
             "terminal_slope": c.terminal_slope, "reason": c.reason}
@@ -288,12 +276,9 @@ def _class_block(c) -> dict:
 
 def cmd_solve_backward(args):
     params = derive_params(args.N, args.p, args.chi)
-    sol = solve_backward(params, args.a, _integrator(args))
-    if sol.termination in (Termination.STEP_UNDERFLOW, Termination.DIVERGED):
-        raise IntegrationError(
-            f"integration failed ({sol.termination.value}) at r = {sol.r_end:g}")
+    sol = _backward_profile(params, args)
     header, rows = _profile_table(params, sol)
-    drift, energy_ok = _energy_flags(params, sol)
+    audit = energy_derivative_check(sol, raise_on_violation=False)
     results = {
         "a": args.a,
         "termination": sol.termination.value,
@@ -304,9 +289,11 @@ def cmd_solve_backward(args):
         "zeros": [float(z) for z in sol.zeros()],
         "energy_initial": float(sol.energy[0]),
         "energy_final": float(sol.energy[-1]),
-        "energy_drift": drift,
+        # the law is conservation for N = 1 and descent for N >= 2
+        "energy_drift": audit.max_drift if params.N == 1
+        else audit.max_increase,
     }
-    tol = {"energy_law": energy_ok}
+    tol = {"energy_law": audit.passed}
     report = _report("solve-backward", _config_echo(args, a=args.a),
                      _derived_block(params), results, tol)
     return report, header, rows
@@ -372,27 +359,19 @@ def cmd_find_critical(args):
     if (args.a_lo is None) != (args.a_hi is None):
         raise DomainError("--a-lo and --a-hi must be given together")
     bracket = None if args.a_lo is None else (args.a_lo, args.a_hi)
-    copts = _classify_opts(args)
-    res = find_critical_a(params, bracket, copts, a_tol=args.a_tol)
+    res = find_critical_a(params, bracket, _classify_opts(args),
+                          a_tol=args.a_tol)
 
     header = ["role", "a", "class", "R", "terminal_slope"]
-    rows = []
-    certificates = None
-    if res.bracket_width > 0.0:
-        half = res.bracket_width / 2.0
-        c_lo = classify(params, res.a_c - half, copts)
-        c_hi = classify(params, res.a_c + half, copts)
-        certificates = {"lower": _class_block(c_lo), "upper": _class_block(c_hi)}
-        rows.append(("lower", c_lo.a, c_lo.label, c_lo.R_of_a,
-                     c_lo.terminal_slope))
     c_mid = res.classification
-    rows.append(("critical", res.a_c, c_mid.label, res.R_c,
-                 c_mid.terminal_slope))
-    if certificates is not None:
-        rows.append(("upper", certificates["upper"]["a"],
-                     certificates["upper"]["class"],
-                     certificates["upper"]["R"],
-                     certificates["upper"]["terminal_slope"]))
+    rows = [("critical", res.a_c, c_mid.label, res.R_c, c_mid.terminal_slope)]
+    certificates = None
+    if res.lower is not None:
+        # the final bracket's endpoints, as the bisection classified them
+        certificates = {"lower": _class_block(res.lower),
+                        "upper": _class_block(res.upper)}
+        rows = ([_class_row("lower", res.lower)] + rows
+                + [_class_row("upper", res.upper)])
 
     results = {
         "a_c": res.a_c,
@@ -410,8 +389,7 @@ def cmd_find_critical(args):
             and certificates["upper"]["class"] in ("N", "N0"),
     }
     if params.N == 1:
-        q = params.q
-        exact = ((q + 1.0) / (params.m * params.chi)) ** (1.0 / q)
+        exact = zero_energy_height(params)
         rel = abs(res.a_c - exact) / exact
         results["closed_form_a_c"] = exact
         results["closed_form_rel_err"] = rel
@@ -449,8 +427,7 @@ def cmd_sweep(args):
     grid = _parse_grid(args.a_grid)
     res = sweep_a(params, grid, _classify_opts(args))
     header = ["index", "a", "class", "R", "terminal_slope"]
-    rows = [(i, c.a, c.label, c.R_of_a, c.terminal_slope)
-            for i, c in enumerate(res.classifications)]
+    rows = [_class_row(i, c) for i, c in enumerate(res.classifications)]
     counts: dict = {}
     for c in res.classifications:
         counts[c.label] = counts.get(c.label, 0) + 1
@@ -489,12 +466,7 @@ def _reconstructed(args):
         if grade:
             phi = residual_grade_backward(params, args.a)
         else:
-            sol = solve_backward(params, args.a, _integrator(args))
-            if sol.termination in (Termination.STEP_UNDERFLOW,
-                                   Termination.DIVERGED):
-                raise IntegrationError(
-                    f"integration failed ({sol.termination.value}) "
-                    f"at r = {sol.r_end:g}")
+            sol = _backward_profile(params, args)
             phi = phi_from_u(sol, params, n_grid=args.n_grid)
         height = args.a
     else:
@@ -518,11 +490,15 @@ def cmd_reconstruct(args):
         mass_note = None
     except InfiniteMassError as exc:
         M, mass_note = None, str(exc)
-    res_block = None
+    res_block = residual_note = None
     if psi.well_posed:
-        res = system_residual(phi, psi, params, direction)
-        res_block = {"res1": res.res1, "res2": res.res2,
-                     "identity": res.identity}
+        try:
+            res = system_residual(phi, psi, params, direction)
+        except DomainError as exc:    # the profile cannot be differenced
+            residual_note = str(exc)
+        else:
+            res_block = {"res1": res.res1, "res2": res.res2,
+                         "identity": res.identity}
     header = ["r", "phi", "psi", "dpsi"]
     rows = [(float(r), float(f), float(s), float(ds))
             for r, f, s, ds in zip(phi.r, phi.phi, psi.psi, psi.psi_prime)]
@@ -537,6 +513,7 @@ def cmd_reconstruct(args):
         "potential_note": psi.detail,
         "i1_total": psi.i1_total,
         "residuals": res_block,
+        "residual_note": residual_note,
     }
     tol = {
         "mass_finite": M is not None,

@@ -25,7 +25,7 @@ from .errors import (
     IntegrationError,
     NoSupportRadiusError,
 )
-from .params import ModelParams, Regime
+from .params import ModelParams, Regime, phi_of_u
 from .radial_ode import (
     EventKind,
     IntegratorOptions,
@@ -164,9 +164,6 @@ class SupportEdge:
     terminal_u_slope: float
     terminal_phi_slope: float
 
-    def __iter__(self):
-        return iter((self.R_0, self.terminal_u_slope, self.terminal_phi_slope))
-
 
 def support_radius(fp: ForwardProfile, eps: float = 1e-6) -> SupportEdge:
     """Support edge data: R_0, u'(R_0), and phi' just inside the edge.
@@ -197,12 +194,6 @@ def support_radius_upper_bound(params: ModelParams, a: float) -> float:
     return (a * p / (p - 1.0)) ** ((p - 1.0) / p) * (B * m * N) ** (1.0 / p)
 
 
-def _phi_of_u(params: ModelParams, u: np.ndarray) -> np.ndarray:
-    if params.regime is Regime.LINEAR:
-        return np.exp(u)
-    return np.asarray(u, dtype=float) ** ((params.p - 1.0) / (params.p - 2.0))
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Tail-limit estimate against its exact target.
@@ -219,9 +210,6 @@ class DecayFit:
     r_last: float
     u_level_estimate: Optional[float] = None
     u_level_target: Optional[float] = None
-
-    def __iter__(self):
-        return iter((self.limit_estimate, self.target))
 
 
 def _richardson(x: np.ndarray, y: np.ndarray) -> float:
@@ -250,7 +238,7 @@ def fit_decay_rate(fp: ForwardProfile, n_fit: int = 200) -> DecayFit:
         return DecayFit(float(coef[0]), -0.25, float(y[-1]), r_last)
     x = r ** (-p / (p - 1.0))
     u_level = u * x
-    phi_level = _phi_of_u(fp.params, u_level)  # phi r^(p/(2-p)) = (u x)^((p-1)/(p-2))
+    phi_level = phi_of_u(fp.params, u_level)  # phi r^(p/(2-p)) = (u x)^((p-1)/(p-2))
     target = fp.tail.coefficient
     B, N, m = fp.params.B, fp.params.N, fp.params.m
     u_target = (p - 1.0) / p * (1.0 / (m * B * N)) ** (1.0 / (p - 1.0))

@@ -19,13 +19,15 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
     "Regime",
     "ModelParams",
     "derive_params",
-    "regime_of",
+    "phi_of_u",
     "compact_support_admissible",
     "admissible_p_threshold",
     "critical_p_from_m",
@@ -152,8 +154,17 @@ def derive_params(N: int, p: float, chi: float = 1.0) -> ModelParams:
     return ModelParams(N, p, chi)
 
 
-def regime_of(params: ModelParams) -> Regime:
-    return params.regime
+def phi_of_u(params: ModelParams, u) -> np.ndarray:
+    """Density profile phi of the transformed profile u, pointwise.
+
+    phi = e^u at p = 2; elsewhere phi = u^((p-1)/(p-2)) where u > 0 and
+    phi = 0 where u <= 0, the outside of the profile's support.
+    """
+    u = np.asarray(u, dtype=float)
+    if params.p == 2.0:
+        return np.exp(u)
+    ex = (params.p - 1.0) / (params.p - 2.0)
+    return np.power(u, ex, out=np.zeros_like(u), where=u > 0.0)
 
 
 def admissible_p_threshold(N: int) -> float:

@@ -33,7 +33,7 @@ w = 0 degrades gracefully to the absolute tolerance alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -105,9 +105,6 @@ class Forcing:
     G_np: Callable[[np.ndarray], np.ndarray]
     singular_at_zero: bool = False
     equilibrium_u: Optional[float] = None
-
-    def G(self, u):
-        return self.G_np(u)
 
 
 def _power_forcing(kind: str, chi: float, q: float, const: float,

@@ -31,8 +31,8 @@ from .errors import (
     NegativeBaseError,
     OutOfTimeDomainError,
 )
-from .forward import CompactTail, ForwardProfile, LogQuadraticTail, PowerTail, Tail
-from .params import ModelParams, Regime
+from .forward import CompactTail, ForwardProfile, PowerTail, Tail
+from .params import ModelParams, Regime, phi_of_u
 from .radial_ode import (
     IntegratorOptions,
     ProfileSolution,
@@ -140,16 +140,6 @@ class PhiProfile:
             raise DomainError("phi must be nonnegative")
 
 
-def _phi_map(params: ModelParams, u: np.ndarray) -> np.ndarray:
-    if params.regime is Regime.LINEAR:
-        return np.exp(u)
-    ex = (params.p - 1.0) / (params.p - 2.0)
-    if params.regime is Regime.FAST and np.any(u <= 0.0):
-        raise NegativeBaseError(
-            "the p < 2 map phi = u^((p-1)/(p-2)) needs u > 0 everywhere")
-    return np.maximum(u, 0.0) ** ex
-
-
 def phi_from_u(sol: ProfileSolution, params: ModelParams,
                tail: Optional[Tail] = None,
                n_grid: Optional[int] = None) -> PhiProfile:
@@ -172,14 +162,17 @@ def phi_from_u(sol: ProfileSolution, params: ModelParams,
             r = np.linspace(sol.r[0], z1, n_grid)
             u, _ = sol.sample(r[:-1])
             u = np.append(u, 0.0)
-        phi = _phi_map(params, u)
+        phi = phi_of_u(params, u)
         return PhiProfile(r, phi, tail if tail is not None else CompactTail(z1), z1)
     if n_grid is None:
         r, u = sol.r.copy(), sol.u
     else:
         r = np.linspace(sol.r[0], sol.r[-1], n_grid)
         u, _ = sol.sample(r)
-    phi = _phi_map(params, u)
+    if params.regime is Regime.FAST and np.any(u <= 0.0):
+        raise NegativeBaseError(
+            "the p < 2 map phi = u^((p-1)/(p-2)) needs u > 0 everywhere")
+    phi = phi_of_u(params, u)
     support = tail.radius if isinstance(tail, CompactTail) else None
     return PhiProfile(r, phi, tail, support)
 
@@ -584,9 +577,6 @@ class SystemResidual:
     res2: float       # potential equation psi'' + (N-1)/r psi' + phi^m
     identity: float   # integrated flux identity F/phi - chi psi' -+ r/(mN)
 
-    def __iter__(self):
-        return iter((self.res1, self.res2))
-
 
 def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
                     direction: Direction,
@@ -606,7 +596,9 @@ def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
     r = phi.r[sel]
     ph = phi.phi[sel]
     if np.any(ph <= 0.0):
-        raise DomainError("phi must be positive on the test window")
+        raise DomainError(
+            f"phi must be positive on the test window, but is {ph.min():g} "
+            f"at r = {r[np.argmin(ph)]:g}")
 
     if params.regime is Regime.LINEAR:
         u = np.log(ph)

@@ -195,6 +195,11 @@ def test_critical_bracket_straddles():
     hi = classify(P, res.a_c + res.bracket_width)
     assert lo.set is ProfileClass.P
     assert hi.set is ProfileClass.N
+    # the result carries the final bracket's endpoint classifications
+    assert res.lower.set is ProfileClass.P
+    assert res.upper.set is ProfileClass.N
+    assert res.upper.a - res.lower.a == res.bracket_width
+    assert res.lower.a < res.a_c < res.upper.a
 
 
 def test_critical_result_profile_is_near_critical():

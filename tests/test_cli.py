@@ -11,6 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import plks.backward
+from plks import (
+    IntegratorOptions,
+    ProfileClass,
+    derive_params,
+    energy_derivative_check,
+    find_critical_a,
+    solve_backward,
+)
 from plks.cli import _json_text, main
 
 
@@ -78,6 +87,25 @@ def test_solve_backward_energy_verdict_is_the_library_law(capsys):
     assert json.loads(out)["tolerances_met"]["energy_law"] is True
 
 
+@pytest.mark.parametrize("N, a, r_max, figure", [
+    (2, 2.0, 1e3, "max_increase"),   # the README command
+    (1, 0.5, 40.0, "max_drift"),
+])
+def test_solve_backward_energy_drift_is_the_library_figure(
+        N, a, r_max, figure, capsys):
+    # N >= 2 reports the largest increase of E, floored at 0; N = 1 the
+    # largest departure from E(r0)
+    rc, out, _ = _run(["solve-backward", "--N", str(N), "--p", "3",
+                       "--a", str(a), "--r-max", str(r_max),
+                       "--format", "json"], capsys)
+    assert rc == 0
+    drift = json.loads(out)["results"]["energy_drift"]
+    sol = solve_backward(derive_params(N, 3.0), a, IntegratorOptions(r_max=r_max))
+    check = energy_derivative_check(sol, raise_on_violation=False)
+    assert drift >= 0.0
+    assert drift == getattr(check, figure)
+
+
 def test_solve_backward_low_p_exit2(capsys):
     rc, _, err = _run(["solve-backward", "--p", "1.2", "--N", "3",
                        "--a", "1"], capsys)
@@ -109,6 +137,34 @@ def test_find_critical_closed_form(capsys):
     certs = res["certificates"]
     assert certs["lower"]["class"] == "P"
     assert certs["upper"]["class"] in ("N", "N0")
+
+
+def test_find_critical_certificates_are_the_bisection_endpoints(
+        capsys, monkeypatch):
+    heights = []
+    integrate = plks.backward.integrate
+
+    def counted(ode, u0, opts):
+        heights.append(u0)
+        return integrate(ode, u0, opts)
+
+    monkeypatch.setattr(plks.backward, "integrate", counted)
+    rc, out, _ = _run(["find-critical", "--N", "1", "--p", "3",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    rep = json.loads(out)["results"]
+    # the two initial endpoints, then one height per iteration (the last
+    # one is a_c); the certificates take no integration of their own
+    assert len(heights) == rep["n_iterations"] + 2
+    res = find_critical_a(derive_params(1, 3.0))
+    assert res.lower.set is ProfileClass.P
+    assert res.upper.set is ProfileClass.N
+    assert res.upper.a - res.lower.a == res.bracket_width == rep["bracket_width"]
+    certs = rep["certificates"]
+    for role, c in (("lower", res.lower), ("upper", res.upper)):
+        assert certs[role] == {"a": c.a, "class": c.label, "R": c.R_of_a,
+                               "terminal_slope": c.terminal_slope,
+                               "reason": c.reason}
 
 
 def test_find_critical_inadmissible_exit2(capsys):
@@ -232,7 +288,22 @@ def test_reconstruct_residual_grade(capsys):
     assert res["res1"] < 1e-6
     assert res["res2"] < 1e-6
     assert res["identity"] < 1e-6
+    assert rep["results"]["residual_note"] is None
     assert rep["tolerances_met"]["residuals_below_1e-6"] is True
+
+
+def test_reconstruct_underflowing_phi_reports_residual_note(capsys):
+    # phi = e^u underflows to 0 inside the residual window of the p = 2
+    # forward profile; the residuals are unavailable, not the input invalid
+    rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "2", "--b", "0",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["results"]["residuals"] is None
+    assert rep["results"]["residual_note"].startswith(
+        "phi must be positive on the test window")
+    assert rep["results"]["mass"] > 0.0
+    assert rep["tolerances_met"]["residuals_below_1e-6"] is False
 
 
 def test_reconstruct_needs_height_exit2(capsys):

@@ -133,8 +133,8 @@ def test_phi_slope_vanishes_at_edge():
 
 def test_support_edge_unpacks():
     P = derive_params(1, 3.0, 1.0)
-    R0, us, ps = support_radius(solve_forward(P, 1.0))
-    assert R0 > 0.0 and us < 0.0
+    edge = support_radius(solve_forward(P, 1.0))
+    assert edge.R_0 > 0.0 and edge.terminal_u_slope < 0.0
 
 
 def test_support_radius_rejects_fast_regime():
@@ -158,8 +158,6 @@ def test_decay_rate_linear_quarter():
         assert fit.target == -0.25
         assert abs(fit.raw_estimate - fit.target) / 0.25 < 0.02
         assert abs(fit.limit_estimate - fit.target) / 0.25 < 0.005
-        est, tgt = fit
-        assert (est, tgt) == (fit.limit_estimate, fit.target)
 
 
 def test_decay_rate_fast_power_law():

@@ -23,7 +23,7 @@ GOLDEN = {
     "solve-backward": (
         "solve-backward --N 2 --p 3 --a 2.0",
         "4095da1887266bb2d455195b1315e17ba89f483f4d853a3df39ba9d1c7c08904",
-        "ef1381c40cbb902f56d64defe652f9cc549f4c2488a7369a8cc40efac766f501"),
+        "41b6b9a2497f5cf4ee0411555cb8cda6a2279d257c71cb49e27b5d9128127467"),
     "solve-forward": (
         "solve-forward --N 3 --p 1.8 --b 1.0 --fit-decay",
         "ffb453aac5d40cecb6981f907b12370158f3fcf9135bf9829ef41c6ad656afab",
@@ -39,7 +39,7 @@ GOLDEN = {
     "reconstruct": (
         "reconstruct --N 2 --p 3 --a 2.126 --residual-grade",
         "d210825431f5c6df20a0f53b6d75b5abf73209e19f01bcb8d975f9b8ad7f733b",
-        "afae6a9d827c1aeff96ea203a3f8bcbae9d2586fa63877b646b5d14ed37d097b"),
+        "3da34ffbd9f1604a5f4b725a2492708774de75d5442d7075ff15a9844344a0d3"),
     "delta-test": (
         "delta-test --N 3 --p 1.8 --b 1.0",
         "58bf9018c4d19144dc955f2ed8fc5ee3b860b96506a6e5c8c216520c08001966",

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from plks import (
     DomainError,
@@ -12,7 +15,7 @@ from plks import (
     compact_support_admissible,
     critical_p_from_m,
     derive_params,
-    regime_of,
+    phi_of_u,
 )
 from oracles import oracle_exponents
 
@@ -97,9 +100,37 @@ def test_equilibrium_solves_g_zero(N):
 
 
 def test_regime_split():
-    assert regime_of(derive_params(2, 1.9, 1.0)) is Regime.FAST
-    assert regime_of(derive_params(2, 2.0, 1.0)) is Regime.LINEAR
-    assert regime_of(derive_params(2, 2.1, 1.0)) is Regime.SLOW
+    assert derive_params(2, 1.9, 1.0).regime is Regime.FAST
+    assert derive_params(2, 2.0, 1.0).regime is Regime.LINEAR
+    assert derive_params(2, 2.1, 1.0).regime is Regime.SLOW
+
+
+@st.composite
+def _any_regime(draw):
+    N = draw(st.integers(1, 4))
+    regime = draw(st.sampled_from(list(Regime)))
+    if regime is Regime.LINEAR:
+        p = 2.0
+    elif regime is Regime.SLOW:
+        p = draw(st.floats(2.05, 5.0))
+    else:
+        p = draw(st.floats(2.0 * N / (N + 1.0) + 0.01, 1.95))
+    return derive_params(N, p, draw(st.floats(0.1, 10.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_regime(),
+       arrays(np.float64, st.integers(1, 40), elements=st.floats(-30.0, 30.0)))
+def test_phi_of_u_policy(P, u):
+    with np.errstate(over="ignore"):
+        phi = phi_of_u(P, u)
+        if P.regime is Regime.LINEAR:
+            assert phi.tobytes() == np.exp(u).tobytes()
+            return
+        pos = u > 0.0
+        want = u[pos] ** ((P.p - 1.0) / (P.p - 2.0))
+    assert np.all(phi[~pos] == 0.0)
+    assert phi[pos].tobytes() == want.tobytes()
 
 
 def test_fast_regime_q_negative():

@@ -1,6 +1,7 @@
 """Tests for profile reconstruction: phi maps, potential kernels, mass,
 space-time evaluation, concentration, and system residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from plks.errors import (
     DomainError,
     IllPosedPotentialError,
     InfiniteMassError,
+    NegativeBaseError,
     OutOfTimeDomainError,
 )
 from plks.forward import CompactTail, ForwardOptions, PowerTail, solve_forward
@@ -90,6 +92,16 @@ def test_phi_map_exponential_linear():
     phi = phi_from_u(sol, P)
     assert phi.phi[0] == pytest.approx(math.exp(sol.u[0]), rel=1e-14)
     assert abs(phi.phi[0] - 1.0) < 1e-6  # u(0+) = b = 0 maps to phi = 1
+
+
+def test_phi_from_u_rejects_nonpositive_u_below_p_2():
+    # no admissible fast run reaches u <= 0, so one is made by hand
+    P = derive_params(2, 1.8, 1.0)
+    sol = solve_backward(P, 1.0)
+    for u_end in (0.0, -0.5):
+        bad = dataclasses.replace(sol, u=np.append(sol.u[:-1], u_end))
+        with pytest.raises(NegativeBaseError):
+            phi_from_u(bad, P)
 
 
 def test_phi_truncates_at_first_zero():
@@ -487,9 +499,8 @@ def test_residual_converged_backward():
     phi = residual_grade_backward(P, 1.2 * _critical(2, 3.0))
     psi = psi_from_phi(phi, P)
     res = system_residual(phi, psi, P, Direction.BACKWARD)
-    r1, r2 = res
-    assert r1 < 1e-6
-    assert r2 < 1e-6
+    assert res.res1 < 1e-6
+    assert res.res2 < 1e-6
     assert res.identity < 1e-6
 
 
