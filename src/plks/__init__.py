@@ -43,6 +43,7 @@ from .radial_ode import (
     Event,
     IntegratorOptions,
     ProfileSolution,
+    StepStats,
     startup_state,
     effective_startup_radius,
     integrate,

@@ -21,6 +21,7 @@ singular at u = 0), so no classification or root-finding is offered there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -255,7 +256,9 @@ def find_critical_a(params: ModelParams,
 
     bracket defaults to [0.999 h0, expanding doublings] with h0 the
     zero-energy height, which is certified P (N = 1: it is a_c itself; the
-    factor keeps the lower endpoint strictly inside P).  a_tol is relative;
+    factor keeps the lower endpoint strictly inside P).  The doublings stop
+    at a height where the source term is still far from overflow; if that
+    height classifies P, BadBracketError is raised.  a_tol is relative;
     a_tol = 0 bisects to the floating-point limit.  A tangential (N0) hit
     ends the search immediately.
     """
@@ -265,9 +268,13 @@ def find_critical_a(params: ModelParams,
     if opts is None:
         opts = ClassifyOptions()
 
+    # Default upper ends stay below a_cap, where chi a^q is 2^-20 of the
+    # largest double: the stepper's stage sums of g (coefficients up to ~25)
+    # must not overflow.  Only steep forcings (p near 2) come near it.
+    a_cap = (sys.float_info.max * 2.0 ** -20 / max(params.chi, 1.0)) ** (1.0 / params.q)
     if bracket is None:
         lo = 0.999 * zero_energy_height(params)
-        hi = max(2.0 * lo, 2.0 * params.u_star)
+        hi = min(max(2.0 * lo, 2.0 * params.u_star), a_cap)
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (0.0 < lo < hi):
@@ -282,8 +289,12 @@ def find_critical_a(params: ModelParams,
     c_hi = classify(params, hi, opts)
     n_expand = 0
     while c_hi.set is ProfileClass.P and bracket is None and n_expand < 60:
+        if hi >= a_cap:
+            raise BadBracketError(
+                f"heights up to a = {a_cap:g}, where the source term nears "
+                "overflow, classify P")
         lo, c_lo = hi, c_hi
-        hi *= 2.0
+        hi = min(2.0 * hi, a_cap)
         c_hi = classify(params, hi, opts)
         n_expand += 1
     if c_hi.set is ProfileClass.N0:

@@ -33,6 +33,7 @@ w = 0 degrades gracefully to the absolute tolerance alone.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -56,6 +57,7 @@ __all__ = [
     "Event",
     "IntegratorOptions",
     "ProfileSolution",
+    "StepStats",
     "startup_state",
     "effective_startup_radius",
     "integrate",
@@ -69,25 +71,9 @@ __all__ = [
 ]
 
 
-def _odd_pow(u: float, q: float) -> float:
-    """|u|^(q-1) u with overflow clamped to +-inf; sign-odd in u."""
-    au = abs(u)
-    if au == 0.0:
-        return 0.0 if q > 0.0 else math.copysign(math.inf, u)
-    try:
-        v = au ** q
-    except OverflowError:
-        v = math.inf
-    return v if u > 0.0 else -v
-
-
 def _odd_pow_np(u: np.ndarray, q: float) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         return np.sign(u) * np.abs(u) ** q
-
-
-def _exp_clamped(x: float) -> float:
-    return math.inf if x > 709.0 else math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -107,21 +93,33 @@ class Forcing:
     equilibrium_u: Optional[float] = None
 
 
-def _power_forcing(kind: str, chi: float, q: float, const: float,
-                   sign_pow: float, equilibrium: Optional[float]) -> Forcing:
-    """g(u) = sign_pow * chi |u|^(q-1) u + const, with matching G."""
+def _power_forcing(kind: str, coef: float, q: float, const: float,
+                   equilibrium: Optional[float]) -> Forcing:
+    """g(u) = coef |u|^(q-1) u + const, with matching G."""
     qp1 = q + 1.0
 
     def g(u: float) -> float:
-        return sign_pow * chi * _odd_pow(u, q) + const
+        # odd in u; an overflowing power, or u = 0 with q < 0, gives +-inf
+        if u > 0.0:
+            try:
+                return coef * u ** q + const
+            except OverflowError:
+                return coef * math.inf + const
+        if u == 0.0:
+            return coef * (0.0 if q > 0.0 else math.copysign(math.inf, u)) + const
+        try:
+            v = (-u) ** q
+        except OverflowError:
+            v = math.inf
+        return coef * -v + const
 
     def g_np(u):
-        return sign_pow * chi * _odd_pow_np(np.asarray(u, dtype=float), q) + const
+        return coef * _odd_pow_np(np.asarray(u, dtype=float), q) + const
 
     if qp1 != 0.0:
         def G_np(u):
             u = np.asarray(u, dtype=float)
-            return sign_pow * chi / qp1 * np.abs(u) ** qp1 + const * u
+            return coef / qp1 * np.abs(u) ** qp1 + const * u
     else:
         # q = -1: the power antiderivative degenerates to a logarithm,
         # defined for u > 0 only.
@@ -130,7 +128,7 @@ def _power_forcing(kind: str, chi: float, q: float, const: float,
             if np.any(u <= 0.0):
                 raise DomainError(
                     "logarithmic energy potential needs u > 0 (q = -1)")
-            return sign_pow * chi * np.log(u) + const * u
+            return coef * np.log(u) + const * u
 
     return Forcing(kind=kind, g=g, g_np=g_np, G_np=G_np,
                    singular_at_zero=q < 0.0, equilibrium_u=equilibrium)
@@ -141,7 +139,8 @@ def _exp_forcing(kind: str, chi: float, m: float, const: float,
     """g(u) = chi e^(m u) + const, with G = (chi/m) e^(m u) + const u."""
 
     def g(u: float) -> float:
-        return chi * _exp_clamped(m * u) + const
+        x = m * u
+        return chi * (math.inf if x > 709.0 else math.exp(x)) + const
 
     def g_np(u):
         u = np.asarray(u, dtype=float)
@@ -162,12 +161,12 @@ def forcing_backward(params: ModelParams) -> Forcing:
     chi, m = params.chi, params.m
     if params.regime is Regime.SLOW:
         return _power_forcing("backward-slow", chi, params.q, -1.0 / m,
-                              +1.0, params.u_star)
+                              params.u_star)
     if params.regime is Regime.LINEAR:
         return _exp_forcing("backward-linear", chi, m, -1.0 / m,
                             params.u_star_log)
     return _power_forcing("backward-fast", -chi, params.q, +1.0 / m,
-                          +1.0, params.u_star)
+                          params.u_star)
 
 
 def forcing_forward(params: ModelParams) -> Forcing:
@@ -175,20 +174,18 @@ def forcing_forward(params: ModelParams) -> Forcing:
     chi, m = params.chi, params.m
     if params.regime is Regime.SLOW:
         # g > 0 everywhere: u decreases, profile vanishes at finite radius.
-        return _power_forcing("forward-slow", chi, params.q, +1.0 / m,
-                              +1.0, None)
+        return _power_forcing("forward-slow", chi, params.q, +1.0 / m, None)
     if params.regime is Regime.LINEAR:
         return _exp_forcing("forward-linear", chi, m, +1.0 / m, None)
     # g < 0 everywhere on u > 0: u grows without bound.
-    return _power_forcing("forward-fast", -chi, params.q, -1.0 / m,
-                          +1.0, None)
+    return _power_forcing("forward-fast", -chi, params.q, -1.0 / m, None)
 
 
 def forcing_limit(params: ModelParams) -> Forcing:
     """Pure power source of the large-height rescaling limit (slow regime)."""
     if params.regime is not Regime.SLOW:
         raise DomainError("rescaling limit problem exists only for p > 2")
-    return _power_forcing("limit", params.chi, params.q, 0.0, +1.0, None)
+    return _power_forcing("limit", params.chi, params.q, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -303,21 +300,38 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
                                 22.0 / 525.0, -1.0 / 40.0)
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 
-_P = (
-    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
-     -12715105075.0 / 11282082432.0),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
-     87487479700.0 / 32700410799.0),
-    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
-     -10690763975.0 / 1880347072.0),
-    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
-     701980252875.0 / 199316789632.0),
-    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
-     -1453857185.0 / 822651844.0),
-    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
-     69997945.0 / 29380423.0),
-)
+# Quartic dense output: coefficient j = 1..3 of a step's interpolant is
+# sum_s k_s _Pjs over the stages s; coefficient 0 is k1 alone, and stage 2
+# carries no weight.
+_P11, _P13, _P14, _P15, _P16, _P17 = (
+    -8048581381.0 / 2820520608.0, 131558114200.0 / 32700410799.0,
+    -1754552775.0 / 470086768.0, 127303824393.0 / 49829197408.0,
+    -282668133.0 / 205662961.0, 40617522.0 / 29380423.0)
+_P21, _P23, _P24, _P25, _P26, _P27 = (
+    8663915743.0 / 2820520608.0, -68118460800.0 / 10900136933.0,
+    14199869525.0 / 1410260304.0, -318862633887.0 / 49829197408.0,
+    2019193451.0 / 616988883.0, -110615467.0 / 29380423.0)
+_P31, _P33, _P34, _P35, _P36, _P37 = (
+    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
+
+
+@dataclass(frozen=True)
+class StepStats:
+    """Deterministic work counters of one integration.
+
+    The rejections split by cause and sum to ProfileSolution.n_rejected:
+    the embedded error estimate over tolerance, the midpoint defect over
+    its bound, or an overflowing or non-finite stage, error norm, state or
+    defect.  bisection_iterations counts the dense-output halvings of event
+    location.
+    """
+
+    rejected_error: int = 0
+    rejected_defect: int = 0
+    rejected_overflow: int = 0
+    bisection_iterations: int = 0
 
 
 @dataclass
@@ -340,6 +354,7 @@ class ProfileSolution:
     termination: Termination
     n_steps: int
     n_rejected: int
+    stats: StepStats = field(default_factory=StepStats)
     _h: np.ndarray = field(repr=False, default=None)
     _q: np.ndarray = field(repr=False, default=None)  # (n_intervals, 2, 4)
 
@@ -419,29 +434,46 @@ def startup_state(ode: RadialODE, u0: float, r0: float) -> tuple[float, float]:
     return u0 - math.copysign(corr, g0), w0
 
 
-def _dense_eval(u0: float, w0: float, h: float, qrow, theta: float) -> tuple[float, float]:
-    qu, qw = qrow
-    pu = theta * (qu[0] + theta * (qu[1] + theta * (qu[2] + theta * qu[3])))
-    pw = theta * (qw[0] + theta * (qw[1] + theta * (qw[2] + theta * qw[3])))
+def _dense_coefficients(k1: float, k3: float, k4: float, k5: float, k6: float,
+                        k7: float) -> tuple[float, float, float, float]:
+    """One component's interpolant coefficients 0..3 from its stage slopes.
+
+    Each is the sum over the stages with a nonzero weight, in stage order
+    and starting from 0.0, so a sum of zeros is +0.0 whatever their signs.
+    """
+    return (0.0 + k1,
+            0.0 + k1 * _P11 + k3 * _P13 + k4 * _P14 + k5 * _P15 + k6 * _P16 + k7 * _P17,
+            0.0 + k1 * _P21 + k3 * _P23 + k4 * _P24 + k5 * _P25 + k6 * _P26 + k7 * _P27,
+            0.0 + k1 * _P31 + k3 * _P33 + k4 * _P34 + k5 * _P35 + k6 * _P36 + k7 * _P37)
+
+
+def _dense_eval(u0: float, w0: float, h: float, q, theta: float) -> tuple[float, float]:
+    """(u, w) at theta in [0, 1] of a step from its coefficients q[:4], q[4:]."""
+    pu = theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
+    pw = theta * (q[4] + theta * (q[5] + theta * (q[6] + theta * q[7])))
     return u0 + h * pu, w0 + h * pw
 
 
-def _locate_zero(u0: float, w0: float, h: float, qrow, comp: int,
-                 lo: float, hi: float, event_tol: float) -> tuple[float, float, float]:
-    """Bisect the dense output for a sign change of component comp on [lo, hi]."""
-    v_lo = _dense_eval(u0, w0, h, qrow, lo)[comp]
-    for _ in range(200):
+def _locate_zero(u0: float, w0: float, h: float, q, comp: int,
+                 event_tol: float) -> tuple[float, float, float, int]:
+    """Bisect a step's dense output for a sign change of component comp.
+
+    Returns theta, u and w at the zero, and the number of halvings.
+    """
+    lo, hi = 0.0, 1.0
+    v_lo = _dense_eval(u0, w0, h, q, lo)[comp]
+    for n in range(1, 201):
         mid = 0.5 * (lo + hi)
-        vals = _dense_eval(u0, w0, h, qrow, mid)
+        vals = _dense_eval(u0, w0, h, q, mid)
         v_mid = vals[comp]
         if abs(v_mid) <= event_tol or (hi - lo) < 1e-16:
-            return mid, vals[0], vals[1]
+            return mid, vals[0], vals[1], n
         if (v_lo < 0.0) == (v_mid < 0.0):
             lo, v_lo = mid, v_mid
         else:
             hi = mid
-    vals = _dense_eval(u0, w0, h, qrow, 0.5 * (lo + hi))
-    return 0.5 * (lo + hi), vals[0], vals[1]
+    vals = _dense_eval(u0, w0, h, q, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi), vals[0], vals[1], 200
 
 
 def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = None
@@ -457,45 +489,43 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         opts = IntegratorOptions()
     forc = ode.forcing
     g = forc.g
-    N = ode.params.N
-    nm1 = N - 1.0
-    linear_flux = ode.is_linear_flux
+    neg_nm1 = -(ode.params.N - 1.0)    # w' = neg_nm1 / r * w - g(u)
+    lin = ode.is_linear_flux           # u' = w; otherwise the Hoelder flux map
     inv_B = 1.0 / ode.B_eff
     e_u = 1.0 / (ode.p_eff - 1.0)
+    copysign, isfinite, sqrt = math.copysign, math.isfinite, math.sqrt
     rtol, atol = opts.rel_tol, opts.abs_tol
+    r_max, max_steps, w_floor = opts.r_max, opts.max_steps, opts.w_event_floor
+    h_max = math.inf if opts.h_max is None else opts.h_max
+    u_floor = -math.inf if opts.singular_floor is None else opts.singular_floor
+    u_ceiling = opts.u_ceiling
+    eq_u = opts.equilibrium_u
+    eq_tol, eq_w_tol = opts.equilibrium_tol, opts.equilibrium_w_tol
 
     r0 = effective_startup_radius(ode, u0, opts)
-    if r0 >= opts.r_max:
-        raise DomainError(f"startup radius {r0:g} >= r_max {opts.r_max:g}")
+    if r0 >= r_max:
+        raise DomainError(f"startup radius {r0:g} >= r_max {r_max:g}")
     u_c, w_c = startup_state(ode, u0, r0)
-
-    def rhs(r: float, u: float, w: float) -> tuple[float, float]:
-        if linear_flux:
-            du = w
-        else:
-            du = math.copysign((abs(w) * inv_B) ** e_u, w) if w != 0.0 else 0.0
-        return du, -nm1 / r * w - g(u)
 
     rs = [r0]
     us = [u_c]
     ws = [w_c]
     hs: list[float] = []
-    qs: list[tuple[tuple[float, float, float, float],
-                   tuple[float, float, float, float]]] = []
+    # 8 dense-output coefficients per step, u's then w's, as raw doubles
+    # (a quarter of the memory of a list of floats)
+    qs = array('d')
     events: list[Event] = []
     termination: Optional[Termination] = None
-    n_zero = 0
-    n_steps = 0
-    n_rejected = 0
+    n_zero = n_steps = n_attempts = 0
+    n_err = n_def = n_ovf = n_bisect = 0    # rejections by cause; halvings
 
-    eq_u = opts.equilibrium_u
-    if eq_u is not None and abs(u_c - eq_u) <= opts.equilibrium_tol \
-            and abs(w_c) <= opts.equilibrium_w_tol:
+    if eq_u is not None and abs(u_c - eq_u) <= eq_tol and abs(w_c) <= eq_w_tol:
         events.append(Event(EventKind.EQUILIBRIUM_HIT, r0, u_c, w_c))
         if opts.stop_at_equilibrium:
             termination = Termination.U_PRIME_VANISHED
 
-    k1u, k1w = rhs(r0, u_c, w_c)
+    k1u = w_c if lin else copysign((abs(w_c) * inv_B) ** e_u, w_c) if w_c else 0.0
+    k1w = neg_nm1 / r0 * w_c - g(u_c)
     # Initial step from the local derivative scale.
     su = atol + rtol * abs(u_c)
     sw = atol + rtol * abs(w_c)
@@ -511,68 +541,72 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     cr = cu = cw = 0.0
 
     while termination is None:
-        if n_steps + n_rejected > opts.max_steps:
+        if n_attempts > max_steps:
             raise IntegrationError(
-                f"exceeded {opts.max_steps} steps at r = {r:g} ({forc.kind})")
+                f"exceeded {max_steps} steps at r = {r:g} ({forc.kind})")
         if h < 1e-14 * r:
             termination = Termination.STEP_UNDERFLOW
             break
-        if opts.h_max is not None and h > opts.h_max:
-            h = opts.h_max
+        if h > h_max:
+            h = h_max
         clipped = False
-        if r + h >= opts.r_max:
-            h = opts.r_max - r
+        if r + h >= r_max:
+            h = r_max - r
             clipped = True
+        n_attempts += 1
 
-        # Stage sweep (FSAL: k1 carried over from the last accepted step).
+        # Stage sweep (FSAL: k1 carried over from the last accepted step);
+        # each stage k = (u', w') = (flux map of w, neg_nm1 / r * w - g(u)).
         try:
-            ru = r + _C2 * h
             yu = u + h * _A21 * k1u
             yw = w + h * _A21 * k1w
-            k2u, k2w = rhs(ru, yu, yw)
-            ru = r + _C3 * h
+            k2u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k2w = neg_nm1 / (r + _C2 * h) * yw - g(yu)
             yu = u + h * (_A31 * k1u + _A32 * k2u)
             yw = w + h * (_A31 * k1w + _A32 * k2w)
-            k3u, k3w = rhs(ru, yu, yw)
-            ru = r + _C4 * h
+            k3u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k3w = neg_nm1 / (r + _C3 * h) * yw - g(yu)
             yu = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
             yw = w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w)
-            k4u, k4w = rhs(ru, yu, yw)
-            ru = r + _C5 * h
+            k4u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k4w = neg_nm1 / (r + _C4 * h) * yw - g(yu)
             yu = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
             yw = w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w)
-            k5u, k5w = rhs(ru, yu, yw)
-            ru = r + h
+            k5u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k5w = neg_nm1 / (r + _C5 * h) * yw - g(yu)
+            rh = r + h
             yu = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
             yw = w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w)
-            k6u, k6w = rhs(ru, yu, yw)
+            k6u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k6w = neg_nm1 / rh * yw - g(yu)
             inc_u = h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u) - cu
             inc_w = h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w) - cw
             u_new = u + inc_u
             w_new = w + inc_w
-            k7u, k7w = rhs(r + h, u_new, w_new)
+            k7u = w_new if lin else (
+                copysign((abs(w_new) * inv_B) ** e_u, w_new) if w_new else 0.0)
+            k7w = neg_nm1 / rh * w_new - g(u_new)
             err_u = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u
                          + _E6 * k6u + _E7 * k7u)
             err_w = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w
                          + _E6 * k6w + _E7 * k7w)
         except (OverflowError, ValueError):
-            n_rejected += 1
+            n_ovf += 1
             h *= 0.2
             continue
 
         su = atol + rtol * max(abs(u), abs(u_new))
         sw = atol + rtol * max(abs(w), abs(w_new))
         try:
-            err = math.sqrt(0.5 * ((err_u / su) ** 2 + (err_w / sw) ** 2))
+            err = sqrt(0.5 * ((err_u / su) ** 2 + (err_w / sw) ** 2))
         except OverflowError:
             err = math.inf    # a ratio past ~1e154: reject like a failed stage
-        ok = math.isfinite(err) and err <= 0.25 \
-            and math.isfinite(u_new) and math.isfinite(w_new)
-        if not ok:
-            n_rejected += 1
-            if math.isfinite(err) and err > 0.0:
+        if not (err <= 0.25 and isfinite(u_new) and isfinite(w_new)):
+            if isfinite(err) and err > 0.0:
+                n_err += 1
                 h *= max(0.2, 0.9 * (0.25 / err) ** 0.2)
             else:
+                n_ovf += 1
                 h *= 0.2
             continue
 
@@ -585,108 +619,90 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         try:
             um_h = 0.5 * (u + u_new) + h * (k1u - k7u) / 8.0
             wm_h = 0.5 * (w + w_new) + h * (k1w - k7w) / 8.0
-            dmu, dmw = rhs(r + 0.5 * h, um_h, wm_h)
+            dmu = wm_h if lin else (
+                copysign((abs(wm_h) * inv_B) ** e_u, wm_h) if wm_h else 0.0)
+            dmw = neg_nm1 / (r + 0.5 * h) * wm_h - g(um_h)
             def_u = abs(u_new - u - h / 6.0 * (k1u + 4.0 * dmu + k7u)) / su
             def_w = abs(w_new - w - h / 6.0 * (k1w + 4.0 * dmw + k7w)) / sw
         except (OverflowError, ValueError):
-            n_rejected += 1
+            n_ovf += 1
             h *= 0.2
             continue
-        if linear_flux:
+        if lin:
             u_regular = True
         else:
             band = h * max(abs(k1w), abs(k7w))
             u_regular = w * w_new > 0.0 and min(abs(w), abs(w_new)) > 4.0 * band
         defect = max(def_w, def_u if u_regular else 0.0)
         if not (defect <= 5.0):
-            n_rejected += 1
+            if isfinite(defect):
+                n_def += 1
+            else:
+                n_ovf += 1
             h *= 0.5
             continue
 
         n_steps += 1
-        ks = ((k1u, k1w), (k2u, k2w), (k3u, k3w), (k4u, k4w),
-              (k5u, k5w), (k6u, k6w), (k7u, k7w))
-        qu = [0.0, 0.0, 0.0, 0.0]
-        qw = [0.0, 0.0, 0.0, 0.0]
-        for s in range(7):
-            psu, psw = ks[s]
-            prow = _P[s]
-            for j in range(4):
-                pj = prow[j]
-                if pj != 0.0:
-                    qu[j] += psu * pj
-                    qw[j] += psw * pj
-        qrow = (tuple(qu), tuple(qw))
+        hs.append(h)
+        qs.extend(_dense_coefficients(k1u, k3u, k4u, k5u, k6u, k7u))
+        qs.extend(_dense_coefficients(k1w, k3w, k4w, k5w, k6w, k7w))
         if clipped:
-            r_new = opts.r_max
+            r_new = r_max
             inc_r = r_new - r
         else:
             inc_r = h - cr
             r_new = r + inc_r
 
-        # --- event scan on this step ---
-        candidates: list[tuple[float, str]] = []
-        if (u > 0.0 and u_new <= 0.0) or (u < 0.0 and u_new >= 0.0):
-            candidates.append((0.0, "u"))   # theta filled by locator
-        if (w > 0.0 and w_new <= 0.0) or (w < 0.0 and w_new >= 0.0):
-            if max(abs(w), abs(w_new)) > opts.w_event_floor:
-                candidates.append((0.0, "w"))
-
-        located: list[tuple[float, str, float, float, float]] = []
-        for _, which in candidates:
-            comp = 0 if which == "u" else 1
-            th, ue, we = _locate_zero(u, w, h, qrow, comp, 0.0, 1.0,
-                                      opts.event_tol)
-            located.append((th, which, r + th * h, ue, we))
-        located.sort(key=lambda t: t[0])
-
-        truncated = False
-        for th, which, re_, ue, we in located:
-            if which == "u":
-                events.append(Event(EventKind.U_ZERO, re_, ue, we))
-                n_zero += 1
-                stop = opts.stop_at_u_zero or (
-                    opts.max_u_zero_events is not None
-                    and n_zero >= opts.max_u_zero_events)
-                if stop:
-                    rs.append(re_); us.append(ue); ws.append(we)
-                    hs.append(h); qs.append(qrow)
-                    termination = Termination.U_CROSSED_ZERO
-                    truncated = True
-                    break
-            else:
-                events.append(Event(EventKind.U_PRIME_ZERO, re_, ue, we))
-                if opts.record_amplitude:
-                    events.append(Event(EventKind.AMPLITUDE_SAMPLE, re_, ue, we))
-                # w rising through zero means a minimum of u.
-                is_min = w < 0.0 <= w_new or (w < 0.0 and w_new == 0.0)
-                if opts.stop_at_first_minimum and is_min and ue > 0.0:
-                    rs.append(re_); us.append(ue); ws.append(we)
-                    hs.append(h); qs.append(qrow)
-                    termination = Termination.U_PRIME_VANISHED
-                    truncated = True
-                    break
-        if truncated:
-            break
+        # --- event scan on this step, where u or w changes sign ---
+        u_cross = (u > 0.0 and u_new <= 0.0) or (u < 0.0 and u_new >= 0.0)
+        w_cross = ((w > 0.0 and w_new <= 0.0) or (w < 0.0 and w_new >= 0.0)) \
+            and max(abs(w), abs(w_new)) > w_floor
+        if u_cross or w_cross:
+            located: list[tuple[float, int, float, float, float]] = []
+            for comp, crossed in ((0, u_cross), (1, w_cross)):
+                if crossed:
+                    th, ue, we, n = _locate_zero(u, w, h, qs[-8:], comp, opts.event_tol)
+                    n_bisect += n
+                    located.append((th, comp, r + th * h, ue, we))
+            located.sort(key=lambda t: t[0])
+            for th, comp, re_, ue, we in located:
+                if comp == 0:
+                    events.append(Event(EventKind.U_ZERO, re_, ue, we))
+                    n_zero += 1
+                    if opts.stop_at_u_zero or (opts.max_u_zero_events is not None
+                                               and n_zero >= opts.max_u_zero_events):
+                        termination = Termination.U_CROSSED_ZERO
+                        break
+                else:
+                    events.append(Event(EventKind.U_PRIME_ZERO, re_, ue, we))
+                    if opts.record_amplitude:
+                        events.append(Event(EventKind.AMPLITUDE_SAMPLE, re_, ue, we))
+                    # w rising through zero means a minimum of u.
+                    is_min = w < 0.0 <= w_new or (w < 0.0 and w_new == 0.0)
+                    if opts.stop_at_first_minimum and is_min and ue > 0.0:
+                        termination = Termination.U_PRIME_VANISHED
+                        break
+            if termination is not None:
+                # the step ends at the event; its interpolant stays whole
+                rs.append(re_); us.append(ue); ws.append(we)
+                break
 
         rs.append(r_new); us.append(u_new); ws.append(w_new)
-        hs.append(h); qs.append(qrow)
 
-        if opts.singular_floor is not None and u_new <= opts.singular_floor:
+        if u_new <= u_floor:
             # Cannot falsify positivity: the source is singular at u = 0 and
             # the step size collapses there; report as underflow.
             termination = Termination.STEP_UNDERFLOW
             break
-        if abs(u_new) >= opts.u_ceiling:
+        if abs(u_new) >= u_ceiling:
             termination = Termination.DIVERGED
             break
-        if eq_u is not None and abs(u_new - eq_u) <= opts.equilibrium_tol \
-                and abs(w_new) <= opts.equilibrium_w_tol:
+        if eq_u is not None and abs(u_new - eq_u) <= eq_tol and abs(w_new) <= eq_w_tol:
             events.append(Event(EventKind.EQUILIBRIUM_HIT, r_new, u_new, w_new))
             if opts.stop_at_equilibrium:
                 termination = Termination.U_PRIME_VANISHED
                 break
-        if clipped or r_new >= opts.r_max:
+        if clipped or r_new >= r_max:
             termination = Termination.REACHED_RMAX
             break
 
@@ -703,15 +719,14 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     r_arr = np.asarray(rs, dtype=float)
     u_arr = np.asarray(us, dtype=float)
     w_arr = np.asarray(ws, dtype=float)
-    h_arr = np.asarray(hs, dtype=float)
-    q_arr = np.asarray(qs, dtype=float) if qs else np.zeros((0, 2, 4))
-    sol = ProfileSolution(
+    return ProfileSolution(
         ode=ode, opts=opts, u0=u0, r=r_arr, u=u_arr, w=w_arr,
         energy=energy(ode, u_arr, w_arr),
         events=events, termination=termination,
-        n_steps=n_steps, n_rejected=n_rejected,
-        _h=h_arr, _q=q_arr)
-    return sol
+        n_steps=n_steps, n_rejected=n_attempts - n_steps,
+        stats=StepStats(n_err, n_def, n_ovf, n_bisect),
+        _h=np.asarray(hs, dtype=float),
+        _q=np.asarray(qs, dtype=float).reshape(-1, 2, 4))
 
 
 def kinetic_energy(ode: RadialODE, w):

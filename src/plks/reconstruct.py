@@ -588,7 +588,13 @@ def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
     identity couples the phi flux to psi' with the direction-dependent
     drift sign (+ backward, - forward).
     """
-    R_ref = phi.support_radius if phi.support_radius is not None else float(phi.r[-1])
+    if phi.support_radius is not None:
+        R_ref = phi.support_radius
+    else:
+        # without a support edge, the last radius where phi is representable
+        # (e^u underflows to 0 long before a p = 2 forward run ends)
+        pos = np.flatnonzero(phi.phi > 0.0)
+        R_ref = float(phi.r[pos[-1] if pos.size else -1])
     lo, hi = window[0] * R_ref, window[1] * R_ref
     sel = (phi.r >= lo) & (phi.r <= hi)
     if int(np.count_nonzero(sel)) < 7:

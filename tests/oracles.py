@@ -5,7 +5,9 @@ from the package: exponents, source terms, flux inversion, startup series,
 and a classical fourth-order Runge-Kutta sweep.  Oracle trajectories are the
 ground truth the adaptive integrator is compared against.  The spherical
 average at the end is the point-by-point rule the delta test's vectorized
-quadrature must reproduce bit for bit.
+quadrature must reproduce bit for bit, and the dense-output loop over the
+Dormand-Prince matrix is the sum the stepper's unrolled coefficients must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -141,3 +143,35 @@ def angular_average(f, N: int, s: float) -> float:
         return float(acc / 2.0)
     # higher N: treat f as radial
     return float(f(np.concatenate([[s], np.zeros(N - 1)])))
+
+
+# Quartic dense-output matrix of the Dormand-Prince 5(4) pair: row s holds
+# the weights of stage s + 1 in the interpolant's coefficients 0..3.
+DP_DENSE = (
+    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0),
+    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0),
+    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0),
+    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0),
+    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+     69997945.0 / 29380423.0),
+)
+
+
+def dense_coefficients_loop(ks) -> tuple:
+    """One component's coefficients 0..3 from its seven stage slopes ks.
+
+    Sums k_s P[s][j] over the nonzero entries in stage order, from 0.0.
+    """
+    q = [0.0, 0.0, 0.0, 0.0]
+    for k, row in zip(ks, DP_DENSE):
+        for j, pj in enumerate(row):
+            if pj != 0.0:
+                q[j] += k * pj
+    return tuple(q)

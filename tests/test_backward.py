@@ -188,6 +188,24 @@ def test_bisection_survives_overflowing_error_norm(p):
     assert abs(find_critical_a(P).a_c - exact) / exact < 1e-6
 
 
+def test_default_bracket_stays_below_source_overflow():
+    # q ~ 2004: u0^q overflows above a ~ 1.42, while the old default upper
+    # end 2 max(lo, u*) ~ 2.005 made startup_state raise DomainError
+    P = derive_params(1, 2.001, 1.0)
+    exact = ((P.q + 1.0) / (P.m * P.chi)) ** (1.0 / P.q)
+    res = find_critical_a(P)
+    assert abs(res.a_c - exact) / exact < 1e-6
+    assert math.isfinite(P.chi * res.upper.a ** P.q)
+
+
+def test_default_bracket_all_positive_up_to_cap():
+    # inadmissible (N, p): every height is P, so the doublings reach the
+    # overflow cap, which ends the search with BadBracketError
+    P = derive_params(4, 2.001, 1.0)
+    with pytest.raises(BadBracketError, match="source term nears overflow"):
+        find_critical_a(P)
+
+
 def test_critical_bracket_straddles():
     P = derive_params(2, 3.0, 1.0)
     res = find_critical_a(P)

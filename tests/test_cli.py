@@ -167,6 +167,15 @@ def test_find_critical_certificates_are_the_bisection_endpoints(
                                "reason": c.reason}
 
 
+def test_find_critical_steep_source_exit0(capsys):
+    # N = 1, p = 2.001: q ~ 2004, so the default bracket must stay below
+    # the height where u0^q overflows
+    rc, out, _ = _run(["find-critical", "--N", "1", "--p", "2.001",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["results"]["closed_form_rel_err"] < 1e-6
+
+
 def test_find_critical_inadmissible_exit2(capsys):
     rc, _, err = _run(["find-critical", "--N", "3", "--p", "2.1"], capsys)
     assert rc == 2
@@ -292,17 +301,30 @@ def test_reconstruct_residual_grade(capsys):
     assert rep["tolerances_met"]["residuals_below_1e-6"] is True
 
 
-def test_reconstruct_underflowing_phi_reports_residual_note(capsys):
-    # phi = e^u underflows to 0 inside the residual window of the p = 2
-    # forward profile; the residuals are unavailable, not the input invalid
+def test_reconstruct_underflowing_phi_reports_finite_residuals(capsys):
+    # phi = e^u of the p = 2 forward profile underflows to 0 at r ~ 57, long
+    # before the run stops at u = -1e3 (r ~ 66); the residual window is tied
+    # to the last radius where phi > 0, so the residuals exist
     rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "2", "--b", "0",
                        "--format", "json"], capsys)
     assert rc == 0
     rep = json.loads(out)
+    res = rep["results"]["residuals"]
+    assert all(math.isfinite(res[k]) for k in ("res1", "res2", "identity"))
+    assert rep["results"]["residual_note"] is None
+    assert rep["results"]["mass"] > 0.0
+
+
+def test_reconstruct_coarse_grid_reports_residual_note(capsys):
+    # five nodes leave fewer than 7 in the residual window: the residuals
+    # are unavailable, not the input invalid
+    rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "2", "--b", "0",
+                       "--n-grid", "5", "--format", "json"], capsys)
+    assert rc == 0
+    rep = json.loads(out)
     assert rep["results"]["residuals"] is None
     assert rep["results"]["residual_note"].startswith(
-        "phi must be positive on the test window")
-    assert rep["results"]["mass"] > 0.0
+        "test window contains fewer than 7 grid points")
     assert rep["tolerances_met"]["residuals_below_1e-6"] is False
 
 

@@ -1,6 +1,8 @@
 """Integrator core: oracle agreement, events, energy law, defect audit."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from plks import (
     startup_state,
     uprime_from_w,
 )
-from oracles import oracle_g, oracle_startup, rk4_trajectory
+from oracles import (dense_coefficients_loop, oracle_g, oracle_startup,
+                     rk4_trajectory)
+from plks.radial_ode import _dense_coefficients
 
 RNG = np.random.default_rng(20260822)
 
@@ -91,6 +95,51 @@ def test_equilibrium_annihilates_source():
     P = derive_params(2, 2.0, 0.7)
     ode = backward_ode(P)
     assert abs(ode.forcing.g(P.u_star_log)) < 1e-13
+
+
+def test_power_forcing_clamps_overflow_to_inf():
+    # q ~ 2004: u^q overflows near u = 1.42; g saturates instead of raising
+    g = backward_ode(derive_params(1, 2.001, 1.0)).forcing.g
+    assert math.isfinite(g(1.4))
+    assert g(2.5) == math.inf
+    assert g(-2.5) == -math.inf
+    assert g(1e300) == math.inf
+
+
+def test_power_forcing_infinite_at_zero_for_negative_q():
+    # fast backward, q < 0: coef = -chi, so g(+-0) = -+inf, signed like u
+    P = derive_params(3, 1.8, 1.0)
+    assert P.q < 0.0
+    g = backward_ode(P).forcing.g
+    assert g(0.0) == -math.inf
+    assert g(-0.0) == math.inf
+    # q > 0: g(0) is the constant term alone
+    P = derive_params(2, 3.0, 1.0)
+    assert backward_ode(P).forcing.g(0.0) == -1.0 / P.m
+
+
+def test_power_forcing_is_odd():
+    # the limit forcing is the bare power law, odd in u to the bit
+    for N, p in ((1, 3.0), (2, 2.5), (1, 2.001)):
+        g = limit_ode(derive_params(N, p, 1.5)).forcing.g
+        for u in (1e-3, 0.4, 1.0, 1.3, 7.0):
+            assert g(-u) == -g(u)
+    # with a constant term c, g(u) + g(-u) = 2c at every u
+    for N, p, problem, c in ((1, 3.0, "backward", -1.0 / 4.0),
+                             (2, 3.0, "forward", 1.0 / 2.5),
+                             (3, 1.8, "backward", 1.0 / 0.4)):
+        assert derive_params(N, p).m == pytest.approx(abs(1.0 / c))
+        g = _ode(N, p, 1.5, problem).forcing.g
+        for u in (0.4, 1.0, 1.3):
+            assert g(u) + g(-u) == pytest.approx(2.0 * c, abs=1e-13)
+
+
+def test_exp_forcing_clamps_above_709():
+    P = derive_params(2, 2.0, 1.0)   # m = 1
+    g = forward_ode(P).forcing.g
+    assert g(709.0) == P.chi * math.exp(709.0) + 1.0 / P.m
+    assert g(709.5) == math.inf      # math.exp(709.5) is finite; the clamp is not
+    assert g(1e6) == math.inf
 
 
 def test_flux_inversion_round_trip():
@@ -173,6 +222,21 @@ def test_dense_output_against_oracle():
                                       float(r_t), 60_000)
         assert abs(u_t - u_ref) < 1e-7 * max(1.0, abs(u_ref))
         assert abs(w_t - w_ref) < 1e-6 * max(1.0, abs(w_ref))
+
+
+def test_dense_coefficients_match_matrix_loop():
+    # the unrolled sums equal the loop over the published matrix bit for
+    # bit, signed zeros and non-finite slopes included
+    cases = [RNG.standard_normal(7) * 10.0 ** RNG.integers(-8, 8, 7)
+             for _ in range(200)]
+    cases += [[-0.0] * 7, [0.0] * 7, [-0.0, 1.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+              [math.inf, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+              [1.0, 2.0, math.nan, 0.0, 0.0, 0.0, -1.0]]
+    for ks in cases:
+        ks = [float(k) for k in ks]
+        want = dense_coefficients_loop(ks)
+        got = _dense_coefficients(ks[0], *ks[2:])
+        assert [v.hex() for v in got] == [v.hex() for v in want], ks
 
 
 def test_dense_output_hits_nodes():
@@ -294,6 +358,48 @@ def test_singular_floor_underflow():
     assert sol.termination is Termination.STEP_UNDERFLOW
     assert sol.u[-1] <= 1e-8
     assert sol.u[-1] > 0.0
+
+
+def _faulted(ode, fault_at, fault):
+    """ode whose g misbehaves on call fault_at alone: returns inf or raises."""
+    calls = itertools.count()
+    g = ode.forcing.g
+
+    def g_faulty(u):
+        if next(calls) == fault_at:
+            if fault == "raise":
+                raise OverflowError("injected")
+            return math.inf
+        return g(u)
+
+    return replace(ode, forcing=replace(ode.forcing, g=g_faulty))
+
+
+# g calls 0-2 are the startup (radius, state, k1); the first attempt
+# evaluates stages k2..k7 at calls 3-8 and the defect midpoint at call 9
+@pytest.mark.parametrize("fault_at,fault,factor", [
+    (3, "inf", 0.2), (8, "inf", 0.2), (3, "raise", 0.2), (8, "raise", 0.2),
+    (9, "inf", 0.5), (9, "raise", 0.2)])
+def test_overflow_rejects_step(fault_at, fault, factor):
+    ode = _ode(2, 3.0, 1.0, "backward")
+    opts = IntegratorOptions(r_max=0.5)
+    clean = integrate(ode, 1.0, opts)
+    assert clean.n_rejected == 0
+    sol = integrate(_faulted(ode, fault_at, fault), 1.0, opts)
+    # one rejection, counted as an overflow, then the first step is retried
+    # with h cut by 5 (failed stage) or halved (non-finite defect)
+    assert sol.n_rejected == sol.stats.rejected_overflow == 1
+    assert sol._h[0] == factor * clean._h[0]
+    assert sol.termination is Termination.REACHED_RMAX
+
+
+def test_rejection_causes_sum_to_rejected():
+    for N, p, chi, problem, u0 in ORACLE_CASES:
+        sol = integrate(_ode(N, p, chi, problem), u0, IntegratorOptions(
+            r_max=20.0, stop_at_u_zero=False, u_ceiling=1e5))
+        st = sol.stats
+        assert st.rejected_error + st.rejected_defect + st.rejected_overflow \
+            == sol.n_rejected
 
 
 def test_grid_strictly_increasing():
