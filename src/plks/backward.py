@@ -3,9 +3,9 @@
 For p > 2 (slow regime) each initial height a > 0 falls into one of three
 sets: P (the profile stays positive over the scan radius), N (it vanishes
 transversally at a finite radius), or N0 (it vanishes tangentially).  The
-critical height a_c separating P from N is found by bisection; the profile
-at a_c has a zero with vanishing slope and generates the compactly
-supported blow-up solution.
+critical height a_c separating P from N is found by a bracketed secant on
+the energy gap; the profile at a_c has a zero with vanishing slope and
+generates the compactly supported blow-up solution.
 
 Positivity certificates rest on the energy E = B (p-1)/p |u'|^p + G(u),
 which never increases: reaching u = 0 requires E >= G(0), so a trajectory
@@ -84,6 +84,14 @@ class Classification:
     @property
     def label(self) -> str:
         return self.set.value
+
+    @property
+    def energy_gap(self) -> Optional[float]:
+        """G(min u) < 0 for P; the (kinetic) energy at the zero > 0 for N, N0."""
+        sol = self.solution
+        if self.set is ProfileClass.P:
+            return float(sol.ode.forcing.G_np(np.min(sol.u)))
+        return None if self.set is ProfileClass.INCONCLUSIVE else float(sol.energy[-1])
 
 
 @dataclass(frozen=True)
@@ -230,12 +238,31 @@ def zero_energy_height(params: ModelParams) -> float:
 
 
 @dataclass(frozen=True)
+class Probe:
+    """One classification made by find_critical_a, in the order it ran."""
+
+    a: float
+    label: str
+    reason: str
+    gap: Optional[float]
+    n_steps: int
+    r_end: float
+
+    @classmethod
+    def of(cls, c: Classification) -> "Probe":
+        return cls(c.a, c.label, c.reason, c.energy_gap, c.solution.n_steps,
+                   c.solution.r_end)
+
+
+@dataclass(frozen=True)
 class CriticalResult:
-    """Bisection output for the P/N boundary.
+    """Bracketed search output for the P/N boundary.
 
     lower and upper are the classifications of the final bracket's
     endpoints, P below and N above; they are None when an endpoint of the
     initial bracket is itself tangential (N0) and bracket_width is 0.
+    trace holds every classification of the search in order: the initial
+    bracket ends, the doublings, the interior probes and a_c itself.
     """
 
     a_c: float
@@ -246,21 +273,42 @@ class CriticalResult:
     classification: Classification
     lower: Optional[Classification] = None
     upper: Optional[Classification] = None
+    trace: tuple[Probe, ...] = ()
+
+
+def _gap_step(trace, lo, g_lo, hi, g_hi, old, tol: float) -> float:
+    """Brent's step: secant through the last two probes if they share a side
+    and the gap rises, else inverse quadratic through the ends and the end
+    the last probe replaced (old), else secant; tol past the best end at least."""
+    (b, fb), (c, fc) = sorted(((lo, g_lo), (hi, g_hi)), key=lambda t: abs(t[1]))
+    p, q = trace[-2], trace[-1]
+    if p.label == q.label and (q.gap - p.gap) * (q.a - p.a) > 0.0:
+        x = q.a - q.gap * (q.a - p.a) / (q.gap - p.gap)
+    elif old is not None and old[1] not in (fb, fc):
+        a, fa = old
+        x = (b + (a - b) * fb * fc / ((fa - fb) * (fa - fc))
+             + (c - b) * fb * fa / ((fc - fb) * (fc - fa)))
+    else:
+        x = b - fb * (c - b) / (fc - fb)
+    return x if abs(x - b) >= tol else b + math.copysign(tol, c - b)
 
 
 def find_critical_a(params: ModelParams,
                     bracket: Optional[tuple[float, float]] = None,
                     opts: Optional[ClassifyOptions] = None,
                     a_tol: float = 1e-10) -> CriticalResult:
-    """Bisect the P/N dichotomy to the critical height a_c.
+    """Find a_c by a bracketed secant on the energy gap.
 
     bracket defaults to [0.999 h0, expanding doublings] with h0 the
     zero-energy height, which is certified P (N = 1: it is a_c itself; the
-    factor keeps the lower endpoint strictly inside P).  The doublings stop
-    at a height where the source term is still far from overflow; if that
-    height classifies P, BadBracketError is raised.  a_tol is relative;
-    a_tol = 0 bisects to the floating-point limit.  A tangential (N0) hit
-    ends the search immediately.
+    factor keeps the lower endpoint strictly inside P).  An upper end above
+    a_cap, where the source term nears overflow, raises BadBracketError.
+    The bracket moves on P/N labels alone; energy gaps pick the next height
+    (_gap_step), but the midpoint is taken when an end's gap has the wrong
+    sign, when two probes have not halved the bracket, or when the probes
+    made plus the halvings left exceed bisection's count for the initial
+    bracket plus 2.  a_tol is the relative bracket width target; a_tol = 0
+    narrows it to the floating-point limit.  An N0 hit ends the search.
     """
     if params.regime is not Regime.SLOW:
         raise DomainError(
@@ -268,9 +316,9 @@ def find_critical_a(params: ModelParams,
     if opts is None:
         opts = ClassifyOptions()
 
-    # Default upper ends stay below a_cap, where chi a^q is 2^-20 of the
-    # largest double: the stepper's stage sums of g (coefficients up to ~25)
-    # must not overflow.  Only steep forcings (p near 2) come near it.
+    # Upper ends stay below a_cap, where chi a^q is 2^-20 of the largest
+    # double: the stepper's stage sums of g (coefficients up to ~25) must
+    # not overflow.  Only steep forcings (p near 2) come near it.
     a_cap = (sys.float_info.max * 2.0 ** -20 / max(params.chi, 1.0)) ** (1.0 / params.q)
     if bracket is None:
         lo = 0.999 * zero_energy_height(params)
@@ -279,14 +327,21 @@ def find_critical_a(params: ModelParams,
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (0.0 < lo < hi):
             raise BadBracketError(f"need 0 < a_lo < a_hi, got ({lo}, {hi})")
+        if hi > a_cap:
+            raise BadBracketError(
+                f"upper endpoint a = {hi:g} is above a = {a_cap:g}, where the "
+                "source term nears overflow")
 
     c_lo = classify(params, lo, opts)
+    trace = [Probe.of(c_lo)]
     if c_lo.set is ProfileClass.N0:
-        return CriticalResult(lo, 0.0, c_lo.R_of_a, c_lo.solution, 0, c_lo)
+        return CriticalResult(lo, 0.0, c_lo.R_of_a, c_lo.solution, 0, c_lo,
+                              trace=tuple(trace))
     if c_lo.set is not ProfileClass.P:
         raise BadBracketError(
             f"lower endpoint a = {lo:g} classifies {c_lo.label}, need P")
     c_hi = classify(params, hi, opts)
+    trace.append(Probe.of(c_hi))
     n_expand = 0
     while c_hi.set is ProfileClass.P and bracket is None and n_expand < 60:
         if hi >= a_cap:
@@ -296,38 +351,55 @@ def find_critical_a(params: ModelParams,
         lo, c_lo = hi, c_hi
         hi = min(2.0 * hi, a_cap)
         c_hi = classify(params, hi, opts)
+        trace.append(Probe.of(c_hi))
         n_expand += 1
     if c_hi.set is ProfileClass.N0:
-        return CriticalResult(hi, 0.0, c_hi.R_of_a, c_hi.solution, n_expand, c_hi)
+        return CriticalResult(hi, 0.0, c_hi.R_of_a, c_hi.solution, n_expand,
+                              c_hi, trace=tuple(trace))
     if c_hi.set is not ProfileClass.N:
         raise BadBracketError(
             f"upper endpoint a = {hi:g} classifies {c_hi.label}, need N")
 
+    def halvings(lo, hi):   # bisection rounds to the stopping width, at most
+        return max(0, math.ceil(math.log2((hi - lo) / max(a_tol * lo, math.ulp(hi)))))
+
     n_iter = n_expand
+    budget = n_expand + halvings(lo, hi) + 2
+    g_lo, g_hi = c_lo.energy_gap, c_hi.energy_gap
+    old, widths = None, []
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket at the floating-point limit
         if (hi - lo) <= a_tol * abs(mid):
             break
-        c = classify(params, mid, opts)
+        widths.append(hi - lo)
+        a = mid
+        if (g_lo < 0.0 < g_hi and n_iter + halvings(lo, hi) <= budget
+                and not (len(widths) > 2 and widths[-1] > 0.5 * widths[-3])):
+            a = _gap_step(trace, lo, g_lo, hi, g_hi, old,
+                          max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid)))
+            a = a if lo < a < hi else mid
+        c = classify(params, a, opts)
+        trace.append(Probe.of(c))
         n_iter += 1
         if c.set is ProfileClass.P:
-            lo, c_lo = mid, c
+            old, lo, c_lo, g_lo = (lo, g_lo), a, c, trace[-1].gap
         elif c.set is ProfileClass.N:
-            hi, c_hi = mid, c
+            old, hi, c_hi, g_hi = (hi, g_hi), a, c, trace[-1].gap
         elif c.set is ProfileClass.N0:
-            return CriticalResult(mid, hi - lo, c.R_of_a, c.solution, n_iter, c,
-                                  c_lo, c_hi)
+            return CriticalResult(a, hi - lo, c.R_of_a, c.solution, n_iter, c,
+                                  c_lo, c_hi, tuple(trace))
         else:
             raise AmbiguousBracketError(
-                f"inconclusive classification at a = {mid:g}: {c.reason}")
+                f"inconclusive classification at a = {a:g}: {c.reason}")
 
     a_c = 0.5 * (lo + hi)
     c_mid = classify(params, a_c, opts)
+    trace.append(Probe.of(c_mid))
     R_c = c_mid.R_of_a if c_mid.R_of_a is not None else c_hi.R_of_a
     return CriticalResult(a_c, hi - lo, R_c, c_mid.solution, n_iter + 1, c_mid,
-                          c_lo, c_hi)
+                          c_lo, c_hi, tuple(trace))
 
 
 def rescaled_limit_check(params: ModelParams, a: float,

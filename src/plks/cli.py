@@ -367,7 +367,7 @@ def cmd_find_critical(args):
     rows = [("critical", res.a_c, c_mid.label, res.R_c, c_mid.terminal_slope)]
     certificates = None
     if res.lower is not None:
-        # the final bracket's endpoints, as the bisection classified them
+        # the final bracket's endpoints, as the search classified them
         certificates = {"lower": _class_block(res.lower),
                         "upper": _class_block(res.upper)}
         rows = ([_class_row("lower", res.lower)] + rows
@@ -380,6 +380,9 @@ def cmd_find_critical(args):
         "n_iterations": res.n_iterations,
         "classification": _class_block(c_mid),
         "certificates": certificates,
+        "trace": [{"a": t.a, "class": t.label, "reason": t.reason,
+                   "gap": t.gap, "n_steps": t.n_steps, "r_end": t.r_end}
+                  for t in res.trace],
     }
     tol = {
         "bracket_width_within_tol":
@@ -639,7 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_solve_forward)
 
     sp = sub.add_parser("find-critical",
-                        help="bisect the positivity/vanishing boundary a_c")
+                        help="bracketed secant on the energy gap for a_c")
     _add_common(sp)
     sp.add_argument("--a-lo", type=float, default=None, dest="a_lo")
     sp.add_argument("--a-hi", type=float, default=None, dest="a_hi")

@@ -10,7 +10,7 @@ class IntegrationError(RuntimeError):
 
 
 class BadBracketError(ValueError):
-    """Bisection endpoints do not straddle the sought transition."""
+    """Bracket endpoints do not straddle the sought transition."""
 
 
 class AmbiguousBracketError(ValueError):

@@ -825,10 +825,6 @@ class LocalResidualReport:
     max_u_all: float
     n_degenerate: int
 
-    @property
-    def max_regular(self) -> float:
-        return max(self.max_w, self.max_u_regular)
-
 
 def local_residual_check(sol: ProfileSolution) -> LocalResidualReport:
     """Audit each accepted step against a Hermite-Simpson midpoint quadrature.

@@ -1,13 +1,16 @@
-"""Tests for the blow-up shooting layer: classification, bisection, bubbles."""
+"""Tests for the blow-up shooting layer: classification, a_c search, bubbles."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import plks.backward
 from plks import (
     AmbiguousBracketError,
     BadBracketError,
+    Classification,
     ClassifyOptions,
     DomainError,
     EventKind,
@@ -18,6 +21,7 @@ from plks import (
     build_multi_bubble,
     classify,
     derive_params,
+    admissible_p_threshold,
     find_critical_a,
     rescaled_limit_check,
     solve_backward,
@@ -166,7 +170,7 @@ def test_zero_energy_height_fast_infinite_barrier():
         zero_energy_height(P)
 
 
-# ---------------------------------------------------------------- bisection
+# ---------------------------------------------------------- critical height
 
 
 @pytest.mark.parametrize("p,chi", [(2.5, 1.0), (3.0, 1.0), (4.0, 1.0), (3.0, 2.0)])
@@ -267,6 +271,104 @@ def test_tangential_exit_meets_slope_band():
         c = res.classification
         assert c.set is ProfileClass.N0
         assert abs(c.terminal_slope) <= 10.0 * copts.slope_tol
+
+
+def test_energy_gap_signs_and_limit():
+    # negative on P, positive on N, and both shrink toward a_c
+    P = derive_params(2, 3.0, 1.0)
+    a_c = find_critical_a(P).a_c
+    for d in (1e-1, 1e-3):
+        lo, hi = classify(P, a_c * (1 - d)), classify(P, a_c * (1 + d))
+        assert lo.set is ProfileClass.P and lo.energy_gap < 0.0
+        assert hi.set is ProfileClass.N and hi.energy_gap > 0.0
+        assert max(-lo.energy_gap, hi.energy_gap) < 3.0 * d * a_c
+    stalled = Classification(a_c, ProfileClass.INCONCLUSIVE, None, None,
+                             "terminated by step-underflow", lo.solution)
+    assert stalled.energy_gap is None
+
+
+def test_energy_gap_at_non_certifying_touch():
+    # the first minimum sits at u = -2.1e-12 and certifies nothing, so the
+    # run goes on to a later minimum with E = -0.142; the gap is G(min u)
+    # over the grid, which stays at the boundary's 0, not at that energy
+    P = derive_params(2, 3.0, 1.0)
+    c = classify(P, 1.6892931827720723)
+    first_min = c.solution.events_of(EventKind.U_PRIME_ZERO)[0]
+    assert c.set is ProfileClass.P
+    assert -1e-11 < first_min.u <= 0.0
+    assert c.solution.energy[-1] < -0.1
+    assert abs(c.energy_gap) < 1e-8
+
+
+def _counted(monkeypatch):
+    heights = []
+    integrate = plks.backward.integrate
+
+    def counted(ode, u0, opts):
+        heights.append(u0)
+        return integrate(ode, u0, opts)
+
+    monkeypatch.setattr(plks.backward, "integrate", counted)
+    return heights
+
+
+@pytest.mark.parametrize("N,p", [(1, 3.0), (2, 3.0), (3, 2.17)])
+def test_critical_trace_is_every_integration_in_order(N, p, monkeypatch):
+    heights = _counted(monkeypatch)
+    res = find_critical_a(derive_params(N, p, 1.0))
+    trace = res.trace
+    assert [t.a for t in trace] == heights
+    assert len(trace) == res.n_iterations + 2
+    assert trace[0].a == 0.999 * zero_energy_height(res.lower.solution.ode.params)
+    assert trace[-1].a == res.a_c and trace[-1].label == res.classification.label
+    assert trace[-1].n_steps == res.profile.n_steps
+    assert trace[-1].r_end == res.profile.r_end
+    for t in trace:
+        assert (t.gap < 0.0) if t.label == "P" else (t.gap > 0.0)
+    # the final bracket ends are the last P and the last N probe before a_c
+    assert [t.a for t in trace[:-1] if t.label == "P"][-1] == res.lower.a
+    assert [t.a for t in trace[:-1] if t.label == "N"][-1] == res.upper.a
+
+
+def _bisection_rounds(res, a_tol=1e-10):
+    """Probes bisection needs for the search's initial bracket, at most, and
+    the probes the search made; the bracket ends after the doublings are
+    the first N in the trace and the entry before it."""
+    k = next(i for i, t in enumerate(res.trace) if t.label == "N")
+    lo, hi = res.trace[k - 1].a, res.trace[k].a
+    rounds = math.ceil(math.log2((hi - lo) / (a_tol * lo)))
+    return rounds, res.n_iterations - (k - 1) - 1
+
+
+def test_secant_beats_bisection_by_far():
+    P = derive_params(2, 3.0, 1.0)
+    rounds, probes = _bisection_rounds(find_critical_a(P))
+    assert rounds == 34
+    assert probes <= 16
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.floats(0.0, 1.0), st.floats(0.5, 2.0))
+def test_critical_search_properties(N, t, chi):
+    lo_p = max(2.0, admissible_p_threshold(N)) + 0.15
+    p = lo_p + t * (4.0 - lo_p)
+    P = derive_params(N, p, chi)
+    res = find_critical_a(P)
+    assert res.lower.set is ProfileClass.P
+    assert res.upper.set is ProfileClass.N
+    assert res.bracket_width <= 1e-10 * res.a_c
+    rounds, probes = _bisection_rounds(res)
+    assert probes <= rounds + 3
+    if N == 1:
+        exact = zero_energy_height(P)
+        assert abs(res.a_c - exact) / exact < 1e-6
+
+
+def test_explicit_bracket_above_overflow_cap():
+    # above a_cap ~ 1.41519 the stage sums of g overflow and every step fails
+    P = derive_params(1, 2.001, 1.0)
+    with pytest.raises(BadBracketError, match=r"above a = 1\.41519, where the source term nears overflow"):
+        find_critical_a(P, bracket=(1.0, 1.4245))
 
 
 # ------------------------------------------------------------ monotonicity

@@ -191,6 +191,32 @@ def test_find_critical_bad_bracket_exit4(capsys):
     assert err.startswith("error[BadBracketError]")
 
 
+def test_find_critical_bracket_above_overflow_cap_exit4(capsys):
+    # the upper end lies above the height where the source term nears
+    # overflow; it used to be integrated and fail as Inconclusive
+    rc, _, err = _run(["find-critical", "--N", "1", "--p", "2.001",
+                       "--a-lo", "1.0", "--a-hi", "1.4245"], capsys)
+    assert rc == 4
+    assert err.startswith("error[BadBracketError] upper endpoint a = 1.4245")
+    assert "nears overflow" in err and "Inconclusive" not in err
+
+
+def test_find_critical_json_trace(capsys):
+    rc, out, _ = _run(["find-critical", "--N", "2", "--p", "3",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    res = json.loads(out)["results"]
+    trace = res["trace"]
+    assert len(trace) == res["n_iterations"] + 2
+    assert all(list(t) == ["a", "class", "reason", "gap", "n_steps", "r_end"]
+               for t in trace)
+    assert [t["class"] for t in trace[:2]] == ["P", "N"]
+    assert trace[-1]["a"] == res["a_c"]
+    assert trace[-1]["class"] == res["classification"]["class"]
+    for role in ("lower", "upper"):
+        assert any(t["a"] == res["certificates"][role]["a"] for t in trace)
+
+
 def test_find_critical_half_bracket_exit2(capsys):
     rc, _, err = _run(["find-critical", "--N", "2", "--p", "3",
                        "--a-lo", "0.5"], capsys)

@@ -30,8 +30,8 @@ GOLDEN = {
         "99961f7bec9fabb7fd7ecd5d97c0c06b5d8fc1d82ce119420ef9b196950a3b75"),
     "find-critical": (
         "find-critical --N 1 --p 3",
-        "337de13a1daede53b5a45d0b7800ce2ace03dcffeb4c6d25dac038d8c367dba1",
-        "2a3d97ed442e380f4acc6d2018e83254c0d83a045c53c40455d52ca4ccf408d3"),
+        "2778813354477acd821a87aa61ac4b1e3f6d88cab22ecb12ebdfc30255054b73",
+        "a5bbcfea9c9d1e207e40fadf3b0f957c233641dec70e6a98db76baf27d86cac8"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
         "0e18fe5bfc32c7a2c93c77fc4ea87db7c4f7d0a0c63ff25659c8fdb0c2ea3216",
