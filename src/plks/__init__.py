@@ -102,8 +102,7 @@ from .reconstruct import (
     delta_test,
     SystemResidual,
     system_residual,
-    residual_grade_backward,
-    residual_grade_forward,
+    residual_grade,
 )
 
 __version__ = "0.1.0"

@@ -97,9 +97,6 @@ class Classification:
 @dataclass(frozen=True)
 class ClassifyOptions:
     slope_tol: float = 1e-6
-    r_scan: float = 1e3
-    equilibrium_tol: float = 1e-8
-    equilibrium_w_tol: float = 1e-8
     integrator: Optional[IntegratorOptions] = None
 
 
@@ -124,13 +121,12 @@ def _base_integrator(params: ModelParams, copts: ClassifyOptions) -> IntegratorO
     base = copts.integrator if copts.integrator is not None else IntegratorOptions()
     return replace(
         base,
-        r_max=copts.r_scan,
         stop_at_u_zero=True,
         max_u_zero_events=None,
         stop_at_first_minimum=True,
         equilibrium_u=params.u_star,
-        equilibrium_tol=copts.equilibrium_tol,
-        equilibrium_w_tol=copts.equilibrium_w_tol,
+        equilibrium_tol=1e-8,
+        equilibrium_w_tol=1e-8,
         stop_at_equilibrium=True,
     )
 

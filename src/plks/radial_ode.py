@@ -235,7 +235,6 @@ class EventKind(Enum):
     U_ZERO = "u-zero"
     U_PRIME_ZERO = "u-prime-zero"
     EQUILIBRIUM_HIT = "equilibrium-hit"
-    AMPLITUDE_SAMPLE = "amplitude-sample"
 
 
 class Termination(Enum):
@@ -279,7 +278,6 @@ class IntegratorOptions:
     equilibrium_w_tol: float = 1e-6
     stop_at_equilibrium: bool = False
     singular_floor: Optional[float] = None
-    record_amplitude: bool = False
     w_event_floor: float = 1e-8
     h_max: Optional[float] = None
 
@@ -675,8 +673,6 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                         break
                 else:
                     events.append(Event(EventKind.U_PRIME_ZERO, re_, ue, we))
-                    if opts.record_amplitude:
-                        events.append(Event(EventKind.AMPLITUDE_SAMPLE, re_, ue, we))
                     # w rising through zero means a minimum of u.
                     is_min = w < 0.0 <= w_new or (w < 0.0 and w_new == 0.0)
                     if opts.stop_at_first_minimum and is_min and ue > 0.0:

@@ -378,8 +378,8 @@ def test_monotone_extrema_above_one_dimension():
     # N >= 2, p >= N: oscillations damp toward u*, maxima fall, minima rise
     P = derive_params(2, 2.5, 1.0)
     sol = solve_backward(P, 0.9 * find_critical_a(P).a_c,
-                         IntegratorOptions(r_max=300.0, record_amplitude=True))
-    amps = [e.u for e in sol.events_of(EventKind.AMPLITUDE_SAMPLE)]
+                         IntegratorOptions(r_max=300.0))
+    amps = [e.u for e in sol.events_of(EventKind.U_PRIME_ZERO)]
     assert len(amps) > 10
     maxima = [u for u in amps if u > P.u_star]
     minima = [u for u in amps if u < P.u_star]
@@ -391,8 +391,8 @@ def test_monotone_extrema_above_one_dimension():
 def test_constant_amplitude_one_dimension():
     # conserved energy makes the N = 1 orbit periodic: maxima all equal
     P = derive_params(1, 3.0, 1.0)
-    sol = solve_backward(P, 0.9, IntegratorOptions(r_max=60.0, record_amplitude=True))
-    amps = np.array([e.u for e in sol.events_of(EventKind.AMPLITUDE_SAMPLE)])
+    sol = solve_backward(P, 0.9, IntegratorOptions(r_max=60.0))
+    amps = np.array([e.u for e in sol.events_of(EventKind.U_PRIME_ZERO)])
     maxima = amps[amps > P.u_star]
     assert len(maxima) > 5
     assert (maxima.max() - maxima.min()) / maxima.max() < 1e-6

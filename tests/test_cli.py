@@ -342,16 +342,29 @@ def test_reconstruct_underflowing_phi_reports_finite_residuals(capsys):
 
 
 def test_reconstruct_coarse_grid_reports_residual_note(capsys):
-    # five nodes leave fewer than 7 in the residual window: the residuals
+    # the N = 1 forward run steps 2.7, 25 and 251 once u is nearly linear,
+    # which leaves 6 of its own nodes in the residual window: the residuals
     # are unavailable, not the input invalid
-    rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "2", "--b", "0",
-                       "--n-grid", "5", "--format", "json"], capsys)
+    rc, out, _ = _run(["reconstruct", "--N", "1", "--p", "2", "--b", "0.5",
+                       "--format", "json"], capsys)
     assert rc == 0
     rep = json.loads(out)
     assert rep["results"]["residuals"] is None
-    assert rep["results"]["residual_note"].startswith(
-        "test window contains fewer than 7 grid points")
+    assert rep["results"]["residual_note"] == (
+        "test window contains fewer than 9 grid points")
     assert rep["tolerances_met"]["residuals_below_1e-6"] is False
+
+
+def test_reconstruct_coarse_grid_residual_grade(capsys):
+    # the same profile re-solved on the residual grade's capped grid
+    rc, out, _ = _run(["reconstruct", "--N", "1", "--p", "2", "--b", "0.5",
+                       "--residual-grade", "--format", "json"], capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    res = rep["results"]["residuals"]
+    assert max(res["res1"], res["res2"], res["identity"]) < 1e-6
+    assert rep["results"]["residual_note"] is None
+    assert rep["tolerances_met"]["residuals_below_1e-6"] is True
 
 
 def test_reconstruct_needs_height_exit2(capsys):

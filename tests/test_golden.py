@@ -38,8 +38,8 @@ GOLDEN = {
         "ec3c5bec23219a6d1fa7f24ff42664abbe87a7598ba5293c1502ba325022a07b"),
     "reconstruct": (
         "reconstruct --N 2 --p 3 --a 2.126 --residual-grade",
-        "d210825431f5c6df20a0f53b6d75b5abf73209e19f01bcb8d975f9b8ad7f733b",
-        "3da34ffbd9f1604a5f4b725a2492708774de75d5442d7075ff15a9844344a0d3"),
+        "e481a6ee0de2f87f7af4f818558dfb82e9682a1e5ac436b75778c4fb2958484b",
+        "adf693daff146d984936c69036c926f5081e24107510e9fd4f7448d7ed8bcb46"),
     "delta-test": (
         "delta-test --N 3 --p 1.8 --b 1.0",
         "58bf9018c4d19144dc955f2ed8fc5ee3b860b96506a6e5c8c216520c08001966",

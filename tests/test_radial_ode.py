@@ -318,9 +318,9 @@ def test_amplitude_samples_recorded():
     P = derive_params(1, 3.0, 1.0)
     ode = backward_ode(P)
     opts = IntegratorOptions(r_max=30.0, stop_at_u_zero=False,
-                             record_amplitude=True, equilibrium_u=P.u_star)
+                             equilibrium_u=P.u_star)
     sol = integrate(ode, 0.9, opts)
-    amps = sol.events_of(EventKind.AMPLITUDE_SAMPLE)
+    amps = sol.events_of(EventKind.U_PRIME_ZERO)
     assert len(amps) >= 4
     # the well is asymmetric, so amplitudes alternate between the two sides;
     # same-side amplitudes cannot grow (and stay flat for N = 1)

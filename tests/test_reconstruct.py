@@ -28,6 +28,7 @@ from plks.radial_ode import IntegratorOptions
 from plks.reconstruct import (
     _angular_averages,
     _cumulative_simpson,
+    _first_derivative,
     _gamma_half,
     Direction,
     PhiProfile,
@@ -41,8 +42,7 @@ from plks.reconstruct import (
     phi_from_u,
     psi_from_phi,
     psi_well_posed_threshold,
-    residual_grade_backward,
-    residual_grade_forward,
+    residual_grade,
     surface_area_unit_ball,
     system_residual,
 )
@@ -188,7 +188,7 @@ def test_poisson_residual_on_constant_source():
 def test_exterior_potential_law_compact_n3():
     # psi * r^(N-2) locks onto the full source integral past the support
     P = derive_params(3, 2.5, 1.0)
-    phi = residual_grade_forward(P, 1.0)
+    phi = residual_grade(P, 1.0, Direction.FORWARD)
     psi = psi_from_phi(phi, P)
     R = phi.support_radius
     const = psi.i1_total / (P.N - 2.0)
@@ -494,9 +494,29 @@ def test_residual_zero_at_equilibrium():
     assert res.identity < 1e-10
 
 
-def test_residual_converged_backward():
-    P = derive_params(2, 3.0, 1.0)
-    phi = residual_grade_backward(P, 1.2 * _critical(2, 3.0))
+def test_first_derivative_is_fourth_order():
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.05, 0.3, 40))
+    quartic = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.25, -0.04])
+    exact = quartic.deriv()(x[2:-2])
+    err = np.abs(_first_derivative(x, quartic(x)) - exact)
+    assert np.max(err) < 1e-12 * np.max(np.abs(exact))
+    # a smooth non-uniform grid, halved: the error on sin falls by ~2^4
+    errs = []
+    for n in (41, 81, 161):
+        s = np.linspace(0.0, 1.0, n)
+        x = 1.0 + 2.0 * s + s * s
+        errs.append(np.max(np.abs(_first_derivative(x, np.sin(x))
+                                  - np.cos(x[2:-2]))))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 12.0 < coarse / fine < 20.0
+
+
+@pytest.mark.parametrize("N, p, a", [(2, 3.0, 2.126), (1, 3.0, 2.5),
+                                     (3, 2.5, 4.1)])
+def test_residual_converged_backward(N, p, a):
+    P = derive_params(N, p, 1.0)
+    phi = residual_grade(P, a, Direction.BACKWARD)
     psi = psi_from_phi(phi, P)
     res = system_residual(phi, psi, P, Direction.BACKWARD)
     assert res.res1 < 1e-6
@@ -504,9 +524,11 @@ def test_residual_converged_backward():
     assert res.identity < 1e-6
 
 
-def test_residual_converged_forward():
-    P = derive_params(3, 2.5, 1.0)
-    phi = residual_grade_forward(P, 1.0)
+@pytest.mark.parametrize("N, p, b", [(3, 2.5, 1.0), (3, 1.8, 1.0),
+                                     (2, 2.0, 0.0), (1, 2.0, 0.5)])
+def test_residual_converged_forward(N, p, b):
+    P = derive_params(N, p, 1.0)
+    phi = residual_grade(P, b, Direction.FORWARD)
     psi = psi_from_phi(phi, P)
     res = system_residual(phi, psi, P, Direction.FORWARD)
     assert res.res1 < 1e-6
@@ -516,10 +538,14 @@ def test_residual_converged_forward():
 
 def test_residual_window_guards():
     P = derive_params(2, 3.0, 1.0)
-    r = np.linspace(0.1, 1.0, 5)
-    tiny = PhiProfile(r, np.ones(5), CompactTail(1.0), 1.0)
-    with pytest.raises(DomainError):
-        system_residual(tiny, psi_from_phi(tiny, P), P, Direction.BACKWARD)
+    # the window [0.1, 0.9] of the support holds 5, then 8 nodes; nested
+    # five-point stencils need 9
+    for n in (5, 8):
+        r = np.linspace(0.1, 0.9, n)
+        tiny = PhiProfile(r, np.ones(n), CompactTail(1.0), 1.0)
+        with pytest.raises(DomainError, match="fewer than 9 grid points"):
+            system_residual(tiny, psi_from_phi(tiny, P), P,
+                            Direction.BACKWARD)
     Q = derive_params(1, 3.0, 1.0)
     sol = solve_backward(Q, 2.0, IntegratorOptions(
         stop_at_u_zero=False, r_max=40.0))
