@@ -87,10 +87,16 @@ class Classification:
 
     @property
     def energy_gap(self) -> Optional[float]:
-        """G(min u) < 0 for P; the (kinetic) energy at the zero > 0 for N, N0."""
+        """G(min u) < 0 for P; the (kinetic) energy at the zero > 0 for N, N0.
+
+        min u is taken over the grid and the located minima, which steps
+        taken in the energy variable may straddle.
+        """
         sol = self.solution
         if self.set is ProfileClass.P:
-            return float(sol.ode.forcing.G_np(np.min(sol.u)))
+            u_min = min([float(np.min(sol.u))] + [
+                e.u for e in sol.events_of(EventKind.U_PRIME_ZERO)])
+            return float(sol.ode.forcing.G_np(u_min))
         return None if self.set is ProfileClass.INCONCLUSIVE else float(sol.energy[-1])
 
 
@@ -304,7 +310,8 @@ def find_critical_a(params: ModelParams,
     sign, when two probes have not halved the bracket, or when the probes
     made plus the halvings left exceed bisection's count for the initial
     bracket plus 2.  a_tol is the relative bracket width target; a_tol = 0
-    narrows it to the floating-point limit.  An N0 hit ends the search.
+    narrows it to the floating-point limit.  An N0 hit is certified by a
+    P and an N height within a_tol/2 of it, which end the search.
     """
     if params.regime is not Regime.SLOW:
         raise DomainError(
@@ -379,13 +386,33 @@ def find_critical_a(params: ModelParams,
         c = classify(params, a, opts)
         trace.append(Probe.of(c))
         n_iter += 1
+        if c.set is ProfileClass.N0:
+            # a tangential zero lies in a narrow band at a_c: certify it by
+            # heights just under a_tol/2 above and below, which end the
+            # search; it ends at the N0 height if neither is decisive
+            d = 0.49 * a_tol * a
+            n_ends = 0
+            for a_s in (a + d, a - d):
+                if not lo < a_s < hi:
+                    continue
+                c_s = classify(params, a_s, opts)
+                trace.append(Probe.of(c_s))
+                n_iter += 1
+                if c_s.set is ProfileClass.P:
+                    old, lo, c_lo, g_lo = (lo, g_lo), a_s, c_s, trace[-1].gap
+                elif c_s.set is ProfileClass.N:
+                    old, hi, c_hi, g_hi = (hi, g_hi), a_s, c_s, trace[-1].gap
+                else:
+                    continue
+                n_ends += 1
+            if n_ends == 0 and (hi - lo) > a_tol * a:
+                return CriticalResult(a, hi - lo, c.R_of_a, c.solution, n_iter,
+                                      c, c_lo, c_hi, tuple(trace))
+            continue
         if c.set is ProfileClass.P:
             old, lo, c_lo, g_lo = (lo, g_lo), a, c, trace[-1].gap
         elif c.set is ProfileClass.N:
             old, hi, c_hi, g_hi = (hi, g_hi), a, c, trace[-1].gap
-        elif c.set is ProfileClass.N0:
-            return CriticalResult(a, hi - lo, c.R_of_a, c.solution, n_iter, c,
-                                  c_lo, c_hi, tuple(trace))
         else:
             raise AmbiguousBracketError(
                 f"inconclusive classification at a = {a:g}: {c.reason}")

@@ -515,11 +515,14 @@ def cmd_reconstruct(args):
             and max(res_block["res1"], res_block["res2"],
                     res_block["identity"]) < 1e-6,
     }
-    report = _report("reconstruct",
-                     _config_echo(args, a=args.a, b=args.b,
-                                  direction=direction.value,
-                                  residual_grade=args.residual_grade),
-                     _derived_block(params), results, tol)
+    config = _config_echo(args, a=args.a, b=args.b, direction=direction.value,
+                          residual_grade=args.residual_grade)
+    if args.residual_grade:
+        # the grade pass runs at its own tolerances and step cap
+        o = phi.opts
+        config.update(r_max=o.r_max, rel_tol=o.rel_tol, abs_tol=o.abs_tol,
+                      event_tol=o.event_tol, h_max=o.h_max)
+    report = _report("reconstruct", config, _derived_block(params), results, tol)
     return report, header, rows
 
 

@@ -82,7 +82,13 @@ class Forcing:
 
     g is a scalar callable for the integration hot path; g_np and G_np accept
     numpy arrays for vectorized diagnostics.  singular_at_zero marks the
-    negative-exponent power laws whose g blows up as u -> 0+.
+    negative-exponent power laws whose g blows up as u -> 0+.  Power laws
+    with q > 1 also carry the scalar G and solve_G(T, u, tol), a Newton
+    solve of G(u) = T from u for the stepper's energy variable: at most 3
+    iterations, each taking |u|^q once for g, g' and G.  It stops once
+    Newton's next update would be below tol, with a Chebyshev step, and
+    returns the root, g there (to first order in the step) and the
+    iteration count; the root is nan when that update exceeds 1000 tol.
     """
 
     kind: str
@@ -91,6 +97,8 @@ class Forcing:
     G_np: Callable[[np.ndarray], np.ndarray]
     singular_at_zero: bool = False
     equilibrium_u: Optional[float] = None
+    G: Optional[Callable[[float], float]] = None
+    solve_G: Optional[Callable[[float, float, float], tuple]] = None
 
 
 def _power_forcing(kind: str, coef: float, q: float, const: float,
@@ -130,8 +138,29 @@ def _power_forcing(kind: str, coef: float, q: float, const: float,
                     "logarithmic energy potential needs u > 0 (q = -1)")
             return coef * np.log(u) + const * u
 
+    def G(u: float) -> float:
+        return coef / qp1 * abs(u) ** qp1 + const * u
+
+    copysign, nan = math.copysign, math.nan
+
+    def solve_G(T: float, u: float, tol: float) -> tuple[float, float, int]:
+        for n in (1, 2, 3):
+            t = coef * copysign(abs(u) ** q, u)
+            gu = t + const
+            d = ((t / qp1 + const) * u - T) / gu
+            gp = q * t / u if u else 0.0           # g'(u), 0 at u = 0
+            e = gp * d * d / (2.0 * gu)            # Newton's next update
+            if abs(e) <= tol or n == 3:
+                # the Chebyshev step u - d - e, and g there to first order
+                step = -d - e
+                return (u + step if abs(e) <= 1e3 * tol else nan,
+                        gu + gp * step, n)
+            u -= d
+
+    smooth = q > 1.0
     return Forcing(kind=kind, g=g, g_np=g_np, G_np=G_np,
-                   singular_at_zero=q < 0.0, equilibrium_u=equilibrium)
+                   singular_at_zero=q < 0.0, equilibrium_u=equilibrium,
+                   G=G if smooth else None, solve_G=solve_G if smooth else None)
 
 
 def _exp_forcing(kind: str, chi: float, m: float, const: float,
@@ -323,13 +352,19 @@ class StepStats:
     the embedded error estimate over tolerance, the midpoint defect over
     its bound, or an overflowing or non-finite stage, error norm, state or
     defect.  bisection_iterations counts the dense-output halvings of event
-    location.
+    location.  energy_steps counts the accepted steps taken in (E, w),
+    newton_iterations the Newton iterations that recovered u there, and
+    flux_zero_retakes the (u, w) trials that crossed a zero of w and were
+    retaken in (E, w) within the same attempt.  All three are 0 for p <= 2.
     """
 
     rejected_error: int = 0
     rejected_defect: int = 0
     rejected_overflow: int = 0
     bisection_iterations: int = 0
+    energy_steps: int = 0
+    newton_iterations: int = 0
+    flux_zero_retakes: int = 0
 
 
 @dataclass
@@ -338,7 +373,9 @@ class ProfileSolution:
 
     r, u, w, energy share the grid of accepted steps (r[0] is the startup
     radius).  sample() evaluates the continuous extension anywhere inside
-    [r[0], r[-1]] from the stored step interpolants.
+    [r[0], r[-1]] from the stored step interpolants.  On a step taken in
+    (E, w) the first interpolant is E's, _e holds E at the step's start
+    (nan on (u, w) steps), and u is recovered from G(u) = E - K(w).
     """
 
     ode: RadialODE
@@ -355,6 +392,7 @@ class ProfileSolution:
     stats: StepStats = field(default_factory=StepStats)
     _h: np.ndarray = field(repr=False, default=None)
     _q: np.ndarray = field(repr=False, default=None)  # (n_intervals, 2, 4)
+    _e: np.ndarray = field(repr=False, default=None)  # (n_intervals,)
 
     @property
     def r_end(self) -> float:
@@ -384,9 +422,26 @@ class ProfileSolution:
             q[:, :, 1] + theta[:, None] * (q[:, :, 2] + theta[:, None] * q[:, :, 3])))
         u = self.u[idx] + h * poly[:, 0]
         w = self.w[idx] + h * poly[:, 1]
+        on_E = np.isfinite(self._e[idx])
+        if np.any(on_E):
+            i = idx[on_E]
+            th = theta[on_E]
+            E = self._e[i] + h[on_E] * poly[on_E, 0]
+            u[on_E] = _u_of_energy(self.ode.forcing, E - kinetic_energy(
+                self.ode, w[on_E]), self.u[i] + th * (self.u[i + 1] - self.u[i]))
         if np.isscalar(r) or np.ndim(r) == 0:
             return float(u[0]), float(w[0])
         return u, w
+
+
+def _u_of_energy(forcing: Forcing, T: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Newton for G(u) = T from u, elementwise, to roundoff."""
+    for _ in range(50):
+        d = (forcing.G_np(u) - T) / forcing.g_np(u)
+        u = u - d
+        if not np.any(np.abs(d) > 1e-12 * (1.0 + np.abs(u))):
+            break
+    return u
 
 
 def effective_startup_radius(ode: RadialODE, u0: float, opts: IntegratorOptions) -> float:
@@ -452,17 +507,17 @@ def _dense_eval(u0: float, w0: float, h: float, q, theta: float) -> tuple[float,
     return u0 + h * pu, w0 + h * pw
 
 
-def _locate_zero(u0: float, w0: float, h: float, q, comp: int,
-                 event_tol: float) -> tuple[float, float, float, int]:
-    """Bisect a step's dense output for a sign change of component comp.
+def _locate_zero(f, comp: int, event_tol: float, lo: float = 0.0,
+                 hi: float = 1.0) -> tuple[float, float, float, int]:
+    """Bisect f(theta) on [lo, hi] of a step for a sign change of f[comp].
 
-    Returns theta, u and w at the zero, and the number of halvings.
+    Returns theta and f's two values at the zero, and the number of
+    halvings.
     """
-    lo, hi = 0.0, 1.0
-    v_lo = _dense_eval(u0, w0, h, q, lo)[comp]
+    v_lo = f(lo)[comp]
     for n in range(1, 201):
         mid = 0.5 * (lo + hi)
-        vals = _dense_eval(u0, w0, h, q, mid)
+        vals = f(mid)
         v_mid = vals[comp]
         if abs(v_mid) <= event_tol or (hi - lo) < 1e-16:
             return mid, vals[0], vals[1], n
@@ -470,7 +525,7 @@ def _locate_zero(u0: float, w0: float, h: float, q, comp: int,
             lo, v_lo = mid, v_mid
         else:
             hi = mid
-    vals = _dense_eval(u0, w0, h, q, 0.5 * (lo + hi))
+    vals = f(0.5 * (lo + hi))
     return 0.5 * (lo + hi), vals[0], vals[1], 200
 
 
@@ -482,6 +537,22 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     U_PRIME_VANISHED (first interior minimum with u > 0, or equilibrium
     capture, when those stops are enabled); STEP_UNDERFLOW (step below
     1e-14 r, or u under the singular floor); DIVERGED (|u| over the ceiling).
+
+    For p > 2 forcings with an equilibrium u*, steps near a turn of u (a
+    zero of w away from the origin) are taken in (E, w), E = G(u) + K(w):
+    u is only C^(1 + 1/(p-1)) there, E and w are C^(2 + 1/(p-1)).  E' =
+    -(N-1)/r w u' and K(w) = (p-1)/p w u' come from the stage slopes, u is
+    recovered at each stage by Newton on G(u) = E - K(w) from the RK
+    u-stage, and E's error is scaled by |g(u)|, which keeps the tolerance
+    on u.  A state is near a turn when K(w) < (G(u) - G(u*))/2, the top
+    third of the well, and, for N >= 2, 2|w| < r|w'|: at the origin
+    |w| = r|w'|, and E has u's r^(p/(p-1)) kink there.  For N = 1, E is
+    invariant, and each (E, w) stretch starts from its startup value.  E
+    must resolve u: eps |E| below a quarter of |g(u)| times the u
+    tolerance.  A (u, w) trial that crosses a zero of w is retaken in
+    (E, w) where E resolves u; an (E, w) step ends just past the turn its
+    start predicts; and a turn of an (E, w) step where u lies within
+    event_tol of zero, or beyond it, is a zero of u.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -494,11 +565,19 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     copysign, isfinite, sqrt = math.copysign, math.isfinite, math.sqrt
     rtol, atol = opts.rel_tol, opts.abs_tol
     r_max, max_steps, w_floor = opts.r_max, opts.max_steps, opts.w_event_floor
+    event_tol = opts.event_tol
     h_max = math.inf if opts.h_max is None else opts.h_max
     u_floor = -math.inf if opts.singular_floor is None else opts.singular_floor
     u_ceiling = opts.u_ceiling
     eq_u = opts.equilibrium_u
     eq_tol, eq_w_tol = opts.equilibrium_tol, opts.equilibrium_w_tol
+    # the energy variable: forcings whose flux zeros are turns of u
+    en = (not lin and ode.p_eff > 2.0 and forc.equilibrium_u is not None
+          and forc.solve_G is not None)
+    if en:
+        G, solve_G = forc.G, forc.solve_G
+        G_eq = G(forc.equilibrium_u)
+        c_K = (ode.p_eff - 1.0) / ode.p_eff     # K(w) = c_K w u'
 
     r0 = effective_startup_radius(ode, u0, opts)
     if r0 >= r_max:
@@ -509,13 +588,16 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     us = [u_c]
     ws = [w_c]
     hs: list[float] = []
-    # 8 dense-output coefficients per step, u's then w's, as raw doubles
-    # (a quarter of the memory of a list of floats)
+    # 8 dense-output coefficients per step, u's (E's on an (E, w) step)
+    # then w's, as raw doubles (a quarter of the memory of a list of floats)
     qs = array('d')
+    e_steps: list[int] = []      # indices of (E, w) steps
+    e_starts = array('d')        # and E at their start
     events: list[Event] = []
     termination: Optional[Termination] = None
     n_zero = n_steps = n_attempts = 0
     n_err = n_def = n_ovf = n_bisect = 0    # rejections by cause; halvings
+    n_retake = n_newton = 0
 
     if eq_u is not None and abs(u_c - eq_u) <= eq_tol and abs(w_c) <= eq_w_tol:
         events.append(Event(EventKind.EQUILIBRIUM_HIT, r0, u_c, w_c))
@@ -523,7 +605,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             termination = Termination.U_PRIME_VANISHED
 
     k1u = w_c if lin else copysign((abs(w_c) * inv_B) ** e_u, w_c) if w_c else 0.0
-    k1w = neg_nm1 / r0 * w_c - g(u_c)
+    g_c = g(u_c)
+    k1w = neg_nm1 / r0 * w_c - g_c
     # Initial step from the local derivative scale.
     su = atol + rtol * abs(u_c)
     sw = atol + rtol * abs(w_c)
@@ -536,9 +619,34 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     # Kahan carries for the state sums.  Uncompensated accumulation leaves
     # an ulp-scale random walk between neighbouring nodes, which double
     # finite differencing of the output amplifies by 1/h^2.
-    cr = cu = cw = 0.0
+    cr = cu = cw = cE = 0.0
+    E_c = None                   # E, carried along consecutive (E, w) steps
+    # for N = 1, E is invariant: every (E, w) stretch starts from its value
+    E_inv = G(u_c) + c_K * w_c * k1u if en and neg_nm1 == 0.0 else None
+    in_E = resolved = False
+
+    def newton_u(T, v):
+        # G(u) = T from v, to convergence (event location)
+        nonlocal n_newton
+        for _ in range(10):
+            v, _, n = solve_G(T, v, nt)
+            n_newton += n
+            if n < 3:
+                break
+        return v
 
     while termination is None:
+        if en and not in_E:
+            # choose the variable of the next step from the state
+            K_c = c_K * w * k1u
+            if E_c is None:
+                E_c = G(u) + K_c if E_inv is None else E_inv
+                cE = 0.0
+            su = atol + rtol * abs(u)
+            nt = 1e-2 * su                  # Newton update tolerance
+            resolved = abs(g_c) * su > 8.9e-16 * abs(E_c)
+            in_E = (resolved and K_c < 0.5 * (E_c - K_c - G_eq)
+                      and (E_inv is not None or 2.0 * abs(w) < r * abs(k1w)))
         if n_attempts > max_steps:
             raise IntegrationError(
                 f"exceeded {max_steps} steps at r = {r:g} ({forc.kind})")
@@ -547,58 +655,139 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             break
         if h > h_max:
             h = h_max
+        if in_E and w * k1w < 0.0 and h * abs(k1w) > 1.02 * abs(w):
+            # end just past the turn the flux's slope predicts: a step
+            # straddling it deep inside carries the |r - r_e|^(5/2) kink
+            h = -1.02 * w / k1w
         clipped = False
         if r + h >= r_max:
             h = r_max - r
             clipped = True
         n_attempts += 1
 
-        # Stage sweep (FSAL: k1 carried over from the last accepted step);
-        # each stage k = (u', w') = (flux map of w, neg_nm1 / r * w - g(u)).
-        try:
-            yu = u + h * _A21 * k1u
-            yw = w + h * _A21 * k1w
-            k2u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
-            k2w = neg_nm1 / (r + _C2 * h) * yw - g(yu)
-            yu = u + h * (_A31 * k1u + _A32 * k2u)
-            yw = w + h * (_A31 * k1w + _A32 * k2w)
-            k3u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
-            k3w = neg_nm1 / (r + _C3 * h) * yw - g(yu)
-            yu = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-            yw = w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w)
-            k4u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
-            k4w = neg_nm1 / (r + _C4 * h) * yw - g(yu)
-            yu = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            yw = w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w)
-            k5u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
-            k5w = neg_nm1 / (r + _C5 * h) * yw - g(yu)
-            rh = r + h
-            yu = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            yw = w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w)
-            k6u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
-            k6w = neg_nm1 / rh * yw - g(yu)
-            inc_u = h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u) - cu
-            inc_w = h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w) - cw
-            u_new = u + inc_u
-            w_new = w + inc_w
-            k7u = w_new if lin else (
-                copysign((abs(w_new) * inv_B) ** e_u, w_new) if w_new else 0.0)
-            k7w = neg_nm1 / rh * w_new - g(u_new)
-            err_u = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u
-                         + _E6 * k6u + _E7 * k7u)
-            err_w = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w
-                         + _E6 * k6w + _E7 * k7w)
-        except (OverflowError, ValueError):
-            n_ovf += 1
-            h *= 0.2
-            continue
+        if in_E:
+            # (E, w) stages, each with u by Newton from its RK u-stage
+            try:
+                k1E = neg_nm1 / r * w * k1u
+                yE = E_c + h * _A21 * k1E
+                yw = w + h * _A21 * k1w
+                k2u = copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                _, gy, n2 = solve_G(yE - c_K * yw * k2u, u + h * _A21 * k1u, nt)
+                t = neg_nm1 / (r + _C2 * h) * yw
+                k2E, k2w = t * k2u, t - gy
+                yE = E_c + h * (_A31 * k1E + _A32 * k2E)
+                yw = w + h * (_A31 * k1w + _A32 * k2w)
+                k3u = copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                _, gy, n3 = solve_G(yE - c_K * yw * k3u,
+                                     u + h * (_A31 * k1u + _A32 * k2u), nt)
+                t = neg_nm1 / (r + _C3 * h) * yw
+                k3E, k3w = t * k3u, t - gy
+                yE = E_c + h * (_A41 * k1E + _A42 * k2E + _A43 * k3E)
+                yw = w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w)
+                k4u = copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                _, gy, n4 = solve_G(yE - c_K * yw * k4u, u + h * (
+                    _A41 * k1u + _A42 * k2u + _A43 * k3u), nt)
+                t = neg_nm1 / (r + _C4 * h) * yw
+                k4E, k4w = t * k4u, t - gy
+                yE = E_c + h * (_A51 * k1E + _A52 * k2E + _A53 * k3E + _A54 * k4E)
+                yw = w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w)
+                k5u = copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                _, gy, n5 = solve_G(yE - c_K * yw * k5u, u + h * (
+                    _A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u), nt)
+                t = neg_nm1 / (r + _C5 * h) * yw
+                k5E, k5w = t * k5u, t - gy
+                rh = r + h
+                yE = E_c + h * (_A61 * k1E + _A62 * k2E + _A63 * k3E + _A64 * k4E
+                                + _A65 * k5E)
+                yw = w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w
+                              + _A65 * k5w)
+                k6u = copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                _, gy, n6 = solve_G(yE - c_K * yw * k6u, u + h * (
+                    _A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u
+                    + _A65 * k5u), nt)
+                t = neg_nm1 / rh * yw
+                k6E, k6w = t * k6u, t - gy
+                inc_E = h * (_B1 * k1E + _B3 * k3E + _B4 * k4E + _B5 * k5E
+                             + _B6 * k6E) - cE
+                inc_w = h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w
+                             + _B6 * k6w) - cw
+                E_new = E_c + inc_E
+                w_new = w + inc_w
+                k7u = (copysign((abs(w_new) * inv_B) ** e_u, w_new)
+                       if w_new else 0.0)
+                u_new, g7, n7 = solve_G(E_new - c_K * w_new * k7u, u + h * (
+                    _B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u
+                    + _B6 * k6u), nt)
+                t = neg_nm1 / rh * w_new
+                k7E, k7w = t * k7u, t - g7
+                n_newton += n2 + n3 + n4 + n5 + n6 + n7
+                err_E = h * (_E1 * k1E + _E3 * k3E + _E4 * k4E + _E5 * k5E
+                             + _E6 * k6E + _E7 * k7E)
+                err_w = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w
+                             + _E6 * k6w + _E7 * k7w)
+                su = atol + rtol * max(abs(u), abs(u_new))
+                sE = abs(g7) * su
+                sw = atol + rtol * max(abs(w), abs(w_new))
+                err = sqrt(0.5 * ((err_E / sE) ** 2 + (err_w / sw) ** 2))
+            except (OverflowError, ValueError, ZeroDivisionError):
+                n_ovf += 1
+                h *= 0.2
+                continue
+        else:
+            # Stage sweep (FSAL: k1 carried over from the last accepted
+            # step); each stage k = (u', w') = (flux map of w,
+            # neg_nm1 / r * w - g(u)).
+            try:
+                yu = u + h * _A21 * k1u
+                yw = w + h * _A21 * k1w
+                k2u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                k2w = neg_nm1 / (r + _C2 * h) * yw - g(yu)
+                yu = u + h * (_A31 * k1u + _A32 * k2u)
+                yw = w + h * (_A31 * k1w + _A32 * k2w)
+                k3u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                k3w = neg_nm1 / (r + _C3 * h) * yw - g(yu)
+                yu = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+                yw = w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w)
+                k4u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                k4w = neg_nm1 / (r + _C4 * h) * yw - g(yu)
+                yu = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+                yw = w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w)
+                k5u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                k5w = neg_nm1 / (r + _C5 * h) * yw - g(yu)
+                rh = r + h
+                yu = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+                yw = w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w)
+                k6u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+                k6w = neg_nm1 / rh * yw - g(yu)
+                inc_u = h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u) - cu
+                inc_w = h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w) - cw
+                u_new = u + inc_u
+                w_new = w + inc_w
+                k7u = w_new if lin else (
+                    copysign((abs(w_new) * inv_B) ** e_u, w_new) if w_new else 0.0)
+                g7 = g(u_new)
+                k7w = neg_nm1 / rh * w_new - g7
+                err_u = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u
+                             + _E6 * k6u + _E7 * k7u)
+                err_w = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w
+                             + _E6 * k6w + _E7 * k7w)
+            except (OverflowError, ValueError):
+                n_ovf += 1
+                h *= 0.2
+                continue
+            if resolved and w * w_new < 0.0:
+                # never step u across a turn: retake this attempt in (E, w)
+                n_retake += 1
+                n_attempts -= 1
+                in_E = True
+                continue
 
-        su = atol + rtol * max(abs(u), abs(u_new))
-        sw = atol + rtol * max(abs(w), abs(w_new))
-        try:
-            err = sqrt(0.5 * ((err_u / su) ** 2 + (err_w / sw) ** 2))
-        except OverflowError:
-            err = math.inf    # a ratio past ~1e154: reject like a failed stage
+            su = atol + rtol * max(abs(u), abs(u_new))
+            sw = atol + rtol * max(abs(w), abs(w_new))
+            try:
+                err = sqrt(0.5 * ((err_u / su) ** 2 + (err_w / sw) ** 2))
+            except OverflowError:
+                err = math.inf    # a ratio past ~1e154: reject like a failed stage
         if not (err <= 0.25 and isfinite(u_new) and isfinite(w_new)):
             if isfinite(err) and err > 0.0:
                 n_err += 1
@@ -608,30 +797,49 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                 h *= 0.2
             continue
 
-        # Defect control on top of the embedded estimate: the advertised
-        # contract bounds the midpoint residual by 10x tolerance on every
-        # accepted step, and the Simpson-defect constant is not uniformly
-        # tied to the embedded estimator's, so enforce it directly.  The
-        # u-component is exempt within a step of a flux zero, where the
-        # Hoelder inversion makes any such bound unattainable for p != 2.
-        try:
-            um_h = 0.5 * (u + u_new) + h * (k1u - k7u) / 8.0
-            wm_h = 0.5 * (w + w_new) + h * (k1w - k7w) / 8.0
-            dmu = wm_h if lin else (
-                copysign((abs(wm_h) * inv_B) ** e_u, wm_h) if wm_h else 0.0)
-            dmw = neg_nm1 / (r + 0.5 * h) * wm_h - g(um_h)
-            def_u = abs(u_new - u - h / 6.0 * (k1u + 4.0 * dmu + k7u)) / su
-            def_w = abs(w_new - w - h / 6.0 * (k1w + 4.0 * dmw + k7w)) / sw
-        except (OverflowError, ValueError):
-            n_ovf += 1
-            h *= 0.2
-            continue
-        if lin:
-            u_regular = True
+        if in_E:
+            # the midpoint defect, on E and w
+            try:
+                Em = 0.5 * (E_c + E_new) + h * (k1E - k7E) / 8.0
+                wm_h = 0.5 * (w + w_new) + h * (k1w - k7w) / 8.0
+                dmu = copysign((abs(wm_h) * inv_B) ** e_u, wm_h) if wm_h else 0.0
+                _, gy, n = solve_G(Em - c_K * wm_h * dmu, 0.5 * (u + u_new)
+                                   + h * (k1u - k7u) / 8.0, nt)
+                n_newton += n
+                t = neg_nm1 / (r + 0.5 * h) * wm_h
+                def_E = abs(E_new - E_c - h / 6.0 * (k1E + 4.0 * t * dmu + k7E)) / sE
+                def_w = abs(w_new - w - h / 6.0 * (k1w + 4.0 * (t - gy) + k7w)) / sw
+            except (OverflowError, ValueError, ZeroDivisionError):
+                n_ovf += 1
+                h *= 0.2
+                continue
+            defect = max(def_E, def_w)
         else:
-            band = h * max(abs(k1w), abs(k7w))
-            u_regular = w * w_new > 0.0 and min(abs(w), abs(w_new)) > 4.0 * band
-        defect = max(def_w, def_u if u_regular else 0.0)
+            # Defect control on top of the embedded estimate: the
+            # advertised contract bounds the midpoint residual by 10x
+            # tolerance on every accepted step, and the Simpson-defect
+            # constant is not uniformly tied to the embedded estimator's,
+            # so enforce it directly.  The u-component is exempt within a
+            # step of a flux zero, where the Hoelder inversion makes any
+            # such bound unattainable for p != 2.
+            try:
+                um_h = 0.5 * (u + u_new) + h * (k1u - k7u) / 8.0
+                wm_h = 0.5 * (w + w_new) + h * (k1w - k7w) / 8.0
+                dmu = wm_h if lin else (
+                    copysign((abs(wm_h) * inv_B) ** e_u, wm_h) if wm_h else 0.0)
+                dmw = neg_nm1 / (r + 0.5 * h) * wm_h - g(um_h)
+                def_u = abs(u_new - u - h / 6.0 * (k1u + 4.0 * dmu + k7u)) / su
+                def_w = abs(w_new - w - h / 6.0 * (k1w + 4.0 * dmw + k7w)) / sw
+            except (OverflowError, ValueError):
+                n_ovf += 1
+                h *= 0.2
+                continue
+            if lin:
+                u_regular = True
+            else:
+                band = h * max(abs(k1w), abs(k7w))
+                u_regular = w * w_new > 0.0 and min(abs(w), abs(w_new)) > 4.0 * band
+            defect = max(def_w, def_u if u_regular else 0.0)
         if not (defect <= 5.0):
             if isfinite(defect):
                 n_def += 1
@@ -642,7 +850,12 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
 
         n_steps += 1
         hs.append(h)
-        qs.extend(_dense_coefficients(k1u, k3u, k4u, k5u, k6u, k7u))
+        if in_E:
+            e_steps.append(n_steps - 1)
+            e_starts.append(E_c)
+            qs.extend(_dense_coefficients(k1E, k3E, k4E, k5E, k6E, k7E))
+        else:
+            qs.extend(_dense_coefficients(k1u, k3u, k4u, k5u, k6u, k7u))
         qs.extend(_dense_coefficients(k1w, k3w, k4w, k5w, k6w, k7w))
         if clipped:
             r_new = r_max
@@ -656,12 +869,39 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         w_cross = ((w > 0.0 and w_new <= 0.0) or (w < 0.0 and w_new >= 0.0)) \
             and max(abs(w), abs(w_new)) > w_floor
         if u_cross or w_cross:
+            q8 = qs[-8:]
             located: list[tuple[float, int, float, float, float]] = []
-            for comp, crossed in ((0, u_cross), (1, w_cross)):
-                if crossed:
-                    th, ue, we, n = _locate_zero(u, w, h, qs[-8:], comp, opts.event_tol)
+            if not in_E:
+                def state_at(th):
+                    return _dense_eval(u, w, h, q8, th)
+                for comp, crossed in ((0, u_cross), (1, w_cross)):
+                    if crossed:
+                        th, ue, we, n = _locate_zero(state_at, comp, event_tol)
+                        n_bisect += n
+                        located.append((th, comp, r + th * h, ue, we))
+            else:
+                def state_at(th):
+                    Et, wt = _dense_eval(E_c, w, h, q8, th)
+                    ut = copysign((abs(wt) * inv_B) ** e_u, wt) if wt else 0.0
+                    return newton_u(Et - c_K * wt * ut, u + th * (u_new - u)), wt
+                spans = [(0.0, 1.0)] if u_cross else []
+                if w_cross:
+                    th, _, we, n = _locate_zero(
+                        lambda t: _dense_eval(E_c, w, h, q8, t), 1, event_tol)
                     n_bisect += n
-                    located.append((th, comp, r + th * h, ue, we))
+                    ue = state_at(th)[0]
+                    located.append((th, 1, r + th * h, ue, we))
+                    if not u_cross and (ue <= 0.0 if u > 0.0 else ue >= 0.0):
+                        if abs(ue) <= event_tol:
+                            # u touches zero at the turn: a zero of slope 0
+                            located.append((th, 0, r + th * h, ue, we))
+                        else:
+                            # u passes zero and turns back within the step
+                            spans = [(0.0, th), (th, 1.0)]
+                for lo, hi in spans:
+                    th, ue, we, n = _locate_zero(state_at, 0, event_tol, lo, hi)
+                    n_bisect += n
+                    located.append((th, 0, r + th * h, ue, we))
             located.sort(key=lambda t: t[0])
             for th, comp, re_, ue, we in located:
                 if comp == 0:
@@ -703,10 +943,17 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             break
 
         cr = 0.0 if clipped else (r_new - r) - inc_r
-        cu = (u_new - u) - inc_u
+        if in_E:
+            cu = 0.0
+            cE = (E_new - E_c) - inc_E
+            E_c = E_new
+            in_E = False
+        else:
+            cu = (u_new - u) - inc_u
+            E_c = None
         cw = (w_new - w) - inc_w
         r, u, w = r_new, u_new, w_new
-        k1u, k1w = k7u, k7w
+        k1u, k1w, g_c = k7u, k7w, g7
         if err == 0.0:
             h *= 10.0
         else:
@@ -715,14 +962,18 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     r_arr = np.asarray(rs, dtype=float)
     u_arr = np.asarray(us, dtype=float)
     w_arr = np.asarray(ws, dtype=float)
+    e_arr = np.full(len(hs), np.nan)
+    e_arr[e_steps] = e_starts
     return ProfileSolution(
         ode=ode, opts=opts, u0=u0, r=r_arr, u=u_arr, w=w_arr,
         energy=energy(ode, u_arr, w_arr),
         events=events, termination=termination,
         n_steps=n_steps, n_rejected=n_attempts - n_steps,
-        stats=StepStats(n_err, n_def, n_ovf, n_bisect),
+        stats=StepStats(n_err, n_def, n_ovf, n_bisect, len(e_steps),
+                        n_newton, n_retake),
         _h=np.asarray(hs, dtype=float),
-        _q=np.asarray(qs, dtype=float).reshape(-1, 2, 4))
+        _q=np.asarray(qs, dtype=float).reshape(-1, 2, 4),
+        _e=e_arr)
 
 
 def kinetic_energy(ode: RadialODE, w):
@@ -813,7 +1064,8 @@ class LocalResidualReport:
     from zeros of the flux; for p != 2 the inversion u' ~ |w|^(1/(p-1)) is
     only Hoelder there, u picks up a fractional-power kink, and no
     tolerance-proportional defect bound exists on such steps (those appear
-    in max_u_all / n_degenerate instead).
+    in max_u_all / n_degenerate instead).  Steps taken in (E, w), which
+    recover u from E rather than integrate it, count as degenerate too.
     """
 
     max_w: float
@@ -827,7 +1079,9 @@ def local_residual_check(sol: ProfileSolution) -> LocalResidualReport:
 
     The defect |y1 - y0 - (h/6)(f0 + 4 f_mid + f1)|, with the midpoint state
     from cubic Hermite interpolation, is scaled by the integrator tolerance
-    (abs_tol + rel_tol |y|); regular steps must come in below 10.
+    (abs_tol + rel_tol |y|); regular steps must come in below 10.  On a
+    step taken in (E, w) the midpoint u of the w equation is recovered
+    from E's Hermite midpoint.
     """
     ode = sol.ode
     if len(sol.r) < 2:
@@ -844,6 +1098,15 @@ def local_residual_check(sol: ProfileSolution) -> LocalResidualReport:
     du1, dw1 = rhs_np(r[1:], u[1:], w[1:])
     um = 0.5 * (u[:-1] + u[1:]) + h * (du0 - du1) / 8.0
     wm = 0.5 * (w[:-1] + w[1:]) + h * (dw0 - dw1) / 8.0
+    on_E = np.isfinite(sol._e)
+    if np.any(on_E):
+        # a step taken in (E, w) gets its midpoint u from E, as the
+        # stepper's defect control does, not from u's Hermite cubic
+        dE = -(ode.params.N - 1.0) / r * w * uprime_from_w(ode, w)
+        E = sol.energy
+        Em = 0.5 * (E[:-1] + E[1:]) + h * (dE[:-1] - dE[1:]) / 8.0
+        um[on_E] = _u_of_energy(ode.forcing, Em[on_E] - kinetic_energy(
+            ode, wm[on_E]), um[on_E])
     dum, dwm = rhs_np(r[:-1] + 0.5 * h, um, wm)
     res_u = np.abs(np.diff(u) - h / 6.0 * (du0 + 4.0 * dum + du1))
     res_w = np.abs(np.diff(w) - h / 6.0 * (dw0 + 4.0 * dwm + dw1))
@@ -859,7 +1122,7 @@ def local_residual_check(sol: ProfileSolution) -> LocalResidualReport:
         # the exemption the stepper's defect control applies
         band = h * np.maximum(np.abs(dw0), np.abs(dw1))
         degenerate = (w[:-1] * w[1:] <= 0.0) \
-            | (np.minimum(np.abs(w[:-1]), np.abs(w[1:])) <= 4.0 * band)
+            | (np.minimum(np.abs(w[:-1]), np.abs(w[1:])) <= 4.0 * band) | on_E
     regular = ~degenerate
     max_u_reg = float(np.max(sc_u[regular])) if np.any(regular) else 0.0
     return LocalResidualReport(

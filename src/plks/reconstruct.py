@@ -129,12 +129,16 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """Density profile phi >= 0 on a radial grid with a tail model."""
+    """Density profile phi >= 0 on a radial grid with a tail model.
+
+    opts are the integrator options of the trajectory it maps, if any.
+    """
 
     r: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     tail: Optional[Tail]
     support_radius: Optional[float]
+    opts: Optional[IntegratorOptions] = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(self.phi < 0.0):
@@ -157,14 +161,15 @@ def phi_from_u(sol: ProfileSolution, params: ModelParams,
         keep = sol.r < z1
         r = np.append(sol.r[keep], z1)
         phi = phi_of_u(params, np.append(sol.u[keep], 0.0))
-        return PhiProfile(r, phi, tail if tail is not None else CompactTail(z1), z1)
+        return PhiProfile(r, phi, tail if tail is not None else CompactTail(z1),
+                          z1, sol.opts)
     r, u = sol.r.copy(), sol.u
     if params.regime is Regime.FAST and np.any(u <= 0.0):
         raise NegativeBaseError(
             "the p < 2 map phi = u^((p-1)/(p-2)) needs u > 0 everywhere")
     phi = phi_of_u(params, u)
     support = tail.radius if isinstance(tail, CompactTail) else None
-    return PhiProfile(r, phi, tail, support)
+    return PhiProfile(r, phi, tail, support, sol.opts)
 
 
 def phi_from_forward(fp: ForwardProfile) -> PhiProfile:
@@ -651,8 +656,9 @@ def residual_grade(params: ModelParams, height: float,
     """Profile on a grid fine enough for the residual check.
 
     A scouting pass at default settings finds the radial span (the support
-    radius, or the last radius), then a pass at tolerance 1e-12 with the
-    step capped at span/2000 places about 2,000 solution nodes across it.
+    radius, or the last radius where phi > 0), then a pass at tolerance
+    1e-12 with the step capped at span/2000 places about 2,000 solution
+    nodes across it; the profile's opts are that pass's.
     Node values sit on the discrete flow to sub-tolerance accuracy, so the
     nested five-point differences of system_residual resolve the equation
     residual instead of grid noise.
@@ -668,7 +674,7 @@ def residual_grade(params: ModelParams, height: float,
 
     scout = profile(IntegratorOptions())
     span = (scout.support_radius if scout.support_radius is not None
-            else float(scout.r[-1]))
+            else float(scout.r[scout.phi > 0.0][-1]))
     return profile(IntegratorOptions(rel_tol=_GRADE_TOL, abs_tol=_GRADE_TOL,
                                      h_max=span / _GRADE_STEPS))
 

@@ -367,6 +367,24 @@ def test_reconstruct_coarse_grid_residual_grade(capsys):
     assert rep["tolerances_met"]["residuals_below_1e-6"] is True
 
 
+def test_reconstruct_residual_grade_echoes_its_own_pass(capsys):
+    # the grade pass runs at tolerance 1e-12 with its own step cap and the
+    # default r_max, whatever the command line gives; the report says so
+    rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "3", "--a", "2.126",
+                       "--residual-grade", "--rel-tol", "1e-9",
+                       "--abs-tol", "1e-9", "--r-max", "50",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    cfg = json.loads(out)["config"]
+    assert cfg["rel_tol"] == cfg["abs_tol"] == cfg["event_tol"] == 1e-12
+    assert cfg["r_max"] == 1e3
+    assert 0.0 < cfg["h_max"] < 2.4 / 2000
+    rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "3", "--a", "2.126",
+                       "--format", "json"], capsys)
+    cfg = json.loads(out)["config"]
+    assert cfg["rel_tol"] == 1e-10 and "h_max" not in cfg
+
+
 def test_reconstruct_needs_height_exit2(capsys):
     rc, _, err = _run(["reconstruct", "--N", "2", "--p", "3"], capsys)
     assert rc == 2

@@ -30,8 +30,8 @@ GOLDEN = {
         "99961f7bec9fabb7fd7ecd5d97c0c06b5d8fc1d82ce119420ef9b196950a3b75"),
     "find-critical": (
         "find-critical --N 1 --p 3",
-        "2778813354477acd821a87aa61ac4b1e3f6d88cab22ecb12ebdfc30255054b73",
-        "a5bbcfea9c9d1e207e40fadf3b0f957c233641dec70e6a98db76baf27d86cac8"),
+        "2295d17962f3e0015ac3c2a16744618eea1c3e19fadf7b9cdbeb8d4dd94db4cb",
+        "60adf98839091249ae6774673ad7839d00450777b5afa7902694893b8adca41a"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
         "0e18fe5bfc32c7a2c93c77fc4ea87db7c4f7d0a0c63ff25659c8fdb0c2ea3216",
@@ -39,7 +39,7 @@ GOLDEN = {
     "reconstruct": (
         "reconstruct --N 2 --p 3 --a 2.126 --residual-grade",
         "e481a6ee0de2f87f7af4f818558dfb82e9682a1e5ac436b75778c4fb2958484b",
-        "adf693daff146d984936c69036c926f5081e24107510e9fd4f7448d7ed8bcb46"),
+        "847afe944683e83c8d3880a307007417e208418fa8853f25d19471b810abe82c"),
     "delta-test": (
         "delta-test --N 3 --p 1.8 --b 1.0",
         "58bf9018c4d19144dc955f2ed8fc5ee3b860b96506a6e5c8c216520c08001966",

@@ -26,6 +26,7 @@ from plks import (
     local_residual_check,
     startup_state,
     uprime_from_w,
+    zero_energy_height,
 )
 from oracles import (dense_coefficients_loop, oracle_g, oracle_startup,
                      rk4_trajectory)
@@ -402,6 +403,44 @@ def test_rejection_causes_sum_to_rejected():
             == sol.n_rejected
 
 
+def test_energy_step_counters():
+    # steps in (E, w) and their Newton iterations are counted, never more
+    # energy steps than steps, and none at all for p <= 2
+    for N, p, chi, problem, u0 in ORACLE_CASES + [(2, 3.0, 1.0, "backward", 0.845)]:
+        sol = integrate(_ode(N, p, chi, problem), u0, IntegratorOptions(
+            r_max=20.0, stop_at_u_zero=False, u_ceiling=1e5))
+        st = sol.stats
+        assert st.rejected_error + st.rejected_defect + st.rejected_overflow \
+            == sol.n_rejected
+        assert 0 <= st.energy_steps <= sol.n_steps
+        assert st.energy_steps == int(np.count_nonzero(np.isfinite(sol._e)))
+        if p <= 2.0:
+            assert st.energy_steps == st.newton_iterations \
+                == st.flux_zero_retakes == 0
+        elif problem == "backward":
+            # an accepted (E, w) step solved for u at its six stages after
+            # the first and at the defect midpoint, an iteration at least each
+            assert st.newton_iterations >= 7 * st.energy_steps > 0
+
+
+def test_sample_recovers_u_from_energy():
+    # on (E, w) steps the stored interpolant is E's, and sample() solves
+    # G(u) = E - K(w): it hits the nodes, and between them it is as close
+    # to a tol-1e-13 run as the nodes are (measured: 4.7e-9 and 6.2e-9)
+    P = derive_params(2, 3.0)
+    sol = integrate(backward_ode(P), 0.845, IntegratorOptions(r_max=20.0))
+    ref = integrate(backward_ode(P), 0.845, IntegratorOptions(
+        r_max=20.0, rel_tol=1e-13, abs_tol=1e-13))
+    i = np.nonzero(np.isfinite(sol._e))[0]
+    assert len(i) > 100
+    u_n, w_n = sol.sample(sol.r[i])
+    assert np.max(np.abs(u_n - sol.u[i])) < 1e-13
+    assert np.max(np.abs(w_n - sol.w[i])) < 1e-13
+    node_err = np.max(np.abs(sol.u - ref.sample(sol.r)[0]))
+    mid = 0.5 * (sol.r[i] + sol.r[i + 1])
+    assert np.max(np.abs(sol.sample(mid)[0] - ref.sample(mid)[0])) < 2.0 * node_err
+
+
 def test_grid_strictly_increasing():
     for N, p, chi, problem, u0 in ORACLE_CASES:
         ode = _ode(N, p, chi, problem)
@@ -432,6 +471,31 @@ def test_energy_drift_stays_small_on_long_continuations():
     sol = integrate(ode, 2.0, IntegratorOptions(r_max=30.0, stop_at_u_zero=False))
     chk = energy_derivative_check(sol, drift_tol=1e-5)
     assert chk.max_drift <= 1e-5 * abs(chk.e0)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_energy_audit_passes_at_zero_energy_height(N):
+    # default settings, r_max = 1e3: the audits that failed when every
+    # step across a flux zero was taken in (u, w) (N = 2: increase 6.2e-9
+    # against an allowed 2.8e-9; N = 1: drift 5.7e-6 against 1.9e-7)
+    P = derive_params(N, 3.0)
+    sol = integrate(backward_ode(P), zero_energy_height(P), IntegratorOptions())
+    assert sol.termination is Termination.REACHED_RMAX
+    assert energy_derivative_check(sol).passed
+
+
+def test_p_trajectory_at_fifty_against_tight_reference():
+    # Each accepted step commits a local error of at most its scale
+    # tol (1 + |u|) ~ 2e-10 (err <= 0.25 in that scale), and the 2,846
+    # steps to r = 50 sum to at most 5.2e-7 if none cancel.  The bound
+    # doubles that for the growth of the oscillation's phase error.  The
+    # tol-1e-13 reference carries a thousandth of it.
+    P = derive_params(2, 3.0)
+    ode = backward_ode(P)
+    u50 = integrate(ode, 0.845, IntegratorOptions(r_max=50.0)).u[-1]
+    ref = integrate(ode, 0.845, IntegratorOptions(
+        r_max=50.0, rel_tol=1e-13, abs_tol=1e-13)).u[-1]
+    assert abs(u50 - ref) < 1e-6
 
 
 def test_energy_nonincreasing_higher_dimensions():

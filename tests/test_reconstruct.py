@@ -536,6 +536,23 @@ def test_residual_converged_forward(N, p, b):
     assert res.identity < 1e-6
 
 
+def test_residual_grade_caps_steps_where_phi_is_positive():
+    # phi = e^u underflows to 0 near r = 52 here, and the scout's last
+    # step jumps from r = 34 to r = 285.  A cap sized from the scout's last
+    # radius left 290 nodes in the test window [0.1 R, 0.9 R] and an
+    # identity residual of 1.4e-8; sized from the last radius where
+    # phi > 0 (34), the window gets its ~2,000 nodes.
+    P = derive_params(1, 2.0, 1.0)
+    phi = residual_grade(P, 0.5, Direction.FORWARD)
+    R = float(phi.r[phi.phi > 0.0][-1])
+    n_window = int(np.count_nonzero((phi.r >= 0.1 * R) & (phi.r <= 0.9 * R)))
+    assert 2000 <= n_window <= 3000
+    assert phi.opts.h_max < R / 2000
+    res = system_residual(phi, psi_from_phi(phi, P), P, Direction.FORWARD)
+    assert res.identity < 1e-8
+    assert max(res.res1, res.res2) < 1e-6
+
+
 def test_residual_window_guards():
     P = derive_params(2, 3.0, 1.0)
     # the window [0.1, 0.9] of the support holds 5, then 8 nodes; nested
