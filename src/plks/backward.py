@@ -123,20 +123,6 @@ def solve_backward(params: ModelParams, a: float,
     return integrate(ode, a, opts)
 
 
-def _base_integrator(params: ModelParams, copts: ClassifyOptions) -> IntegratorOptions:
-    base = copts.integrator if copts.integrator is not None else IntegratorOptions()
-    return replace(
-        base,
-        stop_at_u_zero=True,
-        max_u_zero_events=None,
-        stop_at_first_minimum=True,
-        equilibrium_u=params.u_star,
-        equilibrium_tol=1e-8,
-        equilibrium_w_tol=1e-8,
-        stop_at_equilibrium=True,
-    )
-
-
 def classify(params: ModelParams, a: float,
              opts: Optional[ClassifyOptions] = None) -> Classification:
     """Assign a to P, N, or N0 by integrating until a decisive event.
@@ -153,7 +139,9 @@ def classify(params: ModelParams, a: float,
         raise DomainError(f"initial height must be positive, got {a}")
     if opts is None:
         opts = ClassifyOptions()
-    sol = integrate(backward_ode(params), a, _base_integrator(params, opts))
+    base = opts.integrator if opts.integrator is not None else IntegratorOptions()
+    sol = integrate(backward_ode(params), a, replace(
+        base, stop_at_u_zero=True, stop_at_first_minimum=True))
     term = sol.termination
     if term is Termination.U_CROSSED_ZERO:
         ev = sol.events_of(EventKind.U_ZERO)[-1]
@@ -388,8 +376,8 @@ def find_critical_a(params: ModelParams,
         n_iter += 1
         if c.set is ProfileClass.N0:
             # a tangential zero lies in a narrow band at a_c: certify it by
-            # heights just under a_tol/2 above and below, which end the
-            # search; it ends at the N0 height if neither is decisive
+            # heights just under a_tol/2 above and below.  It is a_c when
+            # both are decisive, or when neither is
             d = 0.49 * a_tol * a
             n_ends = 0
             for a_s in (a + d, a - d):
@@ -405,7 +393,7 @@ def find_critical_a(params: ModelParams,
                 else:
                     continue
                 n_ends += 1
-            if n_ends == 0 and (hi - lo) > a_tol * a:
+            if n_ends == 2 or (n_ends == 0 and (hi - lo) > a_tol * a):
                 return CriticalResult(a, hi - lo, c.R_of_a, c.solution, n_iter,
                                       c, c_lo, c_hi, tuple(trace))
             continue

@@ -303,7 +303,7 @@ def cmd_solve_forward(args):
     params = derive_params(args.N, args.p, args.chi)
     fp = solve_forward(params, args.b, ForwardOptions(
         u_floor=args.u_floor, u_ceiling=args.u_ceiling,
-        r_max=args.r_max, integrator=_integrator(args)))
+        integrator=_integrator(args)))
     sol = fp.sol
     header, rows = _profile_table(params, sol)
     results = {
@@ -472,7 +472,7 @@ def _reconstructed(args):
         phi = phi_from_u(_backward_profile(params, args), params)
     else:
         phi = phi_from_forward(solve_forward(params, height, ForwardOptions(
-            r_max=args.r_max, integrator=_integrator(args))))
+            integrator=_integrator(args))))
     psi = psi_from_phi(phi, params, strict=False)
     return params, direction, height, phi, psi
 

@@ -82,7 +82,6 @@ Tail = Union[PowerTail, LogQuadraticTail, CompactTail]
 class ForwardOptions:
     u_floor: float = -1e3     # p = 2 cutoff (u -> -infinity)
     u_ceiling: float = 1e6    # p < 2 cutoff (u -> +infinity)
-    r_max: float = 1e3
     integrator: Optional[IntegratorOptions] = None
 
 
@@ -130,26 +129,24 @@ def solve_forward(params: ModelParams, a_or_b: float,
             raise DomainError(f"center value {a} is at or under the floor")
         # |u| >= ceiling terminates; u only moves down, so the ceiling
         # acts as the floor as long as it clears the start value
-        iopts = replace(base, r_max=opts.r_max, stop_at_u_zero=False,
-                        u_ceiling=max(abs(opts.u_floor), 2.0 * abs(a) + 1.0))
-        sol = integrate(forward_ode(params), a, iopts)
+        sol = integrate(forward_ode(params), a, replace(
+            base, stop_at_u_zero=False,
+            u_ceiling=max(abs(opts.u_floor), 2.0 * abs(a) + 1.0)))
         _check_monotone(sol.u, -1, regime)
         fp = ForwardProfile(params, regime, a, sol, None, LogQuadraticTail(-0.25))
     elif regime is Regime.FAST:
-        iopts = replace(base, r_max=opts.r_max, stop_at_u_zero=False,
-                        u_ceiling=opts.u_ceiling)
-        sol = integrate(forward_ode(params), a, iopts)
+        sol = integrate(forward_ode(params), a, replace(
+            base, stop_at_u_zero=False, u_ceiling=opts.u_ceiling))
         _check_monotone(sol.u, +1, regime)
         p, B, N, m = params.p, params.B, params.N, params.m
         K = (1.0 / (B * N * m)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
         tail = PowerTail(p / (p - 2.0), K ** ((p - 1.0) / (p - 2.0)))
         fp = ForwardProfile(params, regime, a, sol, None, tail)
     else:
-        iopts = replace(base, r_max=opts.r_max, stop_at_u_zero=True)
-        sol = integrate(forward_ode(params), a, iopts)
+        sol = integrate(forward_ode(params), a, replace(base, stop_at_u_zero=True))
         if sol.termination is not Termination.U_CROSSED_ZERO:
             raise NoSupportRadiusError(
-                f"trajectory from a = {a:g} did not vanish by r = {opts.r_max:g} "
+                f"trajectory from a = {a:g} did not vanish by r = {base.r_max:g} "
                 f"({sol.termination.value})")
         keep = sol.u > 0.0
         _check_monotone(sol.u[keep], -1, regime)

@@ -37,8 +37,8 @@ from .radial_ode import (
     IntegratorOptions,
     ProfileSolution,
     _odd_pow_np,
-    forcing_backward,
-    forcing_forward,
+    backward_ode,
+    forward_ode,
 )
 
 __all__ = [
@@ -616,16 +616,14 @@ def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
         u = np.log(ph)
     else:
         u = ph ** ((params.p - 2.0) / (params.p - 1.0))
-    g = (forcing_backward(params) if direction is Direction.BACKWARD
-         else forcing_forward(params))
-    ode_B = 1.0 if params.regime is Regime.LINEAR else params.B
-    ode_pe = 2.0 if params.regime is Regime.LINEAR else params.p
+    ode = (backward_ode(params) if direction is Direction.BACKWARD
+           else forward_ode(params))
     up = _first_derivative(r, u)
-    w = ode_B * _odd_pow_np(up, ode_pe - 1.0)
+    w = ode.B_eff * _odd_pow_np(up, ode.p_eff - 1.0)
     wp = _first_derivative(r[2:-2], w)
     rc = r[4:-4]
     res1 = float(np.max(np.abs(
-        wp + (params.N - 1) / rc * w[2:-2] + g.g_np(u[4:-4]))))
+        wp + (params.N - 1) / rc * w[2:-2] + ode.forcing.g_np(u[4:-4]))))
 
     pp = psi.psi_prime[sel]
     ppp = _first_derivative(r, pp)

@@ -322,14 +322,27 @@ def test_critical_trace_is_every_integration_in_order(N, p, monkeypatch):
     assert [t.a for t in trace] == heights
     assert len(trace) == res.n_iterations + 2
     assert trace[0].a == 0.999 * zero_energy_height(res.lower.solution.ode.params)
-    assert trace[-1].a == res.a_c and trace[-1].label == res.classification.label
-    assert trace[-1].n_steps == res.profile.n_steps
-    assert trace[-1].r_end == res.profile.r_end
+    # a_c is the last probe, or an N0 probe followed by its two certifiers
+    i = len(trace) - (3 if res.classification.set is ProfileClass.N0 else 1)
+    assert trace[i].a == res.a_c and trace[i].label == res.classification.label
+    assert trace[i].n_steps == res.profile.n_steps
+    assert trace[i].r_end == res.profile.r_end
     for t in trace:
         assert (t.gap < 0.0) if t.label == "P" else (t.gap > 0.0)
-    # the final bracket ends are the last P and the last N probe before a_c
-    assert [t.a for t in trace[:-1] if t.label == "P"][-1] == res.lower.a
-    assert [t.a for t in trace[:-1] if t.label == "N"][-1] == res.upper.a
+    # the final bracket ends are the last P and the last N probe but a_c
+    others = trace[:i] + trace[i + 1:]
+    assert [t.a for t in others if t.label == "P"][-1] == res.lower.a
+    assert [t.a for t in others if t.label == "N"][-1] == res.upper.a
+
+
+def test_certified_n0_probe_is_not_classified_again():
+    # N = 1: the search hits the tangential height, and both of its
+    # certifiers are decisive; a_c is that probe, not a second run of it
+    res = find_critical_a(derive_params(1, 3.0, 1.0))
+    assert res.classification.set is ProfileClass.N0
+    assert res.lower.a < res.a_c < res.upper.a
+    assert len(res.trace) == 8
+    assert all(s != t for s, t in zip(res.trace, res.trace[1:]))
 
 
 def _bisection_rounds(res, a_tol=1e-10):

@@ -120,6 +120,22 @@ def test_solve_backward_zero_height_exit2(capsys):
     assert "error[DomainError]" in err
 
 
+_SOLVE = ["solve-backward", "--N", "2", "--p", "3", "--a", "2.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SOLVE + ["--rel-tol", "0", "--abs-tol", "0"],
+    ["find-critical", "--N", "1", "--p", "3", "--rel-tol", "0", "--abs-tol", "0"],
+    _SOLVE + ["--rel-tol=-1e-10", "--abs-tol=-1e-10"],
+    _SOLVE + ["--r-max", "nan"],
+])
+def test_bad_integrator_settings_exit2(argv, capsys):
+    rc, out, err = _run(argv, capsys)
+    assert rc == 2
+    assert err.startswith("error[DomainError] integrator settings")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # find-critical
 
@@ -153,8 +169,8 @@ def test_find_critical_certificates_are_the_bisection_endpoints(
                        "--format", "json"], capsys)
     assert rc == 0
     rep = json.loads(out)["results"]
-    # the two initial endpoints, then one height per iteration (the last
-    # one is a_c); the certificates take no integration of their own
+    # the two initial endpoints, then one height per iteration, a_c among
+    # them; the certificates take no integration of their own
     assert len(heights) == rep["n_iterations"] + 2
     res = find_critical_a(derive_params(1, 3.0))
     assert res.lower.set is ProfileClass.P

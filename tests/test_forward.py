@@ -22,7 +22,11 @@ from plks.forward import (
     support_radius,
     support_radius_upper_bound,
 )
-from plks.radial_ode import Termination
+from plks.radial_ode import IntegratorOptions, Termination
+
+
+def _upto(r_max):
+    return ForwardOptions(integrator=IntegratorOptions(r_max=r_max))
 
 
 # ------------------------------------------------------------ dispatch
@@ -47,7 +51,7 @@ def test_linear_regime_accepts_negative_center():
 
 def test_fast_regime_increases_to_ceiling():
     P = derive_params(3, 1.8, 1.0)
-    fp = solve_forward(P, 1.0, ForwardOptions(r_max=2e3))
+    fp = solve_forward(P, 1.0, _upto(2e3))
     assert fp.sol.termination is Termination.DIVERGED
     assert fp.sol.u[-1] >= 1e6
     assert np.all(np.diff(fp.sol.u) >= 0.0)
@@ -81,7 +85,7 @@ def test_solve_forward_preconditions():
 def test_slow_regime_needs_room_to_vanish():
     P = derive_params(1, 3.0, 1.0)
     with pytest.raises(NoSupportRadiusError):
-        solve_forward(P, 1.0, ForwardOptions(r_max=0.5))
+        solve_forward(P, 1.0, _upto(0.5))
 
 
 # ------------------------------------------------------------ envelopes
@@ -89,7 +93,7 @@ def test_slow_regime_needs_room_to_vanish():
 
 def test_fast_envelope_two_sided():
     P = derive_params(3, 1.8, 1.0)
-    rep = envelope_check(solve_forward(P, 1.0, ForwardOptions(r_max=2e3)))
+    rep = envelope_check(solve_forward(P, 1.0, _upto(2e3)))
     assert rep.ok
     assert rep.max_slope_violation is None
 
@@ -140,7 +144,7 @@ def test_support_edge_unpacks():
 def test_support_radius_rejects_fast_regime():
     P = derive_params(3, 1.8, 1.0)
     with pytest.raises(DomainError):
-        support_radius(solve_forward(P, 1.0, ForwardOptions(r_max=2e3)))
+        support_radius(solve_forward(P, 1.0, _upto(2e3)))
 
 
 def test_support_bound_needs_slow_regime():
@@ -167,7 +171,7 @@ def test_decay_rate_fast_power_law():
     K = (1.0 / (B * 3.0 * 0.4)) ** 1.25 * (0.8 / 1.8)
     target = K ** -4.0
     fit = fit_decay_rate(solve_forward(derive_params(3, 1.8, 1.0), 1.0,
-                                       ForwardOptions(r_max=2e3)))
+                                       _upto(2e3)))
     assert fit.target == pytest.approx(target, rel=1e-12)
     assert abs(fit.raw_estimate - target) / target < 0.02
     assert abs(fit.limit_estimate - target) / target < 0.005
@@ -180,7 +184,7 @@ def test_decay_rate_fast_power_law():
 def test_decay_rate_needs_scan_range():
     P = derive_params(2, 2.0, 1.0)
     with pytest.raises(InsufficientRangeError):
-        fit_decay_rate(solve_forward(P, 0.0, ForwardOptions(r_max=50.0)))
+        fit_decay_rate(solve_forward(P, 0.0, _upto(50.0)))
 
 
 def test_decay_rate_rejects_compact_profiles():

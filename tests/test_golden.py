@@ -31,7 +31,7 @@ GOLDEN = {
     "find-critical": (
         "find-critical --N 1 --p 3",
         "2295d17962f3e0015ac3c2a16744618eea1c3e19fadf7b9cdbeb8d4dd94db4cb",
-        "60adf98839091249ae6774673ad7839d00450777b5afa7902694893b8adca41a"),
+        "029a65f68c5f818523393568cd342b0c190dfe1f3c1f524e75abc9cef4be6886"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
         "0e18fe5bfc32c7a2c93c77fc4ea87db7c4f7d0a0c63ff25659c8fdb0c2ea3216",

@@ -293,33 +293,23 @@ def test_stop_at_first_minimum():
     assert ode.forcing.g(ev.u) < 0.0
 
 
-def test_max_u_zero_events():
-    # N = 1 slow profile continued past zero oscillates; cap the count
-    ode = _ode(1, 3.0, 1.0, "backward")
-    opts = IntegratorOptions(r_max=50.0, stop_at_u_zero=False,
-                             max_u_zero_events=3)
-    sol = integrate(ode, 2.0, opts)
-    assert sol.termination is Termination.U_CROSSED_ZERO
-    assert len(sol.zeros()) == 3
-    rz = sol.zeros()
-    assert all(b > a for a, b in zip(rz, rz[1:]))
-
-
 def test_equilibrium_hit_and_stop():
+    # stop_at_first_minimum also stops at the forcing's equilibrium u*
     P = derive_params(1, 3.0, 1.0)
     ode = backward_ode(P)
-    opts = IntegratorOptions(equilibrium_u=P.u_star, stop_at_equilibrium=True,
-                             equilibrium_tol=1e-6, equilibrium_w_tol=1e-6)
-    sol = integrate(ode, P.u_star, opts)
+    sol = integrate(ode, P.u_star, IntegratorOptions(stop_at_first_minimum=True))
     assert sol.termination is Termination.U_PRIME_VANISHED
     assert sol.events[0].kind is EventKind.EQUILIBRIUM_HIT
+    # without it the constant solution runs on to r_max
+    sol = integrate(ode, P.u_star, IntegratorOptions(r_max=1.0))
+    assert sol.termination is Termination.REACHED_RMAX
+    assert sol.events == []
 
 
 def test_amplitude_samples_recorded():
     P = derive_params(1, 3.0, 1.0)
     ode = backward_ode(P)
-    opts = IntegratorOptions(r_max=30.0, stop_at_u_zero=False,
-                             equilibrium_u=P.u_star)
+    opts = IntegratorOptions(r_max=30.0, stop_at_u_zero=False)
     sol = integrate(ode, 0.9, opts)
     amps = sol.events_of(EventKind.U_PRIME_ZERO)
     assert len(amps) >= 4
@@ -329,6 +319,18 @@ def test_amplitude_samples_recorded():
     for a, b in zip(devs, devs[2:]):
         assert b <= a * (1.0 + 1e-6)
         assert b >= a * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(rel_tol=0.0, abs_tol=0.0), dict(rel_tol=-1e-10, abs_tol=-1e-10),
+    dict(rel_tol=math.nan), dict(abs_tol=math.inf), dict(event_tol=-1.0),
+    dict(r_max=math.nan), dict(r_max=math.inf), dict(h_max=0.0),
+    dict(h_max=-1.0), dict(h_max=math.nan)])
+def test_bad_integrator_settings_raise_domain_error(bad):
+    with pytest.raises(DomainError):
+        IntegratorOptions(**bad)
+    with pytest.raises(DomainError):
+        replace(IntegratorOptions(), **bad)
 
 
 # ------------------------------------------------------------ terminations

@@ -10,6 +10,7 @@ stepper's arithmetic, and say so.
 
 import hashlib
 import platform
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -54,24 +55,26 @@ def _zero_energy_n1():
     return solve_backward(P, zero_energy_height(P))
 
 
-# run, sha256, accepted steps, rejected steps
+# run, sha256, accepted steps, rejected steps, and the StepStats counters:
+# rejections by error, defect and overflow, bisection halvings, energy
+# steps, Newton iterations and flux-zero retakes
 GOLDEN = {
     "slow-P": (
         _slow_p,
         "41e6a6b45370a6b6bf684d1a27a0cac184c755c346cc8b64521bbd5f01405d75",
-        64105, 8451),
+        64105, 8451, (8448, 3, 0, 79561, 25591, 358541, 0)),
     "fast-backward": (
         _fast_backward,
         "876d7aa1340cc633943f7c23f89c911e1eb7ad73cf06bf7778f9114736f67724",
-        9852, 975),
+        9852, 975, (941, 34, 0, 5964, 0, 0, 0)),
     "linear-forward": (
         _linear_forward,
         "5140e8e39ec3ba4d37da6dc0bbce8747e29a68ede8084bc29976a1b950678c96",
-        146, 2),
+        146, 2, (0, 2, 0, 0, 0, 0, 0)),
     "zero-energy-N1": (
         _zero_energy_n1,
         "5ec8424a26506386ed48b17e7fc796d6deabd2a900adae3d17b4b94e97ace4cb",
-        27377, 12905),
+        27377, 12905, (2931, 9955, 19, 8015, 7569, 97062, 0)),
 }
 
 
@@ -89,9 +92,10 @@ def _run(name, slow_p):
     reason=f"digests recorded with {RECORDED_WITH}, running {_RUNNING}")
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_stepper_is_bit_identical(name, slow_p):
-    _, want, n_steps, n_rejected = GOLDEN[name]
+    _, want, n_steps, n_rejected, stats = GOLDEN[name]
     sol = _run(name, slow_p)
     assert (sol.n_steps, sol.n_rejected) == (n_steps, n_rejected)
+    assert astuple(sol.stats) == stats
     assert stepper_digest(sol) == want, f"{name} trajectory changed"
 
 
