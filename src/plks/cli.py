@@ -28,21 +28,7 @@ from .backward import (
     sweep_a,
     zero_energy_height,
 )
-from .errors import (
-    AmbiguousBracketError,
-    BadBracketError,
-    DeltaTestError,
-    DomainError,
-    EnergyLawError,
-    IllPosedPotentialError,
-    InfiniteMassError,
-    InsufficientRangeError,
-    IntegrationError,
-    NegativeBaseError,
-    NoSupportRadiusError,
-    NotEnoughZerosError,
-    OutOfTimeDomainError,
-)
+from .errors import DomainError, InfiniteMassError, IntegrationError, PlksError
 from .forward import (
     CompactTail,
     ForwardOptions,
@@ -80,20 +66,6 @@ from .reconstruct import (
 )
 
 __all__ = ["main"]
-
-_SOLVER_FAILURES = (
-    IntegrationError,
-    AmbiguousBracketError,
-    NotEnoughZerosError,
-    NegativeBaseError,
-    IllPosedPotentialError,
-    InfiniteMassError,
-    NoSupportRadiusError,
-    InsufficientRangeError,
-    OutOfTimeDomainError,
-    EnergyLawError,
-    DeltaTestError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +143,6 @@ def _columns(header: Sequence[str], rows: Sequence[Sequence]) -> dict:
     return cols
 
 
-def _report(command: str, config: dict, derived: dict, results: dict,
-            tolerances: dict) -> dict:
-    return {
-        "schema": 1,
-        "command": command,
-        "config": config,
-        "derived": derived,
-        "results": results,
-        "columns": None,    # the table, filled in only when JSON is written
-        "wall_clock_s": None,
-        "tolerances_met": tolerances,
-    }
-
-
 # ---------------------------------------------------------------------------
 # shared blocks
 
@@ -204,22 +162,6 @@ def _backward_profile(params: ModelParams, args) -> ProfileSolution:
         raise IntegrationError(
             f"integration failed ({sol.termination.value}) at r = {sol.r_end:g}")
     return sol
-
-
-def _config_echo(args, **specific) -> dict:
-    # output routing (--output, --format) is deliberately not echoed: the
-    # report depends only on what was computed, not where it was written
-    cfg = {
-        "N": args.N,
-        "p": args.p,
-        "chi": args.chi,
-        "r_max": args.r_max,
-        "rel_tol": args.rel_tol,
-        "abs_tol": args.abs_tol,
-        "event_tol": args.event_tol,
-    }
-    cfg.update(specific)
-    return cfg
 
 
 def _derived_block(params: ModelParams) -> dict:
@@ -273,9 +215,13 @@ def _class_block(c) -> dict:
 
 # ---------------------------------------------------------------------------
 # command handlers
+#
+# Each takes the derived parameters and the parsed arguments and returns
+# (results, tolerances, header, rows, config_overrides).  main echoes the
+# configuration, adds the derived constants and wraps these in the report;
+# the overrides replace echoed settings the command resolved or ran at.
 
-def cmd_solve_backward(args):
-    params = derive_params(args.N, args.p, args.chi)
+def cmd_solve_backward(params: ModelParams, args):
     sol = _backward_profile(params, args)
     header, rows = _profile_table(params, sol)
     audit = energy_derivative_check(sol, raise_on_violation=False)
@@ -294,13 +240,10 @@ def cmd_solve_backward(args):
         else audit.max_increase,
     }
     tol = {"energy_law": audit.passed}
-    report = _report("solve-backward", _config_echo(args, a=args.a),
-                     _derived_block(params), results, tol)
-    return report, header, rows
+    return results, tol, header, rows, {}
 
 
-def cmd_solve_forward(args):
-    params = derive_params(args.N, args.p, args.chi)
+def cmd_solve_forward(params: ModelParams, args):
     fp = solve_forward(params, args.b, ForwardOptions(
         u_floor=args.u_floor, u_ceiling=args.u_ceiling,
         integrator=_integrator(args)))
@@ -341,16 +284,10 @@ def cmd_solve_forward(args):
             "u_level_target": fit.u_level_target,
         }
         tol["decay_within_2pct"] = rel < 0.02
-    report = _report("solve-forward",
-                     _config_echo(args, b=args.b, fit_decay=args.fit_decay,
-                                  u_floor=args.u_floor,
-                                  u_ceiling=args.u_ceiling),
-                     _derived_block(params), results, tol)
-    return report, header, rows
+    return results, tol, header, rows, {}
 
 
-def cmd_find_critical(args):
-    params = derive_params(args.N, args.p, args.chi)
+def cmd_find_critical(params: ModelParams, args):
     if not compact_support_admissible(params.N, params.p):
         raise DomainError(
             f"critical-height search needs an admissible slow exponent: "
@@ -397,11 +334,7 @@ def cmd_find_critical(args):
         results["closed_form_a_c"] = exact
         results["closed_form_rel_err"] = rel
         tol["closed_form_within_1e-6"] = rel < 1e-6
-    report = _report("find-critical",
-                     _config_echo(args, a_lo=args.a_lo, a_hi=args.a_hi,
-                                  a_tol=args.a_tol, slope_tol=args.slope_tol),
-                     _derived_block(params), results, tol)
-    return report, header, rows
+    return results, tol, header, rows, {}
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -425,8 +358,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     raise DomainError(f"grid kind must be lin or log, got {kind!r}")
 
 
-def cmd_sweep(args):
-    params = derive_params(args.N, args.p, args.chi)
+def cmd_sweep(params: ModelParams, args):
     grid = _parse_grid(args.a_grid)
     res = sweep_a(params, grid, _classify_opts(args))
     header = ["index", "a", "class", "R", "terminal_slope"]
@@ -442,16 +374,11 @@ def cmd_sweep(args):
     }
     tol = {"all_classified":
            counts.get(ProfileClass.INCONCLUSIVE.value, 0) == 0}
-    report = _report("sweep",
-                     _config_echo(args, a_grid=args.a_grid,
-                                  slope_tol=args.slope_tol),
-                     _derived_block(params), results, tol)
-    return report, header, rows
+    return results, tol, header, rows, {}
 
 
-def _reconstructed(args):
+def _reconstructed(params: ModelParams, args):
     """Shared profile pipeline: solve, map to phi, quadrature psi."""
-    params = derive_params(args.N, args.p, args.chi)
     if args.a is not None and args.b is not None:
         raise DomainError("give either --a (backward) or --b (forward), not both")
     if args.direction is not None:
@@ -474,11 +401,11 @@ def _reconstructed(args):
         phi = phi_from_forward(solve_forward(params, height, ForwardOptions(
             integrator=_integrator(args))))
     psi = psi_from_phi(phi, params, strict=False)
-    return params, direction, height, phi, psi
+    return direction, height, phi, psi
 
 
-def cmd_reconstruct(args):
-    params, direction, height, phi, psi = _reconstructed(args)
+def cmd_reconstruct(params: ModelParams, args):
+    direction, height, phi, psi = _reconstructed(params, args)
     try:
         M: Optional[float] = mass(phi, params)
         mass_note = None
@@ -515,23 +442,21 @@ def cmd_reconstruct(args):
             and max(res_block["res1"], res_block["res2"],
                     res_block["identity"]) < 1e-6,
     }
-    config = _config_echo(args, a=args.a, b=args.b, direction=direction.value,
-                          residual_grade=args.residual_grade)
+    overrides = {"direction": direction.value}
     if args.residual_grade:
         # the grade pass runs at its own tolerances and step cap
         o = phi.opts
-        config.update(r_max=o.r_max, rel_tol=o.rel_tol, abs_tol=o.abs_tol,
-                      event_tol=o.event_tol, h_max=o.h_max)
-    report = _report("reconstruct", config, _derived_block(params), results, tol)
-    return report, header, rows
+        overrides.update(r_max=o.r_max, rel_tol=o.rel_tol, abs_tol=o.abs_tol,
+                         event_tol=o.event_tol, h_max=o.h_max)
+    return results, tol, header, rows, overrides
 
 
 def _gaussian(x) -> float:
     return math.exp(-float(np.dot(x, x)))
 
 
-def cmd_delta_test(args):
-    params, direction, height, phi, psi = _reconstructed(args)
+def cmd_delta_test(params: ModelParams, args):
+    direction, height, phi, psi = _reconstructed(params, args)
     if not (0.0 < args.ratio < 1.0):
         raise DomainError(f"--ratio must lie in (0, 1), got {args.ratio}")
     if args.steps < 1:
@@ -565,13 +490,7 @@ def cmd_delta_test(args):
     }
     tol = {"monotone_decreasing": True,
            "decrease_above_1e3": factor >= 1e3}
-    report = _report("delta-test",
-                     _config_echo(args, a=args.a, b=args.b,
-                                  direction=direction.value, T=args.T,
-                                  t0=args.t0, ratio=args.ratio,
-                                  steps=args.steps),
-                     _derived_block(params), results, tol)
-    return report, header, rows
+    return results, tol, header, rows, {"direction": direction.value}
 
 
 # ---------------------------------------------------------------------------
@@ -707,26 +626,33 @@ def _emit(args, report: dict, header: Sequence[str],
         sys.stdout.write(_json_text(report))
 
 
-def _fail(exc: Exception, code: int) -> int:
-    print(f"error[{type(exc).__name__}] {exc}", file=sys.stderr)
-    return code
+# dispatch and output routing; every other argument is echoed as config
+_NOT_ECHOED = ("command", "output", "format", "timing", "gnuplot", "handler")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.gnuplot and not args.output:
-        return _fail(DomainError("--gnuplot needs --output"), 2)
-    start = time.perf_counter()
     try:
-        report, header, rows = args.handler(args)
-    except DomainError as exc:
-        return _fail(exc, 2)
-    except BadBracketError as exc:
-        return _fail(exc, 4)
-    except _SOLVER_FAILURES as exc:
-        return _fail(exc, 3)
-    if args.timing:
-        report["wall_clock_s"] = time.perf_counter() - start
+        if args.gnuplot and not args.output:
+            raise DomainError("--gnuplot needs --output")
+        start = time.perf_counter()
+        params = derive_params(args.N, args.p, args.chi)
+        results, tol, header, rows, overrides = args.handler(params, args)
+    except PlksError as exc:
+        print(f"error[{type(exc).__name__}] {exc}", file=sys.stderr)
+        return exc.exit_code
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    config.update(overrides)
+    report = {
+        "schema": 1,
+        "command": args.command,
+        "config": config,
+        "derived": _derived_block(params),
+        "results": results,
+        "columns": None,    # the table, filled in only when JSON is written
+        "wall_clock_s": time.perf_counter() - start if args.timing else None,
+        "tolerances_met": tol,
+    }
     _emit(args, report, header, rows)
     return 0
 

@@ -84,15 +84,31 @@ class ForwardOptions:
     u_ceiling: float = 1e6    # p < 2 cutoff (u -> +infinity)
     integrator: Optional[IntegratorOptions] = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.u_floor) and math.isfinite(self.u_ceiling)
+                and self.u_ceiling > 0.0):
+            raise DomainError(
+                f"cutoffs need a finite u_floor and a finite u_ceiling > 0; "
+                f"got u_floor={self.u_floor}, u_ceiling={self.u_ceiling}")
+
 
 @dataclass(frozen=True)
 class ForwardProfile:
+    """A spreading profile; its regime is the params' and its support
+    radius, for p > 2, the radius of its compact tail."""
+
     params: ModelParams
-    regime: Regime
     a: float
     sol: ProfileSolution = field(repr=False)
-    support_radius: Optional[float]
     tail: Tail
+
+    @property
+    def regime(self) -> Regime:
+        return self.params.regime
+
+    @property
+    def support_radius(self) -> Optional[float]:
+        return self.tail.radius if isinstance(self.tail, CompactTail) else None
 
 
 def _check_monotone(u: np.ndarray, direction: int, regime: Regime) -> None:
@@ -110,7 +126,8 @@ def solve_forward(params: ModelParams, a_or_b: float,
                   opts: Optional[ForwardOptions] = None) -> ForwardProfile:
     """Integrate the spreading profile problem from center value a_or_b.
 
-    p = 2 runs to u_floor, p < 2 to u_ceiling, p > 2 to the zero of u.
+    p = 2 runs to u_floor, p < 2 to u_ceiling, p > 2 to the zero of u; a
+    center value at or beyond its regime's cutoff raises DomainError.
     The regime's strict monotonicity is verified on every accepted step.
     """
     a = float(a_or_b)
@@ -133,15 +150,17 @@ def solve_forward(params: ModelParams, a_or_b: float,
             base, stop_at_u_zero=False,
             u_ceiling=max(abs(opts.u_floor), 2.0 * abs(a) + 1.0)))
         _check_monotone(sol.u, -1, regime)
-        fp = ForwardProfile(params, regime, a, sol, None, LogQuadraticTail(-0.25))
+        fp = ForwardProfile(params, a, sol, LogQuadraticTail(-0.25))
     elif regime is Regime.FAST:
+        if a >= opts.u_ceiling:
+            raise DomainError(f"center value {a} is at or above the ceiling")
         sol = integrate(forward_ode(params), a, replace(
             base, stop_at_u_zero=False, u_ceiling=opts.u_ceiling))
         _check_monotone(sol.u, +1, regime)
         p, B, N, m = params.p, params.B, params.N, params.m
         K = (1.0 / (B * N * m)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
         tail = PowerTail(p / (p - 2.0), K ** ((p - 1.0) / (p - 2.0)))
-        fp = ForwardProfile(params, regime, a, sol, None, tail)
+        fp = ForwardProfile(params, a, sol, tail)
     else:
         sol = integrate(forward_ode(params), a, replace(base, stop_at_u_zero=True))
         if sol.termination is not Termination.U_CROSSED_ZERO:
@@ -151,7 +170,7 @@ def solve_forward(params: ModelParams, a_or_b: float,
         keep = sol.u > 0.0
         _check_monotone(sol.u[keep], -1, regime)
         R0 = sol.events_of(EventKind.U_ZERO)[-1].r
-        fp = ForwardProfile(params, regime, a, sol, R0, CompactTail(R0))
+        fp = ForwardProfile(params, a, sol, CompactTail(R0))
     return fp
 
 

@@ -291,7 +291,7 @@ class IntegratorOptions:
     increases, so the trajectory can never reach zero afterwards.  It also
     stops at the forcing's equilibrium u*, reached within 1e-8 in u and w.
     Tolerances must be finite and non-negative with abs_tol > 0, r_max
-    finite and h_max positive; other settings raise DomainError.
+    finite, h_max and u_ceiling positive; other settings raise DomainError.
     """
 
     rel_tol: float = 1e-10
@@ -316,6 +316,8 @@ class IntegratorOptions:
                 f"> 0, a finite r_max and h_max > 0; got rel_tol={self.rel_tol}, "
                 f"abs_tol={self.abs_tol}, event_tol={self.event_tol}, "
                 f"r_max={self.r_max}, h_max={self.h_max}")
+        if not self.u_ceiling > 0.0:
+            raise DomainError(f"u_ceiling must be positive, got {self.u_ceiling}")
 
 
 # attempts before integrate gives up; flux size a sign change of w must

@@ -131,18 +131,32 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 class PhiProfile:
     """Density profile phi >= 0 on a radial grid with a tail model.
 
-    opts are the integrator options of the trajectory it maps, if any.
+    The support radius is that of a compact tail, else None.  opts are the
+    integrator options of the trajectory it maps, if any.
     """
 
     r: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     tail: Optional[Tail]
-    support_radius: Optional[float]
     opts: Optional[IntegratorOptions] = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(self.phi < 0.0):
             raise DomainError("phi must be nonnegative")
+
+    @property
+    def support_radius(self) -> Optional[float]:
+        return self.tail.radius if isinstance(self.tail, CompactTail) else None
+
+    @property
+    def span(self) -> float:
+        """The support radius, else the last radius where phi > 0 (e^u
+        underflows to 0 long before a p = 2 forward run ends), else the
+        last node."""
+        if self.support_radius is not None:
+            return self.support_radius
+        pos = np.flatnonzero(self.phi > 0.0)
+        return float(self.r[pos[-1] if pos.size else -1])
 
 
 def phi_from_u(sol: ProfileSolution, params: ModelParams,
@@ -162,14 +176,13 @@ def phi_from_u(sol: ProfileSolution, params: ModelParams,
         r = np.append(sol.r[keep], z1)
         phi = phi_of_u(params, np.append(sol.u[keep], 0.0))
         return PhiProfile(r, phi, tail if tail is not None else CompactTail(z1),
-                          z1, sol.opts)
+                          sol.opts)
     r, u = sol.r.copy(), sol.u
     if params.regime is Regime.FAST and np.any(u <= 0.0):
         raise NegativeBaseError(
             "the p < 2 map phi = u^((p-1)/(p-2)) needs u > 0 everywhere")
     phi = phi_of_u(params, u)
-    support = tail.radius if isinstance(tail, CompactTail) else None
-    return PhiProfile(r, phi, tail, support, sol.opts)
+    return PhiProfile(r, phi, tail, sol.opts)
 
 
 def phi_from_forward(fp: ForwardProfile) -> PhiProfile:
@@ -184,7 +197,7 @@ def phi_from_multi_bubble(mb: MultiBubbleProfile) -> PhiProfile:
     for lo, hi in mb.intervals:
         pts = np.append(pts, [lo, hi])
     pts = np.unique(np.clip(pts, sol.r[0], R))
-    return PhiProfile(pts, np.asarray(mb.phi(pts)), CompactTail(R), R)
+    return PhiProfile(pts, np.asarray(mb.phi(pts)), CompactTail(R))
 
 
 @dataclass(frozen=True)
@@ -193,8 +206,8 @@ class PsiProfile:
 
     psi_prime(r) = -r^(1-N) * integral_0^r s^(N-1) phi^m ds <= 0, and
     psi'' + (N-1)/r psi' + phi^m = 0 within quadrature tolerance.
-    i0_total / i1_total carry the full source integrals for exterior
-    continuation of the potential.
+    i1_total carries the full source integral for exterior continuation of
+    the potential.
     """
 
     r: np.ndarray = field(repr=False)
@@ -204,7 +217,6 @@ class PsiProfile:
     well_posed: bool
     detail: Optional[str] = None
     i1_total: Optional[float] = None
-    i0_total: Optional[float] = None
 
 
 def psi_well_posed_threshold(N: int) -> float:
@@ -276,7 +288,7 @@ def psi_from_phi(phi: PhiProfile, params: ModelParams,
         if params.p <= psi_well_posed_threshold(N):
             detail = (f"p = {params.p:g} <= 2 sqrt(N/(N+1)) = "
                       f"{psi_well_posed_threshold(N):g}: tail source diverges")
-    if phi.tail is None and phi.support_radius is None:
+    if phi.tail is None:
         detail = "profile has no decaying tail model"
     if detail is not None:
         if strict:
@@ -296,12 +308,11 @@ def psi_from_phi(phi: PhiProfile, params: ModelParams,
         psi_prime = -i1 / r ** (N - 1)
 
     if N == 1:
-        i0 = i1
         j1 = _cumulative_simpson(r * src, r)
         upper = (j1[-1] - j1) + t1
-        psi = -r * i0 - upper
+        psi = -r * i1 - upper
         return PsiProfile(r, psi, psi_prime, N, detail is None, detail,
-                          float(i1[-1]) + i1_tail, float(i0[-1]) + i1_tail)
+                          float(i1[-1]) + i1_tail)
     if N == 2:
         jlog = _cumulative_simpson(r * np.log(r) * src, r)
         upper = (jlog[-1] - jlog) + tlog
@@ -324,10 +335,8 @@ def mass(phi: PhiProfile, params: ModelParams) -> float:
             + float(_cumulative_simpson(r ** (N - 1) * phi.phi, r)[-1]))
     tail = phi.tail
     if tail is None:
-        if phi.support_radius is None:
-            raise InfiniteMassError("profile has no decaying tail model")
-        extra = 0.0
-    elif isinstance(tail, CompactTail):
+        raise InfiniteMassError("profile has no decaying tail model")
+    if isinstance(tail, CompactTail):
         extra = 0.0
     elif isinstance(tail, PowerTail):
         if tail.exponent + N >= 0.0:
@@ -421,7 +430,7 @@ def _psi_at(ss: SelfSimilarSolution, xi: float) -> float:
     # exterior continuation with the source beyond the grid neglected
     N = psi.N
     if N == 1:
-        return -psi.i0_total * xi
+        return -psi.i1_total * xi
     if N == 2:
         return -psi.i1_total * math.log(xi)
     return psi.i1_total * xi ** (2 - N) / (N - 2.0)
@@ -586,21 +595,16 @@ class SystemResidual:
 def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
                     direction: Direction,
                     window: tuple[float, float] = (0.1, 0.9)) -> SystemResidual:
-    """Five-point difference residuals over the middle of the support.
+    """Five-point difference residuals over the window's fractions of the
+    profile's span.
 
     res1 re-derives the scalar u-equation from the phi samples alone (two
     nested derivatives); res2 differentiates the quadrature psi' once; the
     identity couples the phi flux to psi' with the direction-dependent
     drift sign (+ backward, - forward).
     """
-    if phi.support_radius is not None:
-        R_ref = phi.support_radius
-    else:
-        # without a support edge, the last radius where phi is representable
-        # (e^u underflows to 0 long before a p = 2 forward run ends)
-        pos = np.flatnonzero(phi.phi > 0.0)
-        R_ref = float(phi.r[pos[-1] if pos.size else -1])
-    lo, hi = window[0] * R_ref, window[1] * R_ref
+    span = phi.span
+    lo, hi = window[0] * span, window[1] * span
     sel = (phi.r >= lo) & (phi.r <= hi)
     if int(np.count_nonzero(sel)) < 9:
         # res1 nests two five-point stencils, which leave r[4:-4]
@@ -653,10 +657,10 @@ def residual_grade(params: ModelParams, height: float,
                    direction: Direction) -> PhiProfile:
     """Profile on a grid fine enough for the residual check.
 
-    A scouting pass at default settings finds the radial span (the support
-    radius, or the last radius where phi > 0), then a pass at tolerance
-    1e-12 with the step capped at span/2000 places about 2,000 solution
-    nodes across it; the profile's opts are that pass's.
+    A scouting pass at default settings finds the radial span
+    (PhiProfile.span), then a pass at tolerance 1e-12 with the step capped
+    at span/2000 places about 2,000 solution nodes across it; the profile's
+    opts are that pass's.
     Node values sit on the discrete flow to sub-tolerance accuracy, so the
     nested five-point differences of system_residual resolve the equation
     residual instead of grid noise.
@@ -670,9 +674,7 @@ def residual_grade(params: ModelParams, height: float,
         return phi_from_forward(solve_forward(
             params, height, ForwardOptions(integrator=opts)))
 
-    scout = profile(IntegratorOptions())
-    span = (scout.support_radius if scout.support_radius is not None
-            else float(scout.r[scout.phi > 0.0][-1]))
+    span = profile(IntegratorOptions()).span
     return profile(IntegratorOptions(rel_tol=_GRADE_TOL, abs_tol=_GRADE_TOL,
                                      h_max=span / _GRADE_STEPS))
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, table formats, and byte determinism."""
 
+import inspect
 import io
 import json
 import math
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 import plks.backward
+import plks.cli
+import plks.errors
 from plks import (
     IntegratorOptions,
     ProfileClass,
@@ -134,6 +137,55 @@ def test_bad_integrator_settings_exit2(argv, capsys):
     assert rc == 2
     assert err.startswith("error[DomainError] integrator settings")
     assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# exit codes: each error type carries its own
+
+_EXIT_CODES = {"DomainError": 2, "BadBracketError": 4}    # the rest: 3
+_ERROR_TYPES = [c for _, c in inspect.getmembers(plks.errors, inspect.isclass)
+                if c.__module__ == "plks.errors"]
+
+
+@pytest.mark.parametrize("exc_type", _ERROR_TYPES, ids=lambda c: c.__name__)
+def test_error_type_carries_its_exit_code(exc_type, monkeypatch, capsys):
+    assert issubclass(exc_type, plks.errors.PlksError)
+    assert exc_type.exit_code == _EXIT_CODES.get(exc_type.__name__, 3)
+
+    def handler(params, args):
+        raise exc_type("the message")
+
+    monkeypatch.setattr(plks.cli, "cmd_solve_backward", handler)
+    rc, out, err = _run(_SOLVE, capsys)
+    assert rc == exc_type.exit_code
+    assert out == ""
+    assert err == f"error[{exc_type.__name__}] the message\n"
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (_SOLVE + ["--rel-tol", "0", "--abs-tol", "0"], 2,
+     "error[DomainError] integrator settings need finite tolerances >= 0 "
+     "with abs_tol > 0, a finite r_max and h_max > 0; got rel_tol=0.0, "
+     "abs_tol=0.0, event_tol=1e-12, r_max=1000.0, h_max=None"),
+    (["find-critical", "--N", "1", "--p", "2.001",
+      "--a-lo", "1.0", "--a-hi", "1.4245"], 4,
+     "error[BadBracketError] upper endpoint a = 1.4245 is above "
+     "a = 1.41519, where the source term nears overflow"),
+    (["find-critical", "--N", "4", "--p", "2.001"], 2,
+     "error[DomainError] critical-height search needs an admissible slow "
+     "exponent: p = 2.001 is not above the ground-state admissibility "
+     "threshold 2.2434 for N = 4"),
+    (["solve-forward", "--N", "2", "--p", "3", "--b", "1",
+      "--r-max", "0.5"], 3,
+     "error[NoSupportRadiusError] trajectory from a = 1 did not vanish "
+     "by r = 0.5 (reached-rmax)"),
+    (["sweep", "--N", "3", "--p", "2.5", "--a-grid", "bad"], 2,
+     "error[DomainError] grid spec must be lin:lo:hi:n or log:lo:hi:n, "
+     "got 'bad'"),
+])
+def test_failure_line_and_exit_code(argv, code, line, capsys):
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out, err) == (code, "", line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +319,21 @@ def test_solve_forward_compact_support(capsys):
     assert rep["tolerances_met"]["support_within_bound"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--N", "3", "--p", "1.8", "--b", "1.0", "--u-ceiling", "nan"],
+    ["--N", "2", "--p", "2", "--b", "0", "--u-floor", "nan"],
+    ["--N", "3", "--p", "1.8", "--b", "1.0", "--u-ceiling", "-5"],
+    ["--N", "3", "--p", "1.8", "--b", "1.0", "--u-ceiling", "1.0"],
+])
+def test_solve_forward_bad_cutoff_exit2(argv, capsys):
+    # a nan cutoff never stops the run, and a ceiling at or under the
+    # center value stops it at once: both are invalid arguments
+    rc, out, err = _run(["solve-forward"] + argv, capsys)
+    assert rc == 2
+    assert err.startswith("error[DomainError]")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -369,6 +436,18 @@ def test_reconstruct_coarse_grid_reports_residual_note(capsys):
     assert rep["results"]["residual_note"] == (
         "test window contains fewer than 9 grid points")
     assert rep["tolerances_met"]["residuals_below_1e-6"] is False
+
+
+def test_reconstruct_residual_grade_without_positive_phi(capsys):
+    # e^-800 underflows, so phi is 0 at every node: the grade pass spans the
+    # scout's grid and the residuals are unavailable, not a crash
+    rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "2", "--b", "-800",
+                       "--residual-grade", "--format", "json"], capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["results"]["residuals"] is None
+    assert rep["results"]["residual_note"].startswith(
+        "phi must be positive on the test window")
 
 
 def test_reconstruct_coarse_grid_residual_grade(capsys):

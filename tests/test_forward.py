@@ -80,6 +80,27 @@ def test_solve_forward_preconditions():
         # center already at the cutoff level
         solve_forward(derive_params(2, 2.0, 1.0), -1e3,
                       ForwardOptions(u_floor=-1e3))
+    with pytest.raises(DomainError):
+        # p < 2 center already at the ceiling
+        solve_forward(derive_params(3, 1.8, 1.0), 5.0,
+                      ForwardOptions(u_ceiling=5.0))
+
+
+@pytest.mark.parametrize("cutoffs", [
+    {"u_ceiling": math.nan}, {"u_ceiling": math.inf}, {"u_ceiling": 0.0},
+    {"u_ceiling": -5.0}, {"u_floor": math.nan}, {"u_floor": -math.inf},
+])
+def test_forward_options_reject_bad_cutoffs(cutoffs):
+    with pytest.raises(DomainError):
+        ForwardOptions(**cutoffs)
+
+
+@pytest.mark.parametrize("p", [1.8, 2.0, 3.0])
+def test_profile_regime_and_support_come_from_params_and_tail(p):
+    P = derive_params(3, p, 1.0)
+    fp = solve_forward(P, 1.0, _upto(50.0))
+    assert fp.regime is P.regime
+    assert fp.support_radius == (fp.tail.radius if p > 2.0 else None)
 
 
 def test_slow_regime_needs_room_to_vanish():

@@ -325,7 +325,8 @@ def test_amplitude_samples_recorded():
     dict(rel_tol=0.0, abs_tol=0.0), dict(rel_tol=-1e-10, abs_tol=-1e-10),
     dict(rel_tol=math.nan), dict(abs_tol=math.inf), dict(event_tol=-1.0),
     dict(r_max=math.nan), dict(r_max=math.inf), dict(h_max=0.0),
-    dict(h_max=-1.0), dict(h_max=math.nan)])
+    dict(h_max=-1.0), dict(h_max=math.nan), dict(u_ceiling=math.nan),
+    dict(u_ceiling=0.0), dict(u_ceiling=-1.0)])
 def test_bad_integrator_settings_raise_domain_error(bad):
     with pytest.raises(DomainError):
         IntegratorOptions(**bad)

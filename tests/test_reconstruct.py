@@ -72,7 +72,7 @@ def _crossing_profile(N, p, frac=1.2):
 
 def _constant_profile(N, c, R=2.0, n=4001):
     r = np.linspace(1e-6, R, n)
-    return PhiProfile(r, np.full(n, c), CompactTail(R), R)
+    return PhiProfile(r, np.full(n, c), CompactTail(R))
 
 
 # --------------------------------------------------------- phi maps
@@ -111,10 +111,23 @@ def test_phi_truncates_at_first_zero():
     assert np.all(phi.phi[:-1] > 0.0)
 
 
+def test_phi_span():
+    r = np.linspace(0.1, 1.0, 5)
+    # the compact tail's radius, else the last node with phi > 0, else the
+    # last node
+    assert PhiProfile(r, np.ones(5), CompactTail(0.8)).span == 0.8
+    assert PhiProfile(r, np.ones(5), CompactTail(0.8)).support_radius == 0.8
+    tail = PowerTail(-0.5, 1.0)
+    phi = PhiProfile(r, np.array([1.0, 0.5, 0.2, 0.0, 0.0]), tail)
+    assert phi.support_radius is None
+    assert phi.span == r[2]
+    assert PhiProfile(r, np.zeros(5), tail).span == r[-1]
+
+
 def test_phi_rejects_negative_values():
     r = np.linspace(0.1, 1.0, 5)
     with pytest.raises(DomainError):
-        PhiProfile(r, np.array([1.0, 0.5, -0.1, 0.2, 0.0]), None, 1.0)
+        PhiProfile(r, np.array([1.0, 0.5, -0.1, 0.2, 0.0]), None)
 
 
 def test_multi_bubble_grid_vanishes_on_gaps():
@@ -232,7 +245,7 @@ def test_well_posed_threshold_and_gate():
 def test_mass_of_zero_profile():
     P = derive_params(2, 3.0, 1.0)
     r = np.linspace(1e-6, 1.0, 101)
-    phi = PhiProfile(r, np.zeros(101), CompactTail(1.0), 1.0)
+    phi = PhiProfile(r, np.zeros(101), CompactTail(1.0))
     assert mass(phi, P) == 0.0
 
 
@@ -293,7 +306,7 @@ def test_mass_infinite_without_tail():
 def test_mass_infinite_for_fat_power_tail():
     P = derive_params(1, 1.5, 1.0)
     r = np.linspace(1e-6, 2.0, 101)
-    phi = PhiProfile(r, 1.0 / (1.0 + r), PowerTail(-0.5, 1.0), None)
+    phi = PhiProfile(r, 1.0 / (1.0 + r), PowerTail(-0.5, 1.0))
     with pytest.raises(InfiniteMassError):
         mass(phi, P)
 
@@ -559,7 +572,7 @@ def test_residual_window_guards():
     # five-point stencils need 9
     for n in (5, 8):
         r = np.linspace(0.1, 0.9, n)
-        tiny = PhiProfile(r, np.ones(n), CompactTail(1.0), 1.0)
+        tiny = PhiProfile(r, np.ones(n), CompactTail(1.0))
         with pytest.raises(DomainError, match="fewer than 9 grid points"):
             system_residual(tiny, psi_from_phi(tiny, P), P,
                             Direction.BACKWARD)
