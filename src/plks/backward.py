@@ -62,6 +62,8 @@ __all__ = [
     "build_multi_bubble",
 ]
 
+_N_LIMIT_SAMPLES = 2000   # points on which rescaled_limit_check compares
+
 
 class ProfileClass(Enum):
     P = "P"
@@ -96,7 +98,7 @@ class Classification:
         if self.set is ProfileClass.P:
             u_min = min([float(np.min(sol.u))] + [
                 e.u for e in sol.events_of(EventKind.U_PRIME_ZERO)])
-            return float(sol.ode.forcing.G_np(u_min))
+            return float(sol.ode.G_np(u_min))
         return None if self.set is ProfileClass.INCONCLUSIVE else float(sol.energy[-1])
 
 
@@ -114,13 +116,10 @@ def solve_backward(params: ModelParams, a: float,
     if params.p != 2.0 and a <= 0.0:
         raise DomainError(
             f"initial height must be positive for p != 2, got {a}")
-    ode = backward_ode(params)
-    if opts is None:
-        opts = IntegratorOptions()
-    if params.regime is Regime.FAST and opts.singular_floor is None:
-        # singular source at u = 0: stop at a floor instead of stalling
-        opts = replace(opts, singular_floor=1e-8)
-    return integrate(ode, a, opts)
+    if params.p == 2.0:
+        # u = ln phi is 0 where phi = 1, inside the profile: go on past it
+        opts = replace(opts or IntegratorOptions(), stop_at_u_zero=False)
+    return integrate(backward_ode(params), a, opts)
 
 
 def classify(params: ModelParams, a: float,
@@ -414,8 +413,8 @@ def find_critical_a(params: ModelParams,
 
 
 def rescaled_limit_check(params: ModelParams, a: float,
-                         rel_tol: float = 1e-10, abs_tol: float = 1e-10,
-                         n_samples: int = 2000) -> float:
+                         rel_tol: float = 1e-10, abs_tol: float = 1e-10
+                         ) -> float:
     """Compare the height-a profile, rescaled, against the limit problem.
 
     The substitution u_tilde(s) = u(s a^(-lambda))/a turns the profile
@@ -443,7 +442,7 @@ def rescaled_limit_check(params: ModelParams, a: float,
 
     s_hi = min(0.9 * z1, full.r_end / scale)
     s_lo = max(lim.r[0], full.r[0] / scale)
-    s = np.linspace(s_lo, s_hi, n_samples)
+    s = np.linspace(s_lo, s_hi, _N_LIMIT_SAMPLES)
     u_lim, _ = lim.sample(s)
     u_full, _ = full.sample(s * scale)
     return float(np.max(np.abs(u_full / a - u_lim)))

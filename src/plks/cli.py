@@ -437,7 +437,7 @@ def cmd_reconstruct(params: ModelParams, args):
         "residual_note": residual_note,
     }
     tol = {
-        "mass_finite": M is not None,
+        "mass_finite": M is not None and M > 0,
         "residuals_below_1e-6": res_block is not None
             and max(res_block["res1"], res_block["res2"],
                     res_block["identity"]) < 1e-6,

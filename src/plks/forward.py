@@ -52,6 +52,9 @@ __all__ = [
     "envelope_check",
 ]
 
+_N_FIT = 200              # fit_decay_rate's samples over the last decade of r
+_ENVELOPE_SLACK = 1e-9    # envelope_check's roundoff slack, scaled like u
+
 
 @dataclass(frozen=True)
 class PowerTail:
@@ -235,7 +238,7 @@ def _richardson(x: np.ndarray, y: np.ndarray) -> float:
     return float(coef[0])
 
 
-def fit_decay_rate(fp: ForwardProfile, n_fit: int = 200) -> DecayFit:
+def fit_decay_rate(fp: ForwardProfile) -> DecayFit:
     """Fit the unbounded-regime tail limit over the last decade of r."""
     if fp.regime is Regime.SLOW:
         raise DomainError("compactly supported profiles have no decay rate")
@@ -243,7 +246,7 @@ def fit_decay_rate(fp: ForwardProfile, n_fit: int = 200) -> DecayFit:
         raise InsufficientRangeError(
             f"need a scan radius of at least 100, have r_max = {fp.sol.opts.r_max:g}")
     r_last = fp.sol.r_end
-    r = np.geomspace(r_last / 10.0, r_last, n_fit)
+    r = np.geomspace(r_last / 10.0, r_last, _N_FIT)
     u, _ = fp.sol.sample(r)
     p = fp.params.p
     if fp.regime is Regime.LINEAR:
@@ -278,7 +281,7 @@ class EnvelopeReport:
         return worst <= 0.0
 
 
-def envelope_check(fp: ForwardProfile, slack: float = 1e-9) -> EnvelopeReport:
+def envelope_check(fp: ForwardProfile) -> EnvelopeReport:
     """Check the two-sided growth envelopes on the stored grid.
 
     p < 2:  a + c_lo r^(p/(p-1)) <= u <= a + c_hi r^(p/(p-1)) with
@@ -287,7 +290,7 @@ def envelope_check(fp: ForwardProfile, slack: float = 1e-9) -> EnvelopeReport:
     p = 2:  b - (chi e^(bm) + 1/m) r^2/(2N) <= u <= b, plus the slope
             bound u'(r) <= -r/(mN) (the source never drops under 1/m).
 
-    Violations are scaled by max(1, |u|); slack absorbs roundoff.
+    Violations are scaled by max(1, |u|), less a roundoff slack of 1e-9.
     """
     P = fp.params
     r, u = fp.sol.r, fp.sol.u
@@ -300,15 +303,15 @@ def envelope_check(fp: ForwardProfile, slack: float = 1e-9) -> EnvelopeReport:
         grow = r ** (p / (p - 1.0))
         low = (a + c_lo * grow - u) / scale
         high = (u - (a + c_hi * grow)) / scale
-        return EnvelopeReport(float(np.max(low)) - slack,
-                              float(np.max(high)) - slack)
+        return EnvelopeReport(float(np.max(low)) - _ENVELOPE_SLACK,
+                              float(np.max(high)) - _ENVELOPE_SLACK)
     if fp.regime is Regime.LINEAR:
         b, m, N, chi = fp.a, P.m, P.N, P.chi
         low = (b - (chi * math.exp(b * m) + 1.0 / m) * r ** 2 / (2.0 * N) - u) / scale
         high = (u - b) / scale
         up = np.array([uprime_from_w(fp.sol.ode, w) for w in fp.sol.w])
         slope = (up + r / (m * N)) / scale
-        return EnvelopeReport(float(np.max(low)) - slack,
-                              float(np.max(high)) - slack,
-                              float(np.max(slope)) - slack)
+        return EnvelopeReport(float(np.max(low)) - _ENVELOPE_SLACK,
+                              float(np.max(high)) - _ENVELOPE_SLACK,
+                              float(np.max(slope)) - _ENVELOPE_SLACK)
     raise DomainError("envelopes apply to the unbounded regimes (p <= 2)")

@@ -67,6 +67,8 @@ class Direction(Enum):
     FORWARD = "forward"
 
 
+_RESIDUAL_WINDOW = (0.1, 0.9)   # span fractions that system_residual tests
+
 # Gamma(N/2) for N = 1..10 as scipy.special.gamma returns it.  At odd N it
 # is an ulp away from math.gamma, and every mass and potential carries it,
 # so the table keeps results bitwise stable without importing scipy.
@@ -593,10 +595,9 @@ class SystemResidual:
 
 
 def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
-                    direction: Direction,
-                    window: tuple[float, float] = (0.1, 0.9)) -> SystemResidual:
-    """Five-point difference residuals over the window's fractions of the
-    profile's span.
+                    direction: Direction) -> SystemResidual:
+    """Five-point difference residuals over the middle 80% of the profile's
+    span.
 
     res1 re-derives the scalar u-equation from the phi samples alone (two
     nested derivatives); res2 differentiates the quadrature psi' once; the
@@ -604,7 +605,7 @@ def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
     drift sign (+ backward, - forward).
     """
     span = phi.span
-    lo, hi = window[0] * span, window[1] * span
+    lo, hi = _RESIDUAL_WINDOW[0] * span, _RESIDUAL_WINDOW[1] * span
     sel = (phi.r >= lo) & (phi.r <= hi)
     if int(np.count_nonzero(sel)) < 9:
         # res1 nests two five-point stencils, which leave r[4:-4]
@@ -623,11 +624,11 @@ def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
     ode = (backward_ode(params) if direction is Direction.BACKWARD
            else forward_ode(params))
     up = _first_derivative(r, u)
-    w = ode.B_eff * _odd_pow_np(up, ode.p_eff - 1.0)
+    w = ode.B_eff * _odd_pow_np(up, params.p - 1.0)
     wp = _first_derivative(r[2:-2], w)
     rc = r[4:-4]
     res1 = float(np.max(np.abs(
-        wp + (params.N - 1) / rc * w[2:-2] + ode.forcing.g_np(u[4:-4]))))
+        wp + (params.N - 1) / rc * w[2:-2] + ode.g_np(u[4:-4]))))
 
     pp = psi.psi_prime[sel]
     ppp = _first_derivative(r, pp)

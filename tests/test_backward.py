@@ -62,6 +62,25 @@ def test_solve_backward_accepts_negative_height_at_p_2():
     assert sol.r_end > 0.0
 
 
+def test_solve_backward_p2_runs_through_zeros_of_u():
+    # u = ln phi vanishes where phi = 1, inside the profile, so the run
+    # must not end at the first such zero, r = 1.99
+    P = derive_params(2, 2.0, 1.0)
+    sol = solve_backward(P, 1.0)
+    assert sol.termination is Termination.REACHED_RMAX
+    assert sol.r_end == 1e3
+    zeros = sol.zeros()
+    assert 1.98 < zeros[0] < 1.99 and len(zeros) > 100
+    # they stay the zeros of u, each a located sign change
+    assert all(e.kind is EventKind.U_ZERO and abs(e.u) <= 1e-12
+               for e in sol.events_of(EventKind.U_ZERO))
+    assert np.all(np.abs(sol.sample(np.array(zeros))[0]) <= 1e-9)
+    # the caller's settings other than the stop still hold
+    short = solve_backward(P, 1.0, IntegratorOptions(r_max=5.0))
+    assert short.termination is Termination.REACHED_RMAX
+    assert short.r_end == 5.0 and short.zeros() == zeros[:len(short.zeros())]
+
+
 def test_solve_backward_fast_regime_gets_singular_floor():
     # p < 2: the source blows up as u -> 0, so the run must stop at the
     # default floor instead of stalling
@@ -182,6 +201,25 @@ def test_closed_form_recovery_one_dimension(p, chi):
     assert abs(res.a_c - exact) / exact < 1e-6
     assert res.bracket_width < 1e-9 * res.a_c
     assert res.R_c > 0.0
+
+
+@pytest.mark.parametrize("N,p", [(1, 3.0), (2, 3.0), (3, 2.5)])
+def test_critical_height_scales_with_chi(N, p):
+    # chi enters only through the source term, and u(r) = lam v(mu r) with
+    # lam = chi^(-1/q) maps the chi problem onto chi = 1, so
+    # a_c(chi) = chi^(-1/q) a_c(1) exactly.  The a_c error tracks the
+    # integrator tolerance, not the bracket (a_tol = 1e-10 sits below it):
+    # it measured 1e-9 to 1.5e-9 at rel_tol 1e-10 when every step was taken
+    # in (u, w), and about 1e-11 with the energy variable.  The bound is
+    # 10x the default rel_tol, so the oracle holds with room at the old
+    # stepper's error.
+    bound = 10.0 * IntegratorOptions().rel_tol
+    ref = find_critical_a(derive_params(N, p))
+    for chi in (0.5, 2.0):
+        P = derive_params(N, p, chi)
+        res = find_critical_a(P)
+        assert abs(res.a_c * chi ** (1.0 / P.q) / ref.a_c - 1.0) <= bound
+        assert res.classification.label == ref.classification.label
 
 
 @pytest.mark.parametrize("p", [2.003, 2.05, 2.081])

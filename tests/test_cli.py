@@ -109,6 +109,21 @@ def test_solve_backward_energy_drift_is_the_library_figure(
     assert drift == getattr(check, figure)
 
 
+def test_solve_backward_p2_runs_past_phi_equal_1(capsys):
+    # at p = 2, u = ln phi is 0 where phi = 1, inside the profile: the run
+    # and the reconstructed profile go on to r_max instead of ending there
+    argv = ["--N", "2", "--p", "2", "--a", "1", "--format", "json"]
+    rc, out, _ = _run(["solve-backward"] + argv, capsys)
+    assert rc == 0
+    res = json.loads(out)["results"]
+    assert res["termination"] == "reached-rmax" and res["r_end"] == 1000
+    assert res["zeros"][0] == pytest.approx(1.98668, abs=1e-5)
+    assert len(res["zeros"]) > 100
+    rc, out, _ = _run(["reconstruct"] + argv, capsys)
+    assert rc == 0
+    assert json.loads(out)["columns"]["r"][-1] == 1000
+
+
 def test_solve_backward_low_p_exit2(capsys):
     rc, _, err = _run(["solve-backward", "--p", "1.2", "--N", "3",
                        "--a", "1"], capsys)
@@ -501,6 +516,17 @@ def test_reconstruct_infinite_mass_reported(capsys):
     rep = json.loads(out)
     assert rep["results"]["mass"] is None
     assert rep["results"]["mass_note"]
+    assert rep["tolerances_met"]["mass_finite"] is False
+
+
+def test_reconstruct_vanished_profile_has_no_finite_mass(capsys):
+    # e^-800 underflows, so phi is 0 at every node and the mass is 0: a
+    # profile that vanished certifies no finite positive mass
+    rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "2", "--b", "-800",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["results"]["mass"] == 0
     assert rep["tolerances_met"]["mass_finite"] is False
 
 

@@ -5,13 +5,14 @@ import types
 import plks
 
 # the names plks exported when its __init__ listed them by hand, plus the
-# common base of its error types; a name dropped from a module's __all__
+# common base of its error types, less Forcing and its three factories,
+# which RadialODE absorbed; a name dropped from a module's __all__
 # would vanish from the package without notice
 _PUBLIC = {
     "AmbiguousBracketError", "BadBracketError", "Classification",
     "ClassifyOptions", "CompactTail", "CriticalResult", "DecayFit",
     "DeltaTestError", "Direction", "DomainError", "EnergyCheck",
-    "EnergyLawError", "EnvelopeReport", "Event", "EventKind", "Forcing",
+    "EnergyLawError", "EnvelopeReport", "Event", "EventKind",
     "ForwardOptions", "ForwardProfile", "IllPosedPotentialError",
     "InfiniteMassError", "InsufficientRangeError", "IntegrationError",
     "IntegratorOptions", "LocalResidualReport", "LogQuadraticTail",
@@ -25,8 +26,7 @@ _PUBLIC = {
     "compact_support_admissible", "critical_p_from_m", "delta_test",
     "derive_params", "effective_startup_radius", "energy",
     "energy_derivative_check", "envelope_check", "evaluate",
-    "find_critical_a", "fit_decay_rate", "forcing_backward",
-    "forcing_forward", "forcing_limit", "forward_ode", "integrate",
+    "find_critical_a", "fit_decay_rate", "forward_ode", "integrate",
     "kinetic_energy", "limit_ode", "local_residual_check", "mass",
     "phi_from_forward", "phi_from_multi_bubble", "phi_from_u", "phi_of_u",
     "psi_from_phi", "psi_well_posed_threshold", "rescaled_limit_check",

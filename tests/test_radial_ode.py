@@ -17,9 +17,6 @@ from plks import (
     derive_params,
     energy,
     energy_derivative_check,
-    forcing_backward,
-    forcing_forward,
-    forcing_limit,
     forward_ode,
     integrate,
     limit_ode,
@@ -59,13 +56,38 @@ FORCING_CASES = [
 ]
 
 
+@pytest.mark.parametrize("problem", ["backward", "forward", "limit"])
+@pytest.mark.parametrize("N,p", [(2, 3.0), (2, 2.0), (3, 1.8)])
+def test_problem_shape_per_regime(N, p, problem):
+    # one RadialODE per problem and regime: its label, flux constant,
+    # equilibrium and singular floor; the energy variable's Newton solve
+    # exists exactly for p > 2
+    P = derive_params(N, p)
+    if problem == "limit" and p <= 2.0:
+        with pytest.raises(DomainError):
+            limit_ode(P)
+        return
+    ode = _ode(N, p, 1.0, problem)
+    assert ode.params == P
+    assert ode.kind == ("limit" if problem == "limit"
+                        else f"{problem}-{P.regime.value}")
+    assert ode.B_eff == (1.0 if p == 2.0 else P.B)
+    equilibrium = None
+    if problem == "backward":
+        equilibrium = P.u_star_log if p == 2.0 else P.u_star
+    assert ode.equilibrium_u == equilibrium
+    assert ode.u_floor == (1e-8 if problem == "backward" and p < 2.0
+                           else -math.inf)
+    assert (ode.G is not None) == (ode.solve_G is not None) == (p > 2.0)
+
+
 @pytest.mark.parametrize("N,p,chi,problem", FORCING_CASES)
 def test_forcing_matches_oracle(N, p, chi, problem):
     ode = _ode(N, p, chi, problem)
     ref = oracle_g(N, p, chi, problem)
     us = [0.3, 0.7, 1.0, 1.7, 4.2]
     for u in us:
-        assert abs(ode.forcing.g(u) - ref(u)) < 1e-13 * max(1.0, abs(ref(u)))
+        assert abs(ode.g(u) - ref(u)) < 1e-13 * max(1.0, abs(ref(u)))
 
 
 @pytest.mark.parametrize("N,p,chi,problem", FORCING_CASES)
@@ -74,33 +96,33 @@ def test_potential_antiderivative(N, p, chi, problem):
     ode = _ode(N, p, chi, problem)
     eps = 1e-6
     for u in (0.4, 0.9, 1.3, 2.6):
-        fd = (float(ode.forcing.G_np(u + eps)) - float(ode.forcing.G_np(u - eps))) / (2 * eps)
-        g = ode.forcing.g(u)
+        fd = (float(ode.G_np(u + eps)) - float(ode.G_np(u - eps))) / (2 * eps)
+        g = ode.g(u)
         assert abs(fd - g) < 5e-8 * max(1.0, abs(g)), (u, fd, g)
 
 
 def test_log_potential_branch():
     # q = -1: the fast-backward potential degenerates to u/m - chi ln u
     ode = _ode(1, 1.5, 1.0, "backward")
-    G1 = float(ode.forcing.G_np(1.0))
+    G1 = float(ode.G_np(1.0))
     assert abs(G1 - 1.0) < 1e-15  # u/m - chi ln(1) with m = 1
     with pytest.raises(DomainError):
-        ode.forcing.G_np(-0.5)
+        ode.G_np(-0.5)
 
 
 def test_equilibrium_annihilates_source():
     for N, p, chi in [(1, 3.0, 1.0), (2, 2.5, 2.0), (3, 1.8, 1.0)]:
         P = derive_params(N, p, chi)
         ode = backward_ode(P)
-        assert abs(ode.forcing.g(P.u_star)) < 1e-13
+        assert abs(ode.g(P.u_star)) < 1e-13
     P = derive_params(2, 2.0, 0.7)
     ode = backward_ode(P)
-    assert abs(ode.forcing.g(P.u_star_log)) < 1e-13
+    assert abs(ode.g(P.u_star_log)) < 1e-13
 
 
 def test_power_forcing_clamps_overflow_to_inf():
     # q ~ 2004: u^q overflows near u = 1.42; g saturates instead of raising
-    g = backward_ode(derive_params(1, 2.001, 1.0)).forcing.g
+    g = backward_ode(derive_params(1, 2.001, 1.0)).g
     assert math.isfinite(g(1.4))
     assert g(2.5) == math.inf
     assert g(-2.5) == -math.inf
@@ -111,18 +133,18 @@ def test_power_forcing_infinite_at_zero_for_negative_q():
     # fast backward, q < 0: coef = -chi, so g(+-0) = -+inf, signed like u
     P = derive_params(3, 1.8, 1.0)
     assert P.q < 0.0
-    g = backward_ode(P).forcing.g
+    g = backward_ode(P).g
     assert g(0.0) == -math.inf
     assert g(-0.0) == math.inf
     # q > 0: g(0) is the constant term alone
     P = derive_params(2, 3.0, 1.0)
-    assert backward_ode(P).forcing.g(0.0) == -1.0 / P.m
+    assert backward_ode(P).g(0.0) == -1.0 / P.m
 
 
 def test_power_forcing_is_odd():
     # the limit forcing is the bare power law, odd in u to the bit
     for N, p in ((1, 3.0), (2, 2.5), (1, 2.001)):
-        g = limit_ode(derive_params(N, p, 1.5)).forcing.g
+        g = limit_ode(derive_params(N, p, 1.5)).g
         for u in (1e-3, 0.4, 1.0, 1.3, 7.0):
             assert g(-u) == -g(u)
     # with a constant term c, g(u) + g(-u) = 2c at every u
@@ -130,14 +152,14 @@ def test_power_forcing_is_odd():
                              (2, 3.0, "forward", 1.0 / 2.5),
                              (3, 1.8, "backward", 1.0 / 0.4)):
         assert derive_params(N, p).m == pytest.approx(abs(1.0 / c))
-        g = _ode(N, p, 1.5, problem).forcing.g
+        g = _ode(N, p, 1.5, problem).g
         for u in (0.4, 1.0, 1.3):
             assert g(u) + g(-u) == pytest.approx(2.0 * c, abs=1e-13)
 
 
 def test_exp_forcing_clamps_above_709():
     P = derive_params(2, 2.0, 1.0)   # m = 1
-    g = forward_ode(P).forcing.g
+    g = forward_ode(P).g
     assert g(709.0) == P.chi * math.exp(709.0) + 1.0 / P.m
     assert g(709.5) == math.inf      # math.exp(709.5) is finite; the clamp is not
     assert g(1e6) == math.inf
@@ -147,7 +169,7 @@ def test_flux_inversion_round_trip():
     for p in (1.5, 1.8, 2.0, 2.5, 3.0):
         ode = _ode(2, p, 1.0, "backward")
         for v in (-2.0, -0.3, 0.0, 0.7, 1.9):
-            w = ode.B_eff * math.copysign(abs(v) ** (ode.p_eff - 1.0), v) if v else 0.0
+            w = ode.B_eff * math.copysign(abs(v) ** (ode.params.p - 1.0), v) if v else 0.0
             assert abs(uprime_from_w(ode, w) - v) < 1e-12
 
 
@@ -290,7 +312,7 @@ def test_stop_at_first_minimum():
     assert ev.kind is EventKind.U_PRIME_ZERO
     assert ev.u > 0.0
     # minimum: the source is negative there (w' = -g > 0 turns w upward)
-    assert ode.forcing.g(ev.u) < 0.0
+    assert ode.g(ev.u) < 0.0
 
 
 def test_equilibrium_hit_and_stop():
@@ -358,7 +380,7 @@ def test_singular_floor_underflow():
     # positivity; it reports underflow at the floor instead of crashing
     ode = _ode(1, 1.2, 1.0, "backward")
     sol = integrate(ode, 1.0, IntegratorOptions(
-        r_max=100.0, singular_floor=1e-8, stop_at_u_zero=False))
+        r_max=100.0, stop_at_u_zero=False))
     assert sol.termination is Termination.STEP_UNDERFLOW
     assert sol.u[-1] <= 1e-8
     assert sol.u[-1] > 0.0
@@ -367,7 +389,7 @@ def test_singular_floor_underflow():
 def _faulted(ode, fault_at, fault):
     """ode whose g misbehaves on call fault_at alone: returns inf or raises."""
     calls = itertools.count()
-    g = ode.forcing.g
+    g = ode.g
 
     def g_faulty(u):
         if next(calls) == fault_at:
@@ -376,7 +398,7 @@ def _faulted(ode, fault_at, fault):
             return math.inf
         return g(u)
 
-    return replace(ode, forcing=replace(ode.forcing, g=g_faulty))
+    return replace(ode, g=g_faulty)
 
 
 # g calls 0-2 are the startup (radius, state, k1); the first attempt
@@ -544,7 +566,7 @@ def test_energy_dissipation_identity_random_points():
         e_m = energy(ode, *sol.sample(r - eps))
         dE = (e_p - e_m) / (2 * eps)
         pred = -ode.B_eff * (ode.params.N - 1.0) / r \
-            * (abs(w0) / ode.B_eff) ** (ode.p_eff / (ode.p_eff - 1.0))
+            * (abs(w0) / ode.B_eff) ** (ode.params.p / (ode.params.p - 1.0))
         assert abs(dE - pred) < 1e-4 * max(1.0, abs(pred))
 
 
