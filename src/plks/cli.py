@@ -56,11 +56,11 @@ from .radial_ode import (
 from .reconstruct import (
     Direction,
     assemble,
-    delta_test,
     mass,
     phi_from_forward,
     phi_from_u,
     psi_from_phi,
+    radial_delta_test,
     residual_grade,
     system_residual,
 )
@@ -451,10 +451,6 @@ def cmd_reconstruct(params: ModelParams, args):
     return results, tol, header, rows, overrides
 
 
-def _gaussian(x) -> float:
-    return math.exp(-float(np.dot(x, x)))
-
-
 def cmd_delta_test(params: ModelParams, args):
     direction, height, phi, psi = _reconstructed(params, args)
     if not (0.0 < args.ratio < 1.0):
@@ -475,7 +471,8 @@ def cmd_delta_test(params: ModelParams, args):
             raise DomainError(f"first sample time must be positive, got {t0}")
         times = [t0 * args.ratio ** k for k in range(args.steps + 1)]
         ss = assemble(params, phi, psi, direction)
-    pairs = delta_test(ss, _gaussian, times)
+    # exp(-|x|^2) is radial: its spherical average is exp(-s^2)
+    pairs = radial_delta_test(ss, lambda s: np.exp(-s * s), times)
     header = ["t", "deviation"]
     rows = [(float(t), float(d)) for t, d in pairs]
     dev_first, dev_last = rows[0][1], rows[-1][1]

@@ -56,6 +56,7 @@ __all__ = [
     "assemble",
     "evaluate",
     "delta_test",
+    "radial_delta_test",
     "SystemResidual",
     "system_residual",
     "residual_grade",
@@ -470,17 +471,26 @@ def _polar_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _ANGULAR_BLOCK = 1024
 
 
+def _require_point_rule(N: int) -> None:
+    if N > 3:
+        raise DomainError(
+            f"a point test function is averaged only at N <= 3, got N = {N}; "
+            f"pass its spherical average to radial_delta_test")
+
+
 def _angular_averages(f: Callable, N: int, s: np.ndarray) -> np.ndarray:
     """Spherical averages of f at the nonzero radii s.
 
     N = 1 averages the two points +-s, N = 2 a 32-point ring, N = 3 takes
     Gauss-Legendre in the polar cosine and a 16-point ring in azimuth;
-    higher N treats f as radial.  f is called once per point, on that
-    point's own row of an array built for the call, and never on a batch.
+    higher N has no rule and raises DomainError.  f is called once per
+    point, on that point's own row of an array built for the call, and
+    never on a batch.
     Each coordinate is formed as the scalar rule forms it, (s sin) cos, and
     ring means and weighted sums run in the scalar rule's order, so the
     averages are bitwise those of evaluating the rule radius by radius.
     """
+    _require_point_rule(N)
     if len(s) > _ANGULAR_BLOCK:
         return np.concatenate([_angular_averages(f, N, s[i:i + _ANGULAR_BLOCK])
                                for i in range(0, len(s), _ANGULAR_BLOCK)])
@@ -490,7 +500,7 @@ def _angular_averages(f: Callable, N: int, s: np.ndarray) -> np.ndarray:
         cos, sin = _azimuths(32)
         pts = np.stack((np.multiply.outer(s, cos), np.multiply.outer(s, sin)),
                        axis=-1)
-    elif N == 3:
+    else:
         cos, sin = _azimuths(16)
         cs, wt, sn = _polar_rule()
         ring = np.multiply.outer(s, sn)[:, :, None]
@@ -498,40 +508,52 @@ def _angular_averages(f: Callable, N: int, s: np.ndarray) -> np.ndarray:
         pts[..., 0] = ring * cos
         pts[..., 1] = ring * sin
         pts[..., 2] = np.multiply.outer(s, cs)[:, :, None]
-    else:
-        pts = np.zeros((len(s), 1, N))
-        pts[:, 0, 0] = s
     vals = np.array([f(x) for x in pts.reshape(-1, N)], dtype=float)
     vals = vals.reshape(pts.shape[:-1])
     if N == 1:
         return 0.5 * (vals[:, 0] + vals[:, 1])
     if N == 2:
         return np.mean(vals, axis=1)
-    if N == 3:
-        rings = np.mean(vals, axis=2)
-        acc = 0.0
-        for k in range(len(wt)):
-            acc = acc + wt[k] * rings[:, k]
-        return acc / 2.0
-    return vals[:, 0]
+    rings = np.mean(vals, axis=2)
+    acc = 0.0
+    for k in range(len(wt)):
+        acc = acc + wt[k] * rings[:, k]
+    return acc / 2.0
 
 
-def delta_test(ss: SelfSimilarSolution, f: Callable, times: Sequence[float],
-               assert_decreasing: bool = True) -> list[tuple[float, float]]:
-    """Deviation of integral rho(.,t) f from M f(0) along the time list.
+def _radial_values(F: Callable, s: np.ndarray) -> np.ndarray:
+    """F at the radii s, checked to be one finite float per radius."""
+    vals = F(s)
+    if not (isinstance(vals, np.ndarray) and vals.dtype.kind == "f"
+            and vals.shape == s.shape and bool(np.all(np.isfinite(vals)))):
+        raise DomainError(
+            f"the spherical average must map an array of {s.shape[0]} radii "
+            f"to as many finite floats, got {type(vals).__name__} of shape "
+            f"{np.shape(vals)}")
+    return vals.astype(float, copy=False)
+
+
+def radial_delta_test(ss: SelfSimilarSolution, F: Callable,
+                      times: Sequence[float], assert_decreasing: bool = True
+                      ) -> list[tuple[float, float]]:
+    """Deviation of integral rho(.,t) f from M f(0) along the time list,
+    for a test function f given by its spherical average F.
 
     The integral reduces to the similarity variable: it equals
-    omega_N int phi(s) fbar(theta(t) s) s^(N-1) ds with fbar the spherical
-    average of f, so the scale theta(t) -> 0 drives the deviation to 0.
-    Times are processed in approach order (toward T backward, toward 0
-    forward) and the deviation must decrease monotonically along them.
-    f takes one point, an array of shape (N,), per call.
+    omega_N int phi(s) F(theta(t) s) s^(N-1) ds, so the scale
+    theta(t) -> 0 drives the deviation to 0.  F maps an array of radii to
+    the averages there, one finite float each (DomainError otherwise); it is
+    called once on the whole array theta(t) r per time, and f(0) is
+    F(0).  For a radial f, F(s) is f at radius s, so exp(-|x|^2) is
+    `lambda s: np.exp(-s * s)`.  Times are processed in approach order
+    (toward T backward, toward 0 forward) and the deviation must decrease
+    monotonically along them.
     """
     if ss.M is None:
         raise InfiniteMassError("delta test needs a finite-mass profile")
     N = ss.params.N
     omega = surface_area_unit_ball(N)
-    f0 = float(f(np.zeros(N)))
+    f0 = float(_radial_values(F, np.zeros(1))[0])
     r = ss.phi.r
     grid_mass = omega * (float(ss.phi.phi[0]) * float(r[0]) ** N / N
                          + float(_cumulative_simpson(
@@ -541,10 +563,7 @@ def delta_test(ss: SelfSimilarSolution, f: Callable, times: Sequence[float],
     order = sorted(times, reverse=(ss.direction is Direction.FORWARD))
     out = []
     for t in order:
-        s = ss.similarity_scale(t) * r
-        fbar = np.full(len(r), f0)
-        inside = s != 0.0
-        fbar[inside] = _angular_averages(f, N, s[inside])
+        fbar = _radial_values(F, ss.similarity_scale(t) * r)
         integral = omega * (float(ss.phi.phi[0]) * fbar[0] * float(r[0]) ** N / N
                             + float(_cumulative_simpson(
                                 r ** (N - 1) * ss.phi.phi * fbar, r)[-1]))
@@ -558,6 +577,29 @@ def delta_test(ss: SelfSimilarSolution, f: Callable, times: Sequence[float],
                     f"deviation failed to decrease toward the singular time: "
                     f"{d_a:g} at t = {t_a:g} vs {d_b:g} at t = {t_b:g}")
     return out
+
+
+def delta_test(ss: SelfSimilarSolution, f: Callable, times: Sequence[float],
+               assert_decreasing: bool = True) -> list[tuple[float, float]]:
+    """radial_delta_test for a test function f given point by point.
+
+    f takes one point, an array of shape (N,), per call.  Its spherical
+    averages come from the angular rules of _angular_averages, one call of
+    f per quadrature point, so this path suits a non-radial f at N <= 3;
+    it raises DomainError at N > 3.  A radial f is far cheaper through
+    radial_delta_test.
+    """
+    N = ss.params.N
+    _require_point_rule(N)
+    f0 = float(f(np.zeros(N)))
+
+    def averages(s: np.ndarray) -> np.ndarray:
+        fbar = np.full(len(s), f0)
+        inside = s != 0.0
+        fbar[inside] = _angular_averages(f, N, s[inside])
+        return fbar
+
+    return radial_delta_test(ss, averages, times, assert_decreasing)
 
 
 def _first_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:

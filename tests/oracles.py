@@ -5,7 +5,8 @@ from the package: exponents, source terms, flux inversion, startup series,
 and a classical fourth-order Runge-Kutta sweep.  Oracle trajectories are the
 ground truth the adaptive integrator is compared against.  The spherical
 average at the end is the point-by-point rule the delta test's vectorized
-quadrature must reproduce bit for bit, and the dense-output loop over the
+quadrature must reproduce bit for bit, the off-centre Gaussian's average is
+the closed form that rule approximates, and the dense-output loop over the
 Dormand-Prince matrix is the sum the stepper's unrolled coefficients must
 reproduce bit for bit.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gamma, ive
 
 
 def oracle_exponents(N: int, p: float) -> dict:
@@ -141,8 +143,24 @@ def angular_average(f, N: int, s: float) -> float:
                             for a in th])
             acc += w * ring
         return float(acc / 2.0)
-    # higher N: treat f as radial
-    return float(f(np.concatenate([[s], np.zeros(N - 1)])))
+    raise ValueError(f"no point-by-point rule at N = {N} > 3")
+
+
+def off_centre_gaussian_average(N: int, c, s) -> np.ndarray:
+    """Spherical average of exp(-|x - c|^2) over the spheres |x| = s.
+
+    With k = |c| it is exp(-s^2 - k^2) Gamma(N/2) (ks)^(1-N/2) I_(N/2-1)(2ks):
+    cosh(2ks) at N = 1, I_0(2ks) at N = 2 and sinh(2ks)/(2ks) at N = 3.
+    The exponentially scaled ive absorbs exp(2ks), which leaves the factor
+    exp(-(s - k)^2); the Bessel factor tends to 1 at s = 0.
+    """
+    s = np.asarray(s, dtype=float)
+    k = float(np.linalg.norm(c))
+    x = k * s
+    xs = np.where(x > 0.0, x, 1.0)
+    nu = N / 2.0 - 1.0
+    bessel = gamma(N / 2.0) * xs ** -nu * ive(nu, 2.0 * xs)
+    return np.exp(-(s - k) ** 2) * np.where(x > 0.0, bessel, 1.0)
 
 
 # Quartic dense-output matrix of the Dormand-Prince 5(4) pair: row s holds

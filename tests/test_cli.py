@@ -15,6 +15,7 @@ import pytest
 import plks.backward
 import plks.cli
 import plks.errors
+import plks.reconstruct
 from plks import (
     IntegratorOptions,
     ProfileClass,
@@ -570,6 +571,29 @@ def test_delta_test_bad_ratio_exit2(capsys):
                        "--N", "3", "--b", "1", "--ratio", "1.5"], capsys)
     assert rc == 2
     assert "ratio" in err
+
+
+def test_delta_test_integrates_the_gaussian_on_radii(capsys, monkeypatch):
+    # the README command never takes the point path, whose angular rules
+    # make one Python call per quadrature point
+    def no_point_rule(*args):
+        raise AssertionError("the CLI took the point path")
+
+    monkeypatch.setattr(plks.reconstruct, "_angular_averages", no_point_rule)
+    rc, out, _ = _run(["delta-test", "--N", "3", "--p", "1.8", "--b", "1.0",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    monkeypatch.undo()
+    rep = json.loads(out)
+    P = derive_params(3, 1.8)
+    phi = plks.reconstruct.phi_from_forward(plks.solve_forward(P, 1.0))
+    ss = plks.reconstruct.assemble(P, phi, plks.reconstruct.psi_from_phi(phi, P),
+                                   plks.reconstruct.Direction.FORWARD)
+    want = plks.reconstruct.delta_test(
+        ss, lambda x: math.exp(-float(np.dot(x, x))), rep["columns"]["t"])
+    assert [t for t, _ in want] == rep["columns"]["t"]
+    assert rep["columns"]["deviation"] == pytest.approx([d for _, d in want],
+                                                        rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ GOLDEN = {
         "847afe944683e83c8d3880a307007417e208418fa8853f25d19471b810abe82c"),
     "delta-test": (
         "delta-test --N 3 --p 1.8 --b 1.0",
-        "58bf9018c4d19144dc955f2ed8fc5ee3b860b96506a6e5c8c216520c08001966",
-        "be046f976c298fa0752446f35821d5207836b17e1724edbc88fb52a892c531ee"),
+        "c99ca451261c768c2fcc3074ccc0c6e8fdd82d6da696897d9befce25754d2750",
+        "a89a869cbfe11c338bb6658973ccae1a066bcb0e9eb06fbcb63b6afcbebb4a12"),
 }
 
 _RUNNING = {"python": platform.python_version(), "numpy": np.__version__}

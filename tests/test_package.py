@@ -5,8 +5,8 @@ import types
 import plks
 
 # the names plks exported when its __init__ listed them by hand, plus the
-# common base of its error types, less Forcing and its three factories,
-# which RadialODE absorbed; a name dropped from a module's __all__
+# common base of its error types and radial_delta_test, less Forcing and its
+# three factories, which RadialODE absorbed; a name dropped from a module's __all__
 # would vanish from the package without notice
 _PUBLIC = {
     "AmbiguousBracketError", "BadBracketError", "Classification",
@@ -29,7 +29,8 @@ _PUBLIC = {
     "find_critical_a", "fit_decay_rate", "forward_ode", "integrate",
     "kinetic_energy", "limit_ode", "local_residual_check", "mass",
     "phi_from_forward", "phi_from_multi_bubble", "phi_from_u", "phi_of_u",
-    "psi_from_phi", "psi_well_posed_threshold", "rescaled_limit_check",
+    "psi_from_phi", "psi_well_posed_threshold", "radial_delta_test",
+    "rescaled_limit_check",
     "residual_grade", "solve_backward", "solve_forward", "startup_state",
     "support_radius", "support_radius_upper_bound", "surface_area_unit_ball",
     "sweep_a", "system_residual", "uprime_from_w", "zero_energy_height",

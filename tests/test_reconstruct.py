@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, quad, simpson
-from scipy.special import gamma
+from scipy.special import gamma, ive
 
 from plks import derive_params
 from plks.backward import (
@@ -42,12 +42,13 @@ from plks.reconstruct import (
     phi_from_u,
     psi_from_phi,
     psi_well_posed_threshold,
+    radial_delta_test,
     residual_grade,
     surface_area_unit_ball,
     system_residual,
 )
 
-from oracles import angular_average
+from oracles import angular_average, off_centre_gaussian_average
 
 _CACHE = {}
 
@@ -425,9 +426,9 @@ def test_delta_needs_finite_mass():
         delta_test(ss, lambda x: 1.0, [0.5])
 
 
-def _one_point(N):
+def _one_point(N, center=(0.3, -0.2, 0.1, 0.05)):
     """An off-center Gaussian that refuses anything but a single point."""
-    center = np.array([0.3, -0.2, 0.1, 0.05])[:N]
+    center = np.array(center[:N])
 
     def f(x):
         if np.shape(x) != (N,):
@@ -465,6 +466,13 @@ def test_delta_test_bitwise_matches_pointwise_rule(N, p, a):
     ss = assemble(P, phi, psi_from_phi(phi, P), Direction.BACKWARD)
     f = _one_point(N)
     times = [0.5, 0.9, 0.99]
+    if N > 3:
+        # no angular rule above N = 3: the point path refuses f
+        with pytest.raises(DomainError, match="radial_delta_test"):
+            delta_test(ss, f, times, assert_decreasing=False)
+        with pytest.raises(ValueError):
+            _reference_deviations(ss, f, times)
+        return
     got = delta_test(ss, f, times, assert_decreasing=False)
     assert got == _reference_deviations(ss, f, times)
 
@@ -474,8 +482,164 @@ def test_angular_averages_bitwise_match_pointwise_rule(N, n):
     # n = 2500 spans three blocks of radii
     f = _one_point(N)
     s = np.geomspace(1e-9, 30.0, n)
+    if N > 3:
+        with pytest.raises(DomainError, match="radial_delta_test"):
+            _angular_averages(f, N, s)
+        with pytest.raises(ValueError):
+            angular_average(f, N, float(s[0]))
+        return
     want = np.array([angular_average(f, N, float(x)) for x in s])
     assert _angular_averages(f, N, s).tobytes() == want.tobytes()
+
+
+def _assembled_backward_at(N, p, a):
+    key = ("ss-at", N, p, a)
+    if key not in _CACHE:
+        P = derive_params(N, p, 1.0)
+        phi = phi_from_u(solve_backward(P, a), P)
+        _CACHE[key] = assemble(P, phi, psi_from_phi(phi, P), Direction.BACKWARD)
+    return _CACHE[key]
+
+
+def _rule_error_bound(N, c, s):
+    """Relative error bound of _angular_averages for exp(-|x - c|^2) at radii s.
+
+    On the sphere f = exp(-s^2 - k^2) exp(2 s c.w), so the rule's relative
+    error is that of its angular rule on exp(2 s c.w), whose exact mean is
+    at least 1 (Jensen).  Roundoff: |x - c|^2 carries a relative error of a
+    few eps, so each point value one of a few eps (1 + (s + k)^2); the
+    closed form's exp(-(s - k)^2) carries the same.
+    """
+    eps = np.finfo(float).eps
+    k = float(np.linalg.norm(c))
+    bound = 32.0 * eps * (1.0 + (s + k) ** 2)
+    if N == 1:
+        return bound          # the two points +-s are the exact average
+    # a periodic n-point trapezoid on exp(z cos(phi - phi0)) has the relative
+    # error 2 sum_j I_(nj)(z) cos(nj phi0) / I_0(z), which grows with z
+    def ring_error(n, z):
+        return 2.0 * sum(ive(n * j, z) for j in (1, 2, 3)) / ive(0, z)
+    if N == 2:
+        return bound + ring_error(32, 2.0 * k * s)
+    # N = 3: each 16-point ring at polar cosine t has z = 2 s |c_12| sqrt(1 - t^2)
+    # at most 2 s |c_12|; the ring means g(t) = exp(2 s c_3 t) I_0(...) are
+    # entire, with |t| and |sqrt(1 - t^2)| at most a = (rho + 1/rho)/2 on the
+    # Bernstein ellipse E_rho, so |g| <= exp(2 s (|c_3| + |c_12|) a) there,
+    # and 12-point Gauss-Legendre misses int g by at most
+    # (64/15) max|g| rho^-24 / (rho^2 - 1) (Trefethen, ATAP, Thm 19.3);
+    # the average is half the integral
+    c12 = float(np.linalg.norm(c[:2]))
+    rho = np.geomspace(1.001, 1e3, 4000)[:, None]
+    a = 0.5 * (rho + 1.0 / rho)
+    log_gl = (2.0 * s * (abs(c[2]) + c12) * a - 24.0 * np.log(rho)
+              - np.log(rho * rho - 1.0))
+    gl = 32.0 / 15.0 * np.exp(np.min(log_gl, axis=0))
+    return bound + ring_error(16, 2.0 * s * c12) + gl
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_angular_averages_match_off_centre_closed_form(N):
+    # |c| ~ 2 makes the ring rules' own errors show at the large radii
+    c = np.array([1.2, -1.2, 0.9])[:N]
+    s = np.geomspace(1e-9, 8.0, 400)
+    got = _angular_averages(_one_point(N, c), N, s)
+    want = off_centre_gaussian_average(N, c, s)
+    bound = _rule_error_bound(N, c, s)
+    assert np.all(np.abs(got / want - 1.0) <= bound)
+    assert np.all(bound[s < 0.5] < 1e-12)   # the bound is no blanket
+
+
+@pytest.mark.parametrize("N,p,a", [(1, 3.0, 1.5), (2, 3.0, 2.126),
+                                   (3, 2.5, 8.0)])
+def test_radial_delta_test_matches_point_path(N, p, a):
+    ss = _assembled_backward_at(N, p, a)
+    c = np.array([0.3, -0.2, 0.1])[:N]
+    times = [0.5, 0.9, 0.99]
+    want = delta_test(ss, _one_point(N, c), times, assert_decreasing=False)
+    got = radial_delta_test(ss, lambda s: off_centre_gaussian_average(N, c, s),
+                            times, assert_decreasing=False)
+    # the averages differ by at most the rule's bound, largest at the first
+    # time's radii, and the quadrature weights sum to about M; a few ulps
+    # of M cover f(0) itself
+    s = ss.similarity_scale(times[0]) * ss.phi.r
+    fbar_err = np.max(_rule_error_bound(N, c, s)
+                      * off_centre_gaussian_average(N, c, s))
+    tol = 2.0 * ss.M * fbar_err + 8.0 * np.finfo(float).eps * ss.M
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, d_got), (_, d_want) in zip(got, want):
+        assert abs(d_got - d_want) <= tol
+
+
+def test_radial_delta_test_second_moment_at_N4():
+    # no point rule exists at N = 4; near T the deviation is
+    # |F''(0)/2| theta^2 m2 with F(s) = e^(-k^2) (1 + (2k^2/N - 1) s^2 + ...)
+    # and m2 the second moment of phi in the delta test's own quadrature;
+    # theta = (T - t)^(1/7) here, so T = 1e-6 lets theta reach 1e-3
+    N = 4
+    ss = dataclasses.replace(_assembled_backward_at(N, 3.0, 5.0), T=1e-6)
+    c = np.array([0.3, -0.2, 0.1, 0.05])
+    k2 = float(np.dot(c, c))
+    omega = surface_area_unit_ball(N)
+    r, ph = ss.phi.r, ss.phi.phi
+    cells = lambda y: float(cumulative_simpson(y, x=r, initial=0.0)[-1])
+    tail = ss.M - omega * (float(ph[0]) * float(r[0]) ** N / N
+                           + cells(r ** (N - 1) * ph))
+    m2 = (omega * (float(ph[0]) * float(r[0]) ** (N + 2) / N
+                   + cells(r ** (N + 1) * ph)) + tail * float(r[-1]) ** 2)
+    coef = math.exp(-k2) * abs(2.0 * k2 / N - 1.0)
+    times = [ss.T - theta ** 7 for theta in (1e-1, 1e-2, 1e-3)]
+    out = radial_delta_test(ss, lambda s: off_centre_gaussian_average(N, c, s),
+                            times)
+    for t, dev in out:
+        theta = ss.similarity_scale(t)
+        # the next term is O(theta^2 r_max^2) relative
+        assert dev == pytest.approx(coef * theta ** 2 * m2,
+                                    rel=(theta * float(r[-1])) ** 2)
+
+
+def test_radial_delta_test_constant_function_exact_at_N4():
+    ss = _assembled_backward_at(4, 3.0, 5.0)
+    out = radial_delta_test(ss, lambda s: np.ones_like(s), [0.3, 0.6, 0.9],
+                            assert_decreasing=False)
+    for _, dev in out:
+        assert dev <= 1e-13 * ss.M
+
+
+class _OnePointGaussian:
+    """exp(-|x|^2) taking one point per call, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x) -> float:
+        self.calls += 1
+        return math.exp(-float(np.dot(x, x)))
+
+
+@pytest.mark.parametrize("F", [
+    _OnePointGaussian(),                                # a scalar for any array
+    lambda s: np.exp(-s * s)[:, None],                  # wrong shape
+    lambda s: np.exp(-s * s)[:-1],                      # one value short
+    lambda s: np.exp(-s * s).tolist(),                  # not an array
+    lambda s: np.ones(len(s), dtype=int),               # not floats
+    lambda s: np.where(s > 0.0, np.inf, 1.0),           # not finite
+    lambda s: np.full(len(s), np.nan),
+], ids=["scalar", "2d", "short", "list", "int", "inf", "nan"])
+def test_radial_delta_test_checks_the_average(F):
+    ss = _assembled_backward()
+    with pytest.raises(DomainError, match="spherical average"):
+        radial_delta_test(ss, F, [0.5, 0.9])
+
+
+def test_delta_test_point_path_call_count_unchanged():
+    # f(0) once, then one call per quadrature point at each nonzero radius
+    ss = _assembled_backward_at(3, 2.5, 8.0)
+    f = _OnePointGaussian()
+    times = [0.5, 0.9]
+    delta_test(ss, f, times)
+    inside = sum(int(np.count_nonzero(ss.similarity_scale(t) * ss.phi.r))
+                 for t in times)
+    assert f.calls == 1 + 12 * 16 * inside
 
 
 def test_cumulative_simpson_bitwise_matches_scipy():
