@@ -295,10 +295,11 @@ def find_critical_a(params: ModelParams,
     The bracket moves on P/N labels alone; energy gaps pick the next height
     (_gap_step), but the midpoint is taken when an end's gap has the wrong
     sign, when two probes have not halved the bracket, or when the probes
-    made plus the halvings left exceed bisection's count for the initial
-    bracket plus 2.  a_tol is the relative bracket width target; a_tol = 0
-    narrows it to the floating-point limit.  An N0 hit is certified by a
-    P and an N height within a_tol/2 of it, which end the search.
+    made, this one included, plus the halvings left would exceed
+    bisection's count for the initial bracket plus 2.  a_tol is the
+    relative bracket width target; a_tol = 0 narrows it to the
+    floating-point limit.  An N0 hit is certified by a P and an N height
+    within a_tol/2 of it, which end the search.
     """
     if params.regime is not Regime.SLOW:
         raise DomainError(
@@ -365,7 +366,7 @@ def find_critical_a(params: ModelParams,
             break
         widths.append(hi - lo)
         a = mid
-        if (g_lo < 0.0 < g_hi and n_iter + halvings(lo, hi) <= budget
+        if (g_lo < 0.0 < g_hi and n_iter + 1 + halvings(lo, hi) <= budget
                 and not (len(widths) > 2 and widths[-1] > 0.5 * widths[-3])):
             a = _gap_step(trace, lo, g_lo, hi, g_hi, old,
                           max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid)))

@@ -2,7 +2,8 @@
 
 import itertools
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from plks import (
     integrate,
     limit_ode,
     local_residual_check,
+    solve_backward,
+    solve_forward,
     startup_state,
     uprime_from_w,
     zero_energy_height,
 )
-from oracles import (dense_coefficients_loop, oracle_g, oracle_startup,
-                     rk4_trajectory)
+from oracles import (dense_coefficients_loop, energy_audit_by_sample,
+                     oracle_g, oracle_startup, rk4_trajectory)
 from plks.radial_ode import _dense_coefficients
 
 RNG = np.random.default_rng(20260822)
@@ -507,6 +510,52 @@ def test_energy_audit_passes_at_zero_energy_height(N):
     sol = integrate(backward_ode(P), zero_energy_height(P), IntegratorOptions())
     assert sol.termination is Termination.REACHED_RMAX
     assert energy_derivative_check(sol).passed
+
+
+def test_energy_audit_matches_sampled_midpoints():
+    # the audit evaluates w at each step's midpoint from that step's own
+    # interpolant; sample() at the same radii is the reference, bit for bit
+    P2 = derive_params(2, 3.0)
+    P1 = derive_params(1, 3.0)
+    short = IntegratorOptions(r_max=100.0)
+    sols = {
+        # the P trajectory: (E, w) steps, whose first interpolant is E's
+        "P N2 p3": solve_backward(P2, 0.845, short),
+        # an N height: the event at the zero of u cuts the last step short
+        "N N2 p3": solve_backward(P2, 2.0),
+        "backward N2 p2": solve_backward(derive_params(2, 2.0), 1.5,
+                                         IntegratorOptions(r_max=50.0)),
+        "forward N3 p1.8": solve_forward(derive_params(3, 1.8), 1.0).sol,
+        "zero energy N1 p3": solve_backward(P1, zero_energy_height(P1), short),
+    }
+    assert sols["P N2 p3"].stats.energy_steps > 0
+    cut = sols["N N2 p3"]
+    assert cut.termination is Termination.U_CROSSED_ZERO
+    assert cut.r[-1] - cut.r[-2] < cut._h[-1]
+    for name, sol in sols.items():
+        r_mid = sol.r[:-1] + 0.5 * np.diff(sol.r)
+        n = len(sol.r) - 1
+        assert np.array_equal(
+            np.searchsorted(sol.r, r_mid, "right") - 1, np.arange(n)), name
+        chk = energy_derivative_check(sol, raise_on_violation=False)
+        assert astuple(chk) == energy_audit_by_sample(sol), name
+
+
+def test_trajectory_and_audit_memory_per_step():
+    # the grid, step lengths and interpolants are raw doubles with no
+    # copy at the end: about 170 B per accepted step, and about 210 B
+    # with the audit.  A grid of boxed floats copied at the end, or an
+    # audit that gathers every step's interpolant, reads about 325 B
+    P = derive_params(2, 3.0)
+    tracemalloc.start()
+    try:
+        sol = solve_backward(P, 0.845, IntegratorOptions(r_max=30.0))
+        energy_derivative_check(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.n_steps == 1678
+    assert peak <= 250 * sol.n_steps
 
 
 def test_p_trajectory_at_fifty_against_tight_reference():
