@@ -236,11 +236,12 @@ class Probe:
     gap: Optional[float]
     n_steps: int
     r_end: float
+    step: str     # why this height: see find_critical_a
 
     @classmethod
-    def of(cls, c: Classification) -> "Probe":
+    def of(cls, c: Classification, step: str) -> "Probe":
         return cls(c.a, c.label, c.reason, c.energy_gap, c.solution.n_steps,
-                   c.solution.r_end)
+                   c.solution.r_end, step)
 
 
 @dataclass(frozen=True)
@@ -265,28 +266,46 @@ class CriticalResult:
     trace: tuple[Probe, ...] = ()
 
 
-def _gap_step(trace, lo, g_lo, hi, g_hi, old, tol: float) -> float:
-    """Brent's step: secant through the last two probes if they share a side
-    and the gap rises, else inverse quadratic through the ends and the end
-    the last probe replaced (old), else secant; tol past the best end at least."""
-    (b, fb), (c, fc) = sorted(((lo, g_lo), (hi, g_hi)), key=lambda t: abs(t[1]))
+def _squash(g: float) -> float:
+    """sign(g) log1p(|g|): the gap near a_c, the log of the N gap far above it."""
+    return math.copysign(math.log1p(abs(g)), g)
+
+
+def _gap_step(trace, lo, g_lo, hi, g_hi, old, tol: float) -> tuple[float, str]:
+    """The next height and its step name, on the squashed gaps.
+
+    "overshoot": the last two probes share a side, so their secant alone
+    would move one end only; the height goes past the secant's estimate by
+    half the step s times its contraction |s| / |q - p|, a guess at the
+    estimate's error, so that it lands beyond a_c and moves the other end.
+    "quadratic": inverse quadratic through the ends and the end the last
+    probe replaced (old).  "falsi": the secant through the ends.  "tol":
+    the estimate sits within tol of the best end, so the step is tol past it.
+    """
+    (b, fb), (c, fc) = sorted(((lo, _squash(g_lo)), (hi, _squash(g_hi))),
+                              key=lambda t: abs(t[1]))
     p, q = trace[-2], trace[-1]
     if p.label == q.label and (q.gap - p.gap) * (q.a - p.a) > 0.0:
-        x = q.a - q.gap * (q.a - p.a) / (q.gap - p.gap)
-    elif old is not None and old[1] not in (fb, fc):
-        a, fa = old
+        fp, fq = _squash(p.gap), _squash(q.gap)
+        s = -fq * (q.a - p.a) / (fq - fp)
+        x, step = q.a + s * (1.0 + 0.5 * abs(s / (q.a - p.a))), "overshoot"
+    elif old is not None and old[1] not in (g_lo, g_hi):
+        a, fa = old[0], _squash(old[1])
         x = (b + (a - b) * fb * fc / ((fa - fb) * (fa - fc))
              + (c - b) * fb * fa / ((fc - fb) * (fc - fa)))
+        step = "quadratic"
     else:
-        x = b - fb * (c - b) / (fc - fb)
-    return x if abs(x - b) >= tol else b + math.copysign(tol, c - b)
+        x, step = b - fb * (c - b) / (fc - fb), "falsi"
+    if abs(x - b) >= tol:
+        return x, step
+    return b + math.copysign(tol, c - b), "tol"
 
 
 def find_critical_a(params: ModelParams,
                     bracket: Optional[tuple[float, float]] = None,
                     opts: Optional[ClassifyOptions] = None,
                     a_tol: float = 1e-10) -> CriticalResult:
-    """Find a_c by a bracketed secant on the energy gap.
+    """Find a_c by a bracketed search on the energy gap.
 
     bracket defaults to [0.999 h0, expanding doublings] with h0 the
     zero-energy height, which is certified P (N = 1: it is a_c itself; the
@@ -294,12 +313,19 @@ def find_critical_a(params: ModelParams,
     a_cap, where the source term nears overflow, raises BadBracketError.
     The bracket moves on P/N labels alone; energy gaps pick the next height
     (_gap_step), but the midpoint is taken when an end's gap has the wrong
-    sign, when two probes have not halved the bracket, or when the probes
-    made, this one included, plus the halvings left would exceed
-    bisection's count for the initial bracket plus 2.  a_tol is the
-    relative bracket width target; a_tol = 0 narrows it to the
-    floating-point limit.  An N0 hit is certified by a P and an N height
-    within a_tol/2 of it, which end the search.
+    sign, or when the probes made, this one included, plus the halvings
+    left would exceed bisection's count for the initial bracket plus 2.
+    a_tol is the relative bracket width target; a_tol = 0 narrows it to
+    the floating-point limit.  An N0 hit is certified by a P and an N
+    height within a_tol/2 of it, which end the search.
+
+    R_c is the radius of the final P end's last turn, which is smooth in a;
+    the zero of an N height moves like (a - a_c)^((p-1)/p).  An N0 hit
+    reports its touch radius, and a P end that reached the scan radius
+    before it turned leaves R_c at the zero of a_c's or the N end's run.
+    Each trace entry's step names the rule that chose its height: "end"
+    and "double" for the initial bracket, a _gap_step name or "mid" inside
+    it, "certify" for an N0 hit's certifiers and "final" for a_c.
     """
     if params.regime is not Regime.SLOW:
         raise DomainError(
@@ -324,7 +350,7 @@ def find_critical_a(params: ModelParams,
                 "source term nears overflow")
 
     c_lo = classify(params, lo, opts)
-    trace = [Probe.of(c_lo)]
+    trace = [Probe.of(c_lo, "end")]
     if c_lo.set is ProfileClass.N0:
         return CriticalResult(lo, 0.0, c_lo.R_of_a, c_lo.solution, 0, c_lo,
                               trace=tuple(trace))
@@ -332,7 +358,7 @@ def find_critical_a(params: ModelParams,
         raise BadBracketError(
             f"lower endpoint a = {lo:g} classifies {c_lo.label}, need P")
     c_hi = classify(params, hi, opts)
-    trace.append(Probe.of(c_hi))
+    trace.append(Probe.of(c_hi, "end"))
     n_expand = 0
     while c_hi.set is ProfileClass.P and bracket is None and n_expand < 60:
         if hi >= a_cap:
@@ -342,7 +368,7 @@ def find_critical_a(params: ModelParams,
         lo, c_lo = hi, c_hi
         hi = min(2.0 * hi, a_cap)
         c_hi = classify(params, hi, opts)
-        trace.append(Probe.of(c_hi))
+        trace.append(Probe.of(c_hi, "double"))
         n_expand += 1
     if c_hi.set is ProfileClass.N0:
         return CriticalResult(hi, 0.0, c_hi.R_of_a, c_hi.solution, n_expand,
@@ -357,22 +383,21 @@ def find_critical_a(params: ModelParams,
     n_iter = n_expand
     budget = n_expand + halvings(lo, hi) + 2
     g_lo, g_hi = c_lo.energy_gap, c_hi.energy_gap
-    old, widths = None, []
+    old = None
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket at the floating-point limit
         if (hi - lo) <= a_tol * abs(mid):
             break
-        widths.append(hi - lo)
-        a = mid
-        if (g_lo < 0.0 < g_hi and n_iter + 1 + halvings(lo, hi) <= budget
-                and not (len(widths) > 2 and widths[-1] > 0.5 * widths[-3])):
-            a = _gap_step(trace, lo, g_lo, hi, g_hi, old,
-                          max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid)))
-            a = a if lo < a < hi else mid
+        a, step = mid, "mid"
+        if g_lo < 0.0 < g_hi and n_iter + 1 + halvings(lo, hi) <= budget:
+            x, rule = _gap_step(trace, lo, g_lo, hi, g_hi, old,
+                                max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid)))
+            if lo < x < hi:
+                a, step = x, rule
         c = classify(params, a, opts)
-        trace.append(Probe.of(c))
+        trace.append(Probe.of(c, step))
         n_iter += 1
         if c.set is ProfileClass.N0:
             # a tangential zero lies in a narrow band at a_c: certify it by
@@ -384,7 +409,7 @@ def find_critical_a(params: ModelParams,
                 if not lo < a_s < hi:
                     continue
                 c_s = classify(params, a_s, opts)
-                trace.append(Probe.of(c_s))
+                trace.append(Probe.of(c_s, "certify"))
                 n_iter += 1
                 if c_s.set is ProfileClass.P:
                     old, lo, c_lo, g_lo = (lo, g_lo), a_s, c_s, trace[-1].gap
@@ -407,8 +432,12 @@ def find_critical_a(params: ModelParams,
 
     a_c = 0.5 * (lo + hi)
     c_mid = classify(params, a_c, opts)
-    trace.append(Probe.of(c_mid))
-    R_c = c_mid.R_of_a if c_mid.R_of_a is not None else c_hi.R_of_a
+    trace.append(Probe.of(c_mid, "final"))
+    turns = c_lo.solution.events_of(EventKind.U_PRIME_ZERO)
+    if turns:
+        R_c = turns[-1].r
+    else:   # the final P end reached the scan radius before it turned
+        R_c = c_mid.R_of_a if c_mid.R_of_a is not None else c_hi.R_of_a
     return CriticalResult(a_c, hi - lo, R_c, c_mid.solution, n_iter + 1, c_mid,
                           c_lo, c_hi, tuple(trace))
 

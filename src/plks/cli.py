@@ -317,8 +317,9 @@ def cmd_find_critical(params: ModelParams, args):
         "n_iterations": res.n_iterations,
         "classification": _class_block(c_mid),
         "certificates": certificates,
-        "trace": [{"a": t.a, "class": t.label, "reason": t.reason,
-                   "gap": t.gap, "n_steps": t.n_steps, "r_end": t.r_end}
+        "trace": [{"a": t.a, "step": t.step, "class": t.label,
+                   "reason": t.reason, "gap": t.gap, "n_steps": t.n_steps,
+                   "r_end": t.r_end}
                   for t in res.trace],
     }
     tol = {

@@ -1,6 +1,7 @@
 """Tests for the blow-up shooting layer: classification, a_c search, bubbles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -371,6 +372,16 @@ def test_critical_trace_is_every_integration_in_order(N, p, monkeypatch):
     others = trace[:i] + trace[i + 1:]
     assert [t.a for t in others if t.label == "P"][-1] == res.lower.a
     assert [t.a for t in others if t.label == "N"][-1] == res.upper.a
+    # each entry names the rule that chose its height
+    steps = Counter(t.step for t in trace)
+    assert sum(steps[s] for s in ("end", "double", "overshoot", "quadratic",
+                                  "falsi", "tol", "mid", "certify", "final")
+               ) == len(trace)
+    assert [t.step for t in trace[:2]] == ["end", "end"]
+    if res.classification.set is ProfileClass.N0:
+        assert [t.step for t in trace[i + 1:]] == ["certify", "certify"]
+    else:
+        assert trace[i].step == "final" and steps["final"] == 1
 
 
 def test_certified_n0_probe_is_not_classified_again():
@@ -381,6 +392,37 @@ def test_certified_n0_probe_is_not_classified_again():
     assert res.lower.a < res.a_c < res.upper.a
     assert len(res.trace) == 8
     assert all(s != t for s, t in zip(res.trace, res.trace[1:]))
+
+
+# Before the overshoot step these searches took 39, 39, 39, 40, 12 and 41
+# integrations: one-sided secant steps spent the probe budget's slack, and
+# the search then bisected to the end from the stale end.  The last is the
+# critical_map edge point.
+@pytest.mark.parametrize("N,p,chi,most", [
+    (2, 2.6059, 1.0, 16), (2, 2.425, 1.0, 16), (3, 3.9191, 1.0, 16),
+    (3, 2.3014, 1.9, 16), (2, 2.02, 1.0, 16), (3, 2.1714, 1.0, 20)])
+def test_critical_search_keeps_its_slack(N, p, chi, most, monkeypatch):
+    heights = _counted(monkeypatch)
+    res = find_critical_a(derive_params(N, p, chi))
+    assert len(heights) == len(res.trace) <= most
+    assert res.bracket_width <= 1e-10 * res.a_c
+
+
+def test_critical_radius_from_the_final_p_end():
+    # the zero of an N height near a_c moves like (a - a_c)^((p-1)/p); the
+    # final P end's turn moves linearly.  The reference is a search at
+    # rel_tol = abs_tol = a_tol = 1e-13 (its N0 touch radius); the zero of
+    # the final N end read 4.1341939736 here, 3.3e-6 off
+    res = find_critical_a(derive_params(2, 2.2, 1.0))
+    turns = res.lower.solution.events_of(EventKind.U_PRIME_ZERO)
+    assert res.R_c == turns[-1].r
+    assert abs(res.R_c / 4.134207587862961 - 1.0) < 1e-9
+    # a scan radius inside the profile: the P end never turns, and R_c
+    # falls back to a zero
+    short = find_critical_a(derive_params(2, 3.0, 1.0), opts=ClassifyOptions(
+        integrator=IntegratorOptions(r_max=2.0)))
+    assert not short.lower.solution.events_of(EventKind.U_PRIME_ZERO)
+    assert 0.0 < short.R_c <= 2.0
 
 
 def _bisection_rounds(res, a_tol=1e-10):

@@ -292,9 +292,11 @@ def test_find_critical_json_trace(capsys):
     res = json.loads(out)["results"]
     trace = res["trace"]
     assert len(trace) == res["n_iterations"] + 2
-    assert all(list(t) == ["a", "class", "reason", "gap", "n_steps", "r_end"]
-               for t in trace)
+    assert all(list(t) == ["a", "step", "class", "reason", "gap", "n_steps",
+                           "r_end"] for t in trace)
     assert [t["class"] for t in trace[:2]] == ["P", "N"]
+    assert [t["step"] for t in trace[:2]] == ["end", "end"]
+    assert trace[-1]["step"] == "final"
     assert trace[-1]["a"] == res["a_c"]
     assert trace[-1]["class"] == res["classification"]["class"]
     for role in ("lower", "upper"):

@@ -30,8 +30,8 @@ GOLDEN = {
         "99961f7bec9fabb7fd7ecd5d97c0c06b5d8fc1d82ce119420ef9b196950a3b75"),
     "find-critical": (
         "find-critical --N 1 --p 3",
-        "2295d17962f3e0015ac3c2a16744618eea1c3e19fadf7b9cdbeb8d4dd94db4cb",
-        "029a65f68c5f818523393568cd342b0c190dfe1f3c1f524e75abc9cef4be6886"),
+        "094f4e46bd67319cf7718f15fd4b8a04f08877d0dcfe704925b78297f0dcc73d",
+        "2af2e4d89e3e84faa1975d0196a7d44d1bcbce8cc615fe66455dbf7e8b465b7e"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
         "0e18fe5bfc32c7a2c93c77fc4ea87db7c4f7d0a0c63ff25659c8fdb0c2ea3216",
