@@ -202,13 +202,11 @@ def sweep_a(params: ModelParams, grid,
 def zero_energy_height(params: ModelParams) -> float:
     """Height at which the center energy equals the barrier level G(0).
 
-    Slow regime: G(a) = chi/(q+1) a^(q+1) - a/m = 0 at ((q+1)/(chi m))^(1/q);
-    for N = 1 the conserved energy makes this exactly the critical height.
+    p != 2: G(a) = +-(chi/(q+1) a^(q+1) - a/m) = 0 at ((q+1)/(chi m))^(1/q)
+    if q > -1; for p > 2 and N = 1 it is exactly the critical height.
     p = 2: the nontrivial root of chi m (e^(m b) - 1) = m b via the secondary
     real branch of the Lambert W function (requires chi m < 1).
     """
-    if params.regime is Regime.SLOW:
-        return ((params.q + 1.0) / (params.chi * params.m)) ** (1.0 / params.q)
     if params.regime is Regime.LINEAR:
         c = params.chi * params.m
         if c >= 1.0:
@@ -218,12 +216,11 @@ def zero_energy_height(params: ModelParams) -> float:
         z = -lambertw(-c * math.exp(-c), -1)
         t = float(z.real) - c
         return t / params.m
-    # fast: G(a) = a/m - chi/(q+1) a^(q+1); a root needs q > -1
-    if params.q > -1.0:
-        return ((params.q + 1.0) / (params.chi * params.m)) ** (1.0 / params.q)
-    raise DomainError(
-        "no zero-energy height: the potential barrier at u = 0 is infinite "
-        f"for q = {params.q:g} <= -1")
+    if params.q <= -1.0:
+        raise DomainError(
+            "no zero-energy height: the potential barrier at u = 0 is infinite "
+            f"for q = {params.q:g} <= -1")
+    return ((params.q + 1.0) / (params.chi * params.m)) ** (1.0 / params.q)
 
 
 @dataclass(frozen=True)
@@ -319,10 +316,11 @@ def find_critical_a(params: ModelParams,
     the floating-point limit.  An N0 hit is certified by a P and an N
     height within a_tol/2 of it, which end the search.
 
-    R_c is the radius of the final P end's last turn, which is smooth in a;
-    the zero of an N height moves like (a - a_c)^((p-1)/p).  An N0 hit
-    reports its touch radius, and a P end that reached the scan radius
-    before it turned leaves R_c at the zero of a_c's or the N end's run.
+    Only a P height that stopped at its first interior minimum moves the
+    bracket; any other P label (positive up to r_max, say) raises
+    BadBracketError.  R_c is the radius of the final P end's last turn,
+    smooth in a, while the zero of an N height moves like
+    (a - a_c)^((p-1)/p).  An N0 hit reports its touch radius.
     Each trace entry's step names the rule that chose its height: "end"
     and "double" for the initial bracket, a _gap_step name or "mid" inside
     it, "certify" for an N0 hit's certifiers and "final" for a_c.
@@ -349,6 +347,13 @@ def find_critical_a(params: ModelParams,
                 f"upper endpoint a = {hi:g} is above a = {a_cap:g}, where the "
                 "source term nears overflow")
 
+    def turned(c: Classification) -> Classification:
+        if c.reason != "interior minimum":
+            raise BadBracketError(
+                f"a = {c.a:g} classifies P ({c.reason}) without reaching an "
+                f"interior minimum by r_max = {c.solution.opts.r_max:g}")
+        return c
+
     c_lo = classify(params, lo, opts)
     trace = [Probe.of(c_lo, "end")]
     if c_lo.set is ProfileClass.N0:
@@ -357,6 +362,7 @@ def find_critical_a(params: ModelParams,
     if c_lo.set is not ProfileClass.P:
         raise BadBracketError(
             f"lower endpoint a = {lo:g} classifies {c_lo.label}, need P")
+    turned(c_lo)
     c_hi = classify(params, hi, opts)
     trace.append(Probe.of(c_hi, "end"))
     n_expand = 0
@@ -365,7 +371,7 @@ def find_critical_a(params: ModelParams,
             raise BadBracketError(
                 f"heights up to a = {a_cap:g}, where the source term nears "
                 "overflow, classify P")
-        lo, c_lo = hi, c_hi
+        lo, c_lo = hi, turned(c_hi)
         hi = min(2.0 * hi, a_cap)
         c_hi = classify(params, hi, opts)
         trace.append(Probe.of(c_hi, "double"))
@@ -412,7 +418,7 @@ def find_critical_a(params: ModelParams,
                 trace.append(Probe.of(c_s, "certify"))
                 n_iter += 1
                 if c_s.set is ProfileClass.P:
-                    old, lo, c_lo, g_lo = (lo, g_lo), a_s, c_s, trace[-1].gap
+                    old, lo, c_lo, g_lo = (lo, g_lo), a_s, turned(c_s), trace[-1].gap
                 elif c_s.set is ProfileClass.N:
                     old, hi, c_hi, g_hi = (hi, g_hi), a_s, c_s, trace[-1].gap
                 else:
@@ -423,7 +429,7 @@ def find_critical_a(params: ModelParams,
                                       c, c_lo, c_hi, tuple(trace))
             continue
         if c.set is ProfileClass.P:
-            old, lo, c_lo, g_lo = (lo, g_lo), a, c, trace[-1].gap
+            old, lo, c_lo, g_lo = (lo, g_lo), a, turned(c), trace[-1].gap
         elif c.set is ProfileClass.N:
             old, hi, c_hi, g_hi = (hi, g_hi), a, c, trace[-1].gap
         else:
@@ -433,11 +439,7 @@ def find_critical_a(params: ModelParams,
     a_c = 0.5 * (lo + hi)
     c_mid = classify(params, a_c, opts)
     trace.append(Probe.of(c_mid, "final"))
-    turns = c_lo.solution.events_of(EventKind.U_PRIME_ZERO)
-    if turns:
-        R_c = turns[-1].r
-    else:   # the final P end reached the scan radius before it turned
-        R_c = c_mid.R_of_a if c_mid.R_of_a is not None else c_hi.R_of_a
+    R_c = c_lo.solution.events_of(EventKind.U_PRIME_ZERO)[-1].r
     return CriticalResult(a_c, hi - lo, R_c, c_mid.solution, n_iter + 1, c_mid,
                           c_lo, c_hi, tuple(trace))
 

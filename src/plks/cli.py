@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,10 +31,7 @@ from .backward import (
 )
 from .errors import DomainError, InfiniteMassError, IntegrationError, PlksError
 from .forward import (
-    CompactTail,
     ForwardOptions,
-    LogQuadraticTail,
-    PowerTail,
     fit_decay_rate,
     solve_forward,
     support_radius,
@@ -192,16 +190,7 @@ def _profile_table(params: ModelParams, sol: ProfileSolution):
 
 
 def _tail_block(tail) -> Optional[dict]:
-    if tail is None:
-        return None
-    if isinstance(tail, CompactTail):
-        return {"kind": "compact", "radius": tail.radius}
-    if isinstance(tail, PowerTail):
-        return {"kind": "power", "exponent": tail.exponent,
-                "coefficient": tail.coefficient}
-    if isinstance(tail, LogQuadraticTail):
-        return {"kind": "log-quadratic", "coefficient": tail.coefficient}
-    raise TypeError(f"unknown tail {tail!r}")
+    return None if tail is None else {"kind": tail.kind, **asdict(tail)}
 
 
 def _class_row(key, c) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -58,16 +58,19 @@ _ENVELOPE_SLACK = 1e-9    # envelope_check's roundoff slack, scaled like u
 
 @dataclass(frozen=True)
 class PowerTail:
-    """phi ~ coefficient * r^exponent as r -> infinity (p < 2)."""
+    """phi ~ coefficient * r^exponent (p < 2), the law itself past the grid."""
 
+    kind: ClassVar[str] = "power"
     exponent: float
     coefficient: float
 
 
 @dataclass(frozen=True)
 class LogQuadraticTail:
-    """ln phi ~ coefficient * r^2 as r -> infinity (p = 2)."""
+    """ln phi ~ coefficient * r^2 as r -> infinity (p = 2); past the grid
+    end phi continues as phi_end e^(coefficient (r^2 - r_end^2))."""
 
+    kind: ClassVar[str] = "log-quadratic"
     coefficient: float
 
 
@@ -75,6 +78,7 @@ class LogQuadraticTail:
 class CompactTail:
     """phi vanishes identically beyond the support radius (p > 2)."""
 
+    kind: ClassVar[str] = "compact"
     radius: float
 
 

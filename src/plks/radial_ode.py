@@ -728,41 +728,34 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             else:
                 err_1 = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u
                              + _E6 * k6u + _E7 * k7u)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            n_ovf += 1
-            h *= 0.2
-            continue
-        if resolved and not in_E and w * w_new < 0.0:
-            # never step u across a turn: retake this attempt in (E, w)
-            n_retake += 1
-            n_attempts -= 1
-            in_E = True
-            continue
+            if resolved and not in_E and w * w_new < 0.0:
+                # never step u across a turn: retake this attempt in (E, w)
+                n_retake += 1
+                n_attempts -= 1
+                in_E = True
+                continue
 
-        su = atol + rtol * max(abs(u), abs(u_new))
-        sw = atol + rtol * max(abs(w), abs(w_new))
-        s1 = abs(g7) * su if in_E else su
-        try:
+            su = atol + rtol * max(abs(u), abs(u_new))
+            sw = atol + rtol * max(abs(w), abs(w_new))
+            s1 = abs(g7) * su if in_E else su
+            # a ratio past ~1e154 or a zero scale raises: rejected below
             err = sqrt(0.5 * ((err_1 / s1) ** 2 + (err_w / sw) ** 2))
-        except (OverflowError, ZeroDivisionError):
-            err = math.inf    # a ratio past ~1e154 or a zero scale: reject
-        if not (err <= 0.25 and isfinite(u_new) and isfinite(w_new)):
-            if isfinite(err) and err > 0.0:
-                n_err += 1
-                h *= max(0.2, 0.9 * (0.25 / err) ** 0.2)
-            else:
-                n_ovf += 1
-                h *= 0.2
-            continue
+            if not (err <= 0.25 and isfinite(u_new) and isfinite(w_new)):
+                if isfinite(err) and err > 0.0:
+                    n_err += 1
+                    h *= max(0.2, 0.9 * (0.25 / err) ** 0.2)
+                else:
+                    n_ovf += 1
+                    h *= 0.2
+                continue
 
-        # Defect control on top of the embedded estimate: the advertised
-        # contract bounds the midpoint residual by 10x tolerance on every
-        # accepted step, and the Simpson-defect constant is not uniformly
-        # tied to the embedded estimator's, so enforce it directly, on E
-        # and w for an (E, w) step.  The u-component is exempt within a
-        # step of a flux zero, where the Hoelder inversion makes any such
-        # bound unattainable for p != 2.
-        try:
+            # Defect control on top of the embedded estimate: the advertised
+            # contract bounds the midpoint residual by 10x tolerance on every
+            # accepted step, and the Simpson-defect constant is not uniformly
+            # tied to the embedded estimator's, so enforce it directly, on E
+            # and w for an (E, w) step.  The u-component is exempt within a
+            # step of a flux zero, where the Hoelder inversion makes any such
+            # bound unattainable for p != 2.
             um_h = 0.5 * (u + u_new) + h * (k1u - k7u) / 8.0
             wm_h = 0.5 * (w + w_new) + h * (k1w - k7w) / 8.0
             dmu = wm_h if lin else (
@@ -778,6 +771,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                 def_1 = abs(u_new - u - h / 6.0 * (k1u + 4.0 * dmu + k7u)) / s1
             def_w = abs(w_new - w - h / 6.0 * (k1w + 4.0 * (t - gy) + k7w)) / sw
         except (OverflowError, ValueError, ZeroDivisionError):
+            # an arithmetic fault anywhere in the attempt rejects it
             n_ovf += 1
             h *= 0.2
             continue

@@ -130,6 +130,12 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], res))
 
 
+def _ball_integral(r: np.ndarray, y: np.ndarray, N: int) -> np.ndarray:
+    """int_0^r s^(N-1) y ds at each node: the [0, r[0]] sliver with y frozen
+    at y[0], then cumulative Simpson."""
+    return float(y[0]) * float(r[0]) ** N / N + _cumulative_simpson(r ** (N - 1) * y, r)
+
+
 @dataclass(frozen=True)
 class PhiProfile:
     """Density profile phi >= 0 on a radial grid with a tail model.
@@ -244,117 +250,95 @@ def _scaled_upper_gamma(s: float, z: float) -> float:
     return z ** (s - 1.0) * acc
 
 
-def _tail_integrals(phi: PhiProfile, params: ModelParams) -> tuple[float, float, float]:
-    """(T1, Tlog, I1_tail): the phi^m tail pieces of int_rend^inf of
-    s, s ln s, and s^(N-1) against the source."""
+def _tail_moment(phi: PhiProfile, j: int, m: float = 1.0) -> float:
+    """int_rend^inf s^(j-1) phi^m ds under phi's tail model, inf when it
+    diverges.  A power tail integrates its law; a log-quadratic one, whose
+    ln phi keeps its curvature from the grid end, an upper incomplete gamma.
+    """
     tail = phi.tail
     r_end = float(phi.r[-1])
-    m, N = params.m, params.N
-    if tail is None or isinstance(tail, CompactTail):
-        return 0.0, 0.0, 0.0
+    if isinstance(tail, CompactTail):
+        return 0.0
     if isinstance(tail, PowerTail):
         kappa = m * tail.exponent
-        Cm = tail.coefficient ** m
-        # int_r^inf s^(j) s^kappa converges only for kappa + j + 1 < 0
-        t1 = Cm * r_end ** (kappa + 2.0) / (-(kappa + 2.0))
-        tlog = Cm * (math.log(r_end) * r_end ** (kappa + 2.0) / (-(kappa + 2.0))
-                     + r_end ** (kappa + 2.0) / (kappa + 2.0) ** 2)
-        if kappa + N < 0.0:
-            i1 = Cm * r_end ** (kappa + N) / (-(kappa + N))
-        else:
-            i1 = math.inf
-        return t1, tlog, i1
-    # log-quadratic: continue ln phi with slope -r/2 from the grid end;
-    # the remainder is an incomplete-gamma sliver, numerically negligible
+        if not kappa + j < 0.0:
+            return math.inf
+        return tail.coefficient ** m * r_end ** (kappa + j) / (-(kappa + j))
+    k = -m * tail.coefficient
     phim_end = float(phi.phi[-1]) ** m
-    t1 = phim_end * 2.0 / m
-    tlog = math.log(r_end) * t1
-    z = m * r_end ** 2 / 4.0
-    i1 = (phim_end * (4.0 / m) ** (N / 2.0) / 2.0
-          * _scaled_upper_gamma(N / 2.0, z))
-    return t1, tlog, i1
+    if j == 2:    # e^z Gamma(1, z) = 1
+        return phim_end / (2.0 * k)
+    return (phim_end * (1.0 / k) ** (j / 2.0) / 2.0
+            * _scaled_upper_gamma(j / 2.0, k * r_end ** 2))
 
 
 def psi_from_phi(phi: PhiProfile, params: ModelParams,
                  strict: bool = True) -> PsiProfile:
     """Radial potential quadrature: -(psi'' + (N-1)/r psi') = phi^m.
 
-    Composite Simpson on the solution grid plus closed-form tail pieces.
-    Below the well-posedness threshold a non-compact tail makes the
-    potential infinite everywhere: strict mode raises, otherwise the
-    grid-truncated integrals are returned with well_posed = False.
+    Composite Simpson on the solution grid plus the tail model's moments of
+    s and s^(N-1) against phi^m beyond it (_tail_moment), and at N = 2 that
+    of s ln s, with ln s = ln r_end under a log-quadratic tail.  A diverging
+    source moment leaves i1_total at its grid value.  Below the
+    well-posedness threshold a power tail makes the potential infinite:
+    strict mode raises, otherwise the grid-truncated integrals are returned
+    with well_posed = False.
     """
     N, m = params.N, params.m
+    tail = phi.tail
     detail = None
-    compact = phi.tail is None or isinstance(phi.tail, CompactTail)
-    if not compact and isinstance(phi.tail, PowerTail):
-        if params.p <= psi_well_posed_threshold(N):
-            detail = (f"p = {params.p:g} <= 2 sqrt(N/(N+1)) = "
-                      f"{psi_well_posed_threshold(N):g}: tail source diverges")
-    if phi.tail is None:
+    if tail is None:
         detail = "profile has no decaying tail model"
-    if detail is not None:
-        if strict:
-            raise IllPosedPotentialError(detail)
-        t1 = tlog = i1_tail = 0.0
-    else:
-        t1, tlog, i1_tail = _tail_integrals(phi, params)
-        if not math.isfinite(i1_tail):
+    elif isinstance(tail, PowerTail) and params.p <= psi_well_posed_threshold(N):
+        detail = (f"p = {params.p:g} <= 2 sqrt(N/(N+1)) = "
+                  f"{psi_well_posed_threshold(N):g}: tail source diverges")
+    if detail is not None and strict:
+        raise IllPosedPotentialError(detail)
+    t1 = tlog = i1_tail = 0.0
+    if detail is None:
+        t1 = _tail_moment(phi, 2, m)
+        i1_tail = _tail_moment(phi, N, m)
+        if math.isinf(i1_tail):
             i1_tail = 0.0
+        if N == 2:
+            r_end = float(phi.r[-1])
+            tlog = math.log(r_end) * t1
+            if isinstance(tail, PowerTail):
+                a = m * tail.exponent + 2.0    # kappa + 2 of the j = 2 moment
+                tlog = tail.coefficient ** m * (math.log(r_end) * r_end ** a / (-a)
+                                                + r_end ** a / a ** 2)
 
     r = phi.r
     src = phi.phi ** m
-    r0, s0 = float(r[0]), float(src[0])
-    # [0, r0] sliver with the source frozen at its innermost value
-    i1 = s0 * r0 ** N / N + _cumulative_simpson(r ** (N - 1) * src, r)
+    i1 = _ball_integral(r, src, N)
     with np.errstate(divide="ignore"):
         psi_prime = -i1 / r ** (N - 1)
-
-    if N == 1:
-        j1 = _cumulative_simpson(r * src, r)
-        upper = (j1[-1] - j1) + t1
-        psi = -r * i1 - upper
-        return PsiProfile(r, psi, psi_prime, N, detail is None, detail,
-                          float(i1[-1]) + i1_tail)
     if N == 2:
         jlog = _cumulative_simpson(r * np.log(r) * src, r)
-        upper = (jlog[-1] - jlog) + tlog
-        psi = -np.log(r) * i1 - upper
-        return PsiProfile(r, psi, psi_prime, N, detail is None, detail,
-                          float(i1[-1]) + i1_tail)
-    j1 = _cumulative_simpson(r * src, r)
-    upper = (j1[-1] - j1) + t1
-    psi = r ** (2 - N) * i1 / (N - 2.0) + upper / (N - 2.0)
+        psi = -np.log(r) * i1 - ((jlog[-1] - jlog) + tlog)
+    else:
+        j1 = _cumulative_simpson(r * src, r)
+        upper = (j1[-1] - j1) + t1
+        psi = (-r * i1 - upper if N == 1
+               else r ** (2 - N) * i1 / (N - 2.0) + upper / (N - 2.0))
     return PsiProfile(r, psi, psi_prime, N, detail is None, detail,
                       float(i1[-1]) + i1_tail)
 
 
 def mass(phi: PhiProfile, params: ModelParams) -> float:
-    """Total mass omega_N * integral_0^inf phi r^(N-1) dr."""
+    """Total mass omega_N * integral_0^inf phi r^(N-1) dr: the grid's ball
+    integral plus the tail model's moment; InfiniteMassError without a tail
+    model or for a power tail not integrable against r^(N-1)."""
     N = params.N
-    r = phi.r
-    r0 = float(r[0])
-    grid = (float(phi.phi[0]) * r0 ** N / N
-            + float(_cumulative_simpson(r ** (N - 1) * phi.phi, r)[-1]))
-    tail = phi.tail
-    if tail is None:
+    if phi.tail is None:
         raise InfiniteMassError("profile has no decaying tail model")
-    if isinstance(tail, CompactTail):
-        extra = 0.0
-    elif isinstance(tail, PowerTail):
-        if tail.exponent + N >= 0.0:
-            raise InfiniteMassError(
-                f"tail exponent {tail.exponent:g} is not integrable against "
-                f"r^{N - 1}")
-        r_end = float(r[-1])
-        extra = tail.coefficient * r_end ** (tail.exponent + N) / (-(tail.exponent + N))
-    else:
-        # ln phi continued quadratically from the grid end
-        r_end = float(r[-1])
-        z = r_end ** 2 / 4.0
-        extra = (float(phi.phi[-1]) * 4.0 ** (N / 2.0) / 2.0
-                 * _scaled_upper_gamma(N / 2.0, z))
-    return surface_area_unit_ball(N) * (grid + extra)
+    extra = _tail_moment(phi, N)
+    if math.isinf(extra):
+        raise InfiniteMassError(
+            f"tail exponent {phi.tail.exponent:g} is not integrable against "
+            f"r^{N - 1}")
+    return surface_area_unit_ball(N) * (float(_ball_integral(phi.r, phi.phi, N)[-1])
+                                        + extra)
 
 
 @dataclass(frozen=True)
@@ -554,19 +538,16 @@ def radial_delta_test(ss: SelfSimilarSolution, F: Callable,
     N = ss.params.N
     omega = surface_area_unit_ball(N)
     f0 = float(_radial_values(F, np.zeros(1))[0])
-    r = ss.phi.r
-    grid_mass = omega * (float(ss.phi.phi[0]) * float(r[0]) ** N / N
-                         + float(_cumulative_simpson(
-                             r ** (N - 1) * ss.phi.phi, r)[-1]))
-    tail_mass = ss.M - grid_mass
+    r, phi = ss.phi.r, ss.phi.phi
+    weighted = r ** (N - 1) * phi
+    tail_mass = ss.M - omega * float(_ball_integral(r, phi, N)[-1])
 
     order = sorted(times, reverse=(ss.direction is Direction.FORWARD))
     out = []
     for t in order:
         fbar = _radial_values(F, ss.similarity_scale(t) * r)
-        integral = omega * (float(ss.phi.phi[0]) * fbar[0] * float(r[0]) ** N / N
-                            + float(_cumulative_simpson(
-                                r ** (N - 1) * ss.phi.phi * fbar, r)[-1]))
+        integral = omega * (float(phi[0]) * fbar[0] * float(r[0]) ** N / N
+                            + float(_cumulative_simpson(weighted * fbar, r)[-1]))
         # the tail mass sits at the last node, whose average is fbar[-1]
         integral += tail_mass * fbar[-1]
         out.append((t, abs(integral - ss.M * f0)))

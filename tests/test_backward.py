@@ -417,12 +417,12 @@ def test_critical_radius_from_the_final_p_end():
     turns = res.lower.solution.events_of(EventKind.U_PRIME_ZERO)
     assert res.R_c == turns[-1].r
     assert abs(res.R_c / 4.134207587862961 - 1.0) < 1e-9
-    # a scan radius inside the profile: the P end never turns, and R_c
-    # falls back to a zero
-    short = find_critical_a(derive_params(2, 3.0, 1.0), opts=ClassifyOptions(
-        integrator=IntegratorOptions(r_max=2.0)))
-    assert not short.lower.solution.events_of(EventKind.U_PRIME_ZERO)
-    assert 0.0 < short.R_c <= 2.0
+    # a scan radius inside the profile: no P height turns before it, so
+    # no P label certifies a lower end and the search stops; it used to
+    # report a_c = 2.4065 (1.6893 at the default r_max)
+    with pytest.raises(BadBracketError, match="interior minimum by r_max = 2"):
+        find_critical_a(derive_params(2, 3.0, 1.0), opts=ClassifyOptions(
+            integrator=IntegratorOptions(r_max=2.0)))
 
 
 def _bisection_rounds(res, a_tol=1e-10):

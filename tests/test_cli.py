@@ -275,6 +275,16 @@ def test_find_critical_bad_bracket_exit4(capsys):
     assert err.startswith("error[BadBracketError]")
 
 
+def test_find_critical_scan_radius_inside_profile_exit4(capsys):
+    # heights near a_c stay positive up to r = 2 and classify P from the
+    # scan radius alone; they used to move the bracket to a_c = 2.4065
+    rc, out, err = _run(["find-critical", "--N", "2", "--p", "3",
+                         "--r-max", "2"], capsys)
+    assert (rc, out) == (4, "")
+    assert err.startswith("error[BadBracketError] a = ")
+    assert "without reaching an interior minimum by r_max = 2" in err
+
+
 def test_find_critical_bracket_above_overflow_cap_exit4(capsys):
     # the upper end lies above the height where the source term nears
     # overflow; it used to be integrated and fail as Inconclusive

@@ -240,6 +240,60 @@ def test_well_posed_threshold_and_gate():
     assert psi_from_phi(phi2, Q).well_posed
 
 
+@pytest.mark.parametrize("N, p, b, opts", [
+    # power tails above psi_well_posed_threshold, cut early so that the
+    # tail pieces stand well above the grid part's roundoff
+    (1, 1.6, 1.0, ForwardOptions(u_ceiling=100.0)),
+    (2, 1.8, 1.0, ForwardOptions(u_ceiling=100.0)),
+    (3, 1.85, 1.0, ForwardOptions(u_ceiling=100.0)),
+    # log-quadratic tails, from a shallow floor where phi_end > 0
+    (1, 2.0, 0.0, ForwardOptions(u_floor=-6.0)),
+    (2, 2.0, 0.0, ForwardOptions(u_floor=-6.0)),
+    (3, 2.0, 0.0, ForwardOptions(u_floor=-6.0)),
+])
+def test_potential_tail_pieces_match_quadrature(N, p, b, opts):
+    # i1_total and psi at the grid end against quad over the tail model
+    # continued past the grid end
+    P = derive_params(N, p, 1.0)
+    phi = phi_from_forward(solve_forward(P, b, opts))
+    psi = psi_from_phi(phi, P)
+    tail, m = phi.tail, P.m
+    r_end, phi_end = float(phi.r[-1]), float(phi.phi[-1])
+    if isinstance(tail, PowerTail):
+        def src(s):
+            return (tail.coefficient * s ** tail.exponent) ** m
+    else:
+        assert phi_end > 0.0
+
+        def src(s):
+            return (phi_end * math.exp(tail.coefficient * (s * s - r_end * r_end))) ** m
+
+    def moment(k):
+        return quad(lambda s: k(s) * src(s), r_end, np.inf,
+                    epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    i1_end = -psi.psi_prime[-1] * r_end ** (N - 1)
+    i1_tail = moment(lambda s: s ** (N - 1))
+    assert i1_tail > 1e-7 * i1_end
+    assert psi.i1_total - i1_end == pytest.approx(i1_tail, rel=1e-8)
+    if N == 1:
+        piece, exact = -(psi.psi[-1] + r_end * i1_end), moment(lambda s: s)
+    elif N == 2:
+        piece = -(psi.psi[-1] + math.log(r_end) * i1_end)
+        exact = moment(lambda s: s * math.log(s))
+    else:
+        piece = (N - 2.0) * psi.psi[-1] - r_end ** (2 - N) * i1_end
+        exact = moment(lambda s: s)
+    rel = 1e-8
+    if N == 2 and not isinstance(tail, PowerTail):
+        # the log-quadratic s ln s piece takes ln s = ln r_end over the
+        # tail, which drops e^z E1(z) / 2 < 1 / (2 z), z = m r_end^2 / 4,
+        # beside ln r_end
+        z = m * r_end ** 2 / 4.0
+        rel = 1.0 / (2.0 * z * math.log(r_end))
+    assert piece == pytest.approx(exact, rel=rel)
+
+
 # ------------------------------------------------------------- mass
 
 
