@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -32,9 +32,8 @@ from .errors import (
     AmbiguousBracketError,
     BadBracketError,
     DomainError,
-    NotEnoughZerosError,
 )
-from .params import ModelParams, Regime, phi_of_u
+from .params import ModelParams, Regime
 from .radial_ode import (
     EventKind,
     IntegratorOptions,
@@ -58,8 +57,6 @@ __all__ = [
     "find_critical_a",
     "zero_energy_height",
     "rescaled_limit_check",
-    "MultiBubbleProfile",
-    "build_multi_bubble",
 ]
 
 _N_LIMIT_SAMPLES = 2000   # points on which rescaled_limit_check compares
@@ -479,66 +476,3 @@ def rescaled_limit_check(params: ModelParams, a: float,
     u_full, _ = full.sample(s * scale)
     return float(np.max(np.abs(u_full / a - u_lim)))
 
-
-@dataclass(frozen=True)
-class MultiBubbleProfile:
-    """Piecewise profile keeping selected positivity intervals of u.
-
-    Interval 0 is the central bubble [0, z_0]; interval k >= 1 spans
-    [z_{2k-1}, z_{2k}].  phi = u^((p-1)/(p-2)) there and 0 elsewhere;
-    since the exponent exceeds 1, phi lands at 0 with zero slope at every
-    interval endpoint.
-    """
-
-    params: ModelParams
-    zeros: tuple[float, ...]
-    kept: tuple[int, ...]
-    intervals: tuple[tuple[float, float], ...]
-    solution: ProfileSolution = field(repr=False)
-
-    @property
-    def support_radius(self) -> float:
-        return self.intervals[-1][1]
-
-    def phi(self, r) -> np.ndarray:
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros_like(r_arr)
-        r0 = self.solution.r[0]
-        for lo, hi in self.intervals:
-            mask = (r_arr >= lo) & (r_arr <= hi)
-            if not np.any(mask):
-                continue
-            rs = np.clip(r_arr[mask], r0, self.solution.r[-1])
-            u, _ = self.solution.sample(rs)
-            out[mask] = phi_of_u(self.params, u)
-        if np.isscalar(r) or np.ndim(r) == 0:
-            return float(out[0])
-        return out
-
-
-def build_multi_bubble(profile: ProfileSolution, kept,
-                       params: ModelParams) -> MultiBubbleProfile:
-    """Assemble a compactly supported multi-bump profile from u's zeros."""
-    if params.regime is not Regime.SLOW:
-        raise DomainError("multi-bubble construction needs p > 2")
-    zeros = profile.zeros()
-    kept = tuple(sorted(int(k) for k in kept))
-    if not kept:
-        raise DomainError("kept interval list is empty")
-    if kept[0] < 0:
-        raise DomainError(f"interval indices must be >= 0, got {kept[0]}")
-    need = 2 * kept[-1] + 1
-    if len(zeros) < need:
-        raise NotEnoughZerosError(
-            f"need {need} zeros for interval {kept[-1]}, profile has {len(zeros)}")
-    intervals = []
-    for k in kept:
-        lo = 0.0 if k == 0 else zeros[2 * k - 1]
-        hi = zeros[2 * k]
-        mid_u, _ = profile.sample(0.5 * (max(lo, profile.r[0]) + hi))
-        if mid_u <= 0.0:
-            raise DomainError(
-                f"interval {k} is not a positivity interval (u({0.5*(lo+hi):g}) <= 0)")
-        intervals.append((lo, hi))
-    return MultiBubbleProfile(params, tuple(zeros), kept,
-                              tuple(intervals), profile)

@@ -32,10 +32,6 @@ class AmbiguousBracketError(PlksError, ValueError):
     """Both bracket endpoints land on the degenerate boundary case."""
 
 
-class NotEnoughZerosError(PlksError, ValueError):
-    """Trajectory has fewer sign changes than the requested construction needs."""
-
-
 class NegativeBaseError(PlksError, ValueError):
     """Power-law map applied where the base is not positive."""
 

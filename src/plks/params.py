@@ -30,7 +30,6 @@ __all__ = [
     "phi_of_u",
     "compact_support_admissible",
     "admissible_p_threshold",
-    "critical_p_from_m",
 ]
 
 
@@ -40,11 +39,6 @@ class Regime(enum.Enum):
     SLOW = "slow"      # p > 2, degenerate diffusion, compact support
     LINEAR = "linear"  # p = 2, semilinear
     FAST = "fast"      # 2N/(N+1) < p < 2, singular diffusion
-
-
-def critical_p_from_m(m: float, N: int) -> float:
-    """Inverse of the criticality relation: the p for which m is critical."""
-    return (m + 2.0) * N / (N + 1.0)
 
 
 class ModelParams:

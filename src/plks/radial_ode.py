@@ -266,7 +266,6 @@ class IntegratorOptions:
     r_max: float = 1e3
     u_ceiling: float = 1e12
     r0: float = 1e-6
-    auto_shrink_r0: bool = True
     stop_at_u_zero: bool = True
     stop_at_first_minimum: bool = False
     h_max: Optional[float] = None
@@ -362,7 +361,6 @@ class ProfileSolution:
 
     ode: RadialODE
     opts: IntegratorOptions
-    u0: float
     r: np.ndarray
     u: np.ndarray
     w: np.ndarray
@@ -434,8 +432,6 @@ def effective_startup_radius(ode: RadialODE, u0: float, opts: IntegratorOptions)
     region, so r0 is reduced until the correction is <= 1e-9 max(|u0|, 1).
     """
     r0 = opts.r0
-    if not opts.auto_shrink_r0:
-        return r0
     g0 = ode.g(u0)
     if g0 == 0.0 or not math.isfinite(g0):
         return r0
@@ -904,7 +900,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     e_arr = np.full(len(hs), np.nan)
     e_arr[e_steps] = e_starts
     return ProfileSolution(
-        ode=ode, opts=opts, u0=u0, r=r_arr, u=u_arr, w=w_arr,
+        ode=ode, opts=opts, r=r_arr, u=u_arr, w=w_arr,
         energy=energy(ode, u_arr, w_arr),
         events=events, termination=termination,
         n_steps=n_steps, n_rejected=n_attempts - n_steps,

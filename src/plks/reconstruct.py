@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .backward import MultiBubbleProfile
 from .errors import (
     DeltaTestError,
     DomainError,
@@ -31,7 +30,7 @@ from .errors import (
     NegativeBaseError,
     OutOfTimeDomainError,
 )
-from .forward import CompactTail, ForwardProfile, PowerTail, Tail
+from .forward import CompactTail, ForwardProfile, LogQuadraticTail, PowerTail, Tail
 from .params import ModelParams, Regime, phi_of_u
 from .radial_ode import (
     IntegratorOptions,
@@ -46,7 +45,6 @@ __all__ = [
     "PhiProfile",
     "phi_from_u",
     "phi_from_forward",
-    "phi_from_multi_bubble",
     "PsiProfile",
     "psi_well_posed_threshold",
     "psi_from_phi",
@@ -198,17 +196,6 @@ def phi_from_forward(fp: ForwardProfile) -> PhiProfile:
     return phi_from_u(fp.sol, fp.params, tail=fp.tail)
 
 
-def phi_from_multi_bubble(mb: MultiBubbleProfile) -> PhiProfile:
-    """Grid profile for a multi-bump truncation: 0 on the gaps."""
-    R = mb.support_radius
-    sol = mb.solution
-    pts = sol.r[sol.r < R]
-    for lo, hi in mb.intervals:
-        pts = np.append(pts, [lo, hi])
-    pts = np.unique(np.clip(pts, sol.r[0], R))
-    return PhiProfile(pts, np.asarray(mb.phi(pts)), CompactTail(R))
-
-
 @dataclass(frozen=True)
 class PsiProfile:
     """Concentration profile from the radial Newtonian kernels.
@@ -236,7 +223,9 @@ def psi_well_posed_threshold(N: int) -> float:
 def _scaled_upper_gamma(s: float, z: float) -> float:
     """e^z Gamma(s, z), stable for large z where e^z alone overflows."""
     if z < 30.0:
-        from scipy.special import gamma, gammaincc
+        from scipy.special import exp1, gamma, gammaincc
+        if s == 0.0:    # Gamma(0, z) = E1(z)
+            return math.exp(z) * exp1(z)
         return math.exp(z) * gamma(s) * gammaincc(s, z)
     # asymptotic expansion Gamma(s,z) e^z = z^(s-1) sum_k (s-1)...(s-k)/z^k,
     # truncated at the smallest term; remainder is below the last term kept
@@ -278,11 +267,11 @@ def psi_from_phi(phi: PhiProfile, params: ModelParams,
 
     Composite Simpson on the solution grid plus the tail model's moments of
     s and s^(N-1) against phi^m beyond it (_tail_moment), and at N = 2 that
-    of s ln s, with ln s = ln r_end under a log-quadratic tail.  A diverging
-    source moment leaves i1_total at its grid value.  Below the
-    well-posedness threshold a power tail makes the potential infinite:
-    strict mode raises, otherwise the grid-truncated integrals are returned
-    with well_posed = False.
+    of s ln s, t1 (ln r_end + e^z E1(z) / 2) with z = -m c r_end^2 under a
+    log-quadratic tail ln phi ~ c r^2.  A diverging source moment leaves
+    i1_total at its grid value.  Below the well-posedness threshold a power
+    tail makes the potential infinite: strict mode raises, otherwise the
+    grid-truncated integrals are returned with well_posed = False.
     """
     N, m = params.N, params.m
     tail = phi.tail
@@ -302,11 +291,13 @@ def psi_from_phi(phi: PhiProfile, params: ModelParams,
             i1_tail = 0.0
         if N == 2:
             r_end = float(phi.r[-1])
-            tlog = math.log(r_end) * t1
             if isinstance(tail, PowerTail):
                 a = m * tail.exponent + 2.0    # kappa + 2 of the j = 2 moment
                 tlog = tail.coefficient ** m * (math.log(r_end) * r_end ** a / (-a)
                                                 + r_end ** a / a ** 2)
+            elif isinstance(tail, LogQuadraticTail):
+                z = -m * tail.coefficient * r_end ** 2
+                tlog = t1 * (math.log(r_end) + _scaled_upper_gamma(0.0, z) / 2.0)
 
     r = phi.r
     src = phi.phi ** m

@@ -1,4 +1,4 @@
-"""Tests for the blow-up shooting layer: classification, a_c search, bubbles."""
+"""Tests for the blow-up shooting layer: classification, a_c search."""
 
 import math
 from collections import Counter
@@ -16,10 +16,8 @@ from plks import (
     DomainError,
     EventKind,
     IntegratorOptions,
-    NotEnoughZerosError,
     ProfileClass,
     Termination,
-    build_multi_bubble,
     classify,
     derive_params,
     admissible_p_threshold,
@@ -541,70 +539,3 @@ def test_rescaled_limit_preconditions():
     with pytest.raises(DomainError):
         rescaled_limit_check(derive_params(2, 2.0, 0.5), 1e3)
 
-
-# ------------------------------------------------------------ multi-bubble
-
-
-def _oscillatory_profile():
-    P = derive_params(1, 3.0, 1.0)
-    sol = solve_backward(P, 2.0, IntegratorOptions(r_max=40.0, stop_at_u_zero=False))
-    return P, sol
-
-
-def test_multi_bubble_single_interval_matches_truncation():
-    P, sol = _oscillatory_profile()
-    mb = build_multi_bubble(sol, [0], P)
-    assert len(mb.intervals) == 1
-    lo, hi = mb.intervals[0]
-    assert lo == 0.0 and hi == pytest.approx(sol.zeros()[0])
-    ex = (P.p - 1.0) / (P.p - 2.0)
-    r = np.linspace(sol.r[0], hi * 0.999, 200)
-    u, _ = sol.sample(r)
-    assert np.allclose(mb.phi(r), np.maximum(u, 0.0) ** ex, rtol=1e-12, atol=1e-12)
-    assert mb.phi(hi * 1.01) == 0.0
-
-
-def test_multi_bubble_three_intervals():
-    P, sol = _oscillatory_profile()
-    mb = build_multi_bubble(sol, [0, 1, 2], P)
-    assert len(mb.intervals) == 3
-    zs = sol.zeros()
-    assert mb.intervals[1] == (pytest.approx(zs[1]), pytest.approx(zs[2]))
-    assert mb.intervals[2] == (pytest.approx(zs[3]), pytest.approx(zs[4]))
-    # positive inside, zero in the gaps and outside
-    r = np.linspace(0.0, mb.support_radius * 1.1, 4001)
-    ph = mb.phi(r)
-    assert np.all(ph >= 0.0)
-    gap = (r > zs[0] + 1e-3) & (r < zs[1] - 1e-3)
-    assert np.all(ph[gap] == 0.0)
-    assert np.all(ph[r > mb.support_radius + 1e-9] == 0.0)
-    mids = [0.5 * (lo + hi) for lo, hi in mb.intervals]
-    assert all(mb.phi(x) > 0.0 for x in mids)
-
-
-def test_multi_bubble_touches_down_flat():
-    # exponent (p-1)/(p-2) > 1 forces phi -> 0 with zero one-sided slope
-    P, sol = _oscillatory_profile()
-    mb = build_multi_bubble(sol, [0, 1], P)
-    for lo, hi in mb.intervals:
-        eps = 1e-6
-        assert mb.phi(hi - eps) < 1e-9
-        if lo > 0.0:
-            assert mb.phi(lo + eps) < 1e-9
-
-
-def test_multi_bubble_not_enough_zeros():
-    P = derive_params(1, 3.0, 1.0)
-    sol = solve_backward(P, 2.0, IntegratorOptions(r_max=40.0))  # stops at z1
-    with pytest.raises(NotEnoughZerosError):
-        build_multi_bubble(sol, [0, 1], P)
-
-
-def test_multi_bubble_validates_input():
-    P, sol = _oscillatory_profile()
-    with pytest.raises(DomainError):
-        build_multi_bubble(sol, [], P)
-    with pytest.raises(DomainError):
-        build_multi_bubble(sol, [-1], P)
-    with pytest.raises(DomainError):
-        build_multi_bubble(sol, [0], derive_params(1, 1.5, 1.0))

@@ -13,7 +13,6 @@ from plks import (
     Regime,
     admissible_p_threshold,
     compact_support_admissible,
-    critical_p_from_m,
     derive_params,
     phi_of_u,
 )
@@ -80,12 +79,6 @@ def test_exponent_identities(N, p):
     assert abs(P.alpha - N * P.beta) < 1e-14
     assert abs(P.gamma - (2.0 * P.beta - 1.0)) < 1e-14
     assert abs(P.alpha * P.m - 1.0) < 1e-14
-
-
-@pytest.mark.parametrize("N,p", GRID)
-def test_critical_p_round_trip(N, p):
-    P = derive_params(N, p, 1.0)
-    assert abs(critical_p_from_m(P.m, N) - p) < 1e-12
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])

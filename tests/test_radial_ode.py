@@ -16,6 +16,7 @@ from plks import (
     Termination,
     backward_ode,
     derive_params,
+    effective_startup_radius,
     energy,
     energy_derivative_check,
     forward_ode,
@@ -188,17 +189,35 @@ def test_startup_matches_oracle():
 
 
 def test_startup_series_consistency():
-    # halving the startup radius across four decades barely moves u(1)
+    # moving the startup radius across four decades below the series cap
+    # (5.2e-7 here) barely moves u(1)
     ode = _ode(1, 3.0, 1.0, "backward")
     vals = []
-    for r0 in (1e-4, 1e-6, 1e-8):
-        opts = IntegratorOptions(r0=r0, auto_shrink_r0=False, r_max=1.0)
+    for r0 in (1e-7, 1e-9, 1e-11):
+        opts = IntegratorOptions(r0=r0, r_max=1.0)
+        assert effective_startup_radius(ode, 2.0, opts) == r0
         sol = integrate(ode, 2.0, opts)
         assert sol.termination is Termination.U_CROSSED_ZERO or sol.r_end == 1.0
         u1, _ = sol.sample(min(0.5, sol.r_end))
         vals.append(u1)
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-8 * max(1.0, abs(vals[0]))
+
+
+def test_startup_radius_shrinks_to_the_series_cap():
+    # steep heights pull r0 below the requested one until the series
+    # correction is 1e-9 max(|u0|, 1), up to the rounding of u0 - corr;
+    # where the cap lies above r0, r0 stays as requested
+    ode = _ode(1, 3.0, 1.0, "backward")
+    opts = IntegratorOptions(r_max=1e-3)
+    for u0 in (1.5, 2.0, 10.0):
+        r0 = effective_startup_radius(ode, u0, opts)
+        assert r0 < opts.r0
+        u, _ = startup_state(ode, u0, r0)
+        assert abs(u - u0) <= 1e-9 * max(abs(u0), 1.0) + math.ulp(u0)
+        assert integrate(ode, u0, opts).r[0] == r0
+    for u0, r0 in ((0.5, 1e-6), (1.0, 1e-6), (2.0, 1e-9)):
+        assert effective_startup_radius(ode, u0, replace(opts, r0=r0)) == r0
 
 
 def test_startup_rejects_bad_input():
@@ -225,11 +244,11 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("N,p,chi,problem,u0", ORACLE_CASES)
 def test_adaptive_agrees_with_rk4(N, p, chi, problem, u0):
     ode = _ode(N, p, chi, problem)
-    opts = IntegratorOptions(r_max=1.0, stop_at_u_zero=False,
-                             r0=1e-6, auto_shrink_r0=False)
+    opts = IntegratorOptions(r_max=1.0, stop_at_u_zero=False)
+    r0 = effective_startup_radius(ode, u0, opts)
     sol = integrate(ode, u0, opts)
     assert sol.termination is Termination.REACHED_RMAX
-    u_ref, w_ref = rk4_trajectory(N, p, chi, problem, u0, 1e-6, 1.0, 100_000)
+    u_ref, w_ref = rk4_trajectory(N, p, chi, problem, u0, r0, 1.0, 100_000)
     u_end = float(sol.u[-1])
     assert abs(u_end - u_ref) < 1e-6 * max(1.0, abs(u_ref)), (u_end, u_ref)
     assert abs(float(sol.w[-1]) - w_ref) < 1e-5 * max(1.0, abs(w_ref))
@@ -238,13 +257,13 @@ def test_adaptive_agrees_with_rk4(N, p, chi, problem, u0):
 def test_dense_output_against_oracle():
     # dense samples between nodes must agree with a refined fixed-step run
     ode = _ode(1, 3.0, 1.0, "backward")
-    opts = IntegratorOptions(r_max=0.6, stop_at_u_zero=False,
-                             r0=1e-6, auto_shrink_r0=False)
+    opts = IntegratorOptions(r_max=0.6, stop_at_u_zero=False)
+    r0 = effective_startup_radius(ode, 2.0, opts)
     sol = integrate(ode, 2.0, opts)
     radii = np.linspace(0.05, 0.55, 41)
     u_d, w_d = sol.sample(radii)
     for r_t, u_t, w_t in zip(radii[::8], u_d[::8], w_d[::8]):
-        u_ref, w_ref = rk4_trajectory(1, 3.0, 1.0, "backward", 2.0, 1e-6,
+        u_ref, w_ref = rk4_trajectory(1, 3.0, 1.0, "backward", 2.0, r0,
                                       float(r_t), 60_000)
         assert abs(u_t - u_ref) < 1e-7 * max(1.0, abs(u_ref))
         assert abs(w_t - w_ref) < 1e-6 * max(1.0, abs(w_ref))
