@@ -26,9 +26,9 @@ obtained from w(r) = -r^(1-N) * integral_0^r g(u) s^(N-1) ds.
 
 The stepper is an embedded Dormand-Prince 5(4) pair with the standard
 quartic dense-output interpolant.  Events (u crossing zero, u' vanishing,
-equilibrium capture) are located by bisection on the dense output.  Error
-control uses scale = abs_tol + rel_tol * |y| per component, so acceptance near
-w = 0 degrades gracefully to the absolute tolerance alone.
+equilibrium capture) are located by Illinois iterations on the dense output.
+Error control uses scale = abs_tol + rel_tol * |y| per component, so
+acceptance near w = 0 degrades gracefully to the absolute tolerance alone.
 """
 
 from __future__ import annotations
@@ -289,6 +289,13 @@ class IntegratorOptions:
 _MAX_STEPS = 5_000_000
 _W_EVENT_FLOOR = 1e-8
 
+# The midpoint defect scales as h^5 like the embedded estimate (fits over
+# h..h/8 at 500 of its rejections on the zero-energy N = 1, p = 3 run:
+# quartiles 4.98-5.09).  The step factor 0.9 (5/defect)^_DEFECT_EXP damps
+# it: 1/6 took fewer attempts than 1/5, 1/7 or 1/8, a cap on every step
+# 0.2-1.5 % more than one for the _DEFECT_WINDOW steps after a rejection.
+_DEFECT_EXP, _DEFECT_WINDOW = 1.0 / 6.0, 200
+
 
 # Dormand-Prince 5(4) tableau (FSAL), plus the quartic dense-output matrix.
 _A21 = 1.0 / 5.0
@@ -330,7 +337,7 @@ class StepStats:
     The rejections split by cause and sum to ProfileSolution.n_rejected:
     the embedded error estimate over tolerance, the midpoint defect over
     its bound, or an overflowing or non-finite stage, error norm, state or
-    defect.  bisection_iterations counts the dense-output halvings of event
+    defect.  bisection_iterations counts the (Illinois) iterations of event
     location.  energy_steps counts the accepted steps taken in (E, w),
     newton_iterations the Newton iterations that recovered u there, and
     flux_zero_retakes the (u, w) trials that crossed a zero of w and were
@@ -487,24 +494,28 @@ def _dense_eval(u0: float, w0: float, h: float, q, theta: float) -> tuple[float,
 
 def _locate_zero(f, comp: int, event_tol: float, lo: float = 0.0,
                  hi: float = 1.0) -> tuple[float, float, float, int]:
-    """Bisect f(theta) on [lo, hi] of a step for a sign change of f[comp].
+    """Find a sign change of f(theta)[comp] on [lo, hi] of a step.
 
-    Returns theta and f's two values at the zero, and the number of
-    halvings.
+    Illinois (modified regula falsi): the bracket's secant, halving the
+    value of an end kept twice in a row, or its midpoint if the secant
+    leaves it.  Returns theta and f's two values at the zero, and the
+    number of iterations.
     """
-    v_lo = f(lo)[comp]
+    v_lo, v_hi, side = f(lo)[comp], f(hi)[comp], 0
     for n in range(1, 201):
-        mid = 0.5 * (lo + hi)
+        mid = (lo * v_hi - hi * v_lo) / (v_hi - v_lo) if v_hi != v_lo else lo
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
         vals = f(mid)
         v_mid = vals[comp]
-        if abs(v_mid) <= event_tol or (hi - lo) < 1e-16:
+        if abs(v_mid) <= event_tol or (hi - lo) < 1e-16 or n == 200:
             return mid, vals[0], vals[1], n
         if (v_lo < 0.0) == (v_mid < 0.0):
-            lo, v_lo = mid, v_mid
+            lo, v_lo, v_hi = mid, v_mid, 0.5 * v_hi if side < 0 else v_hi
+            side = -1
         else:
-            hi = mid
-    vals = f(0.5 * (lo + hi))
-    return 0.5 * (lo + hi), vals[0], vals[1], 200
+            hi, v_hi, v_lo = mid, v_mid, 0.5 * v_lo if side > 0 else v_lo
+            side = 1
 
 
 def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = None
@@ -515,6 +526,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     U_PRIME_VANISHED (first interior minimum with u > 0, or equilibrium
     capture, under stop_at_first_minimum); STEP_UNDERFLOW (step below
     1e-14 r, or u at the problem's u_floor); DIVERGED (|u| over the ceiling).
+    A defect rejection cuts h by the defect's own factor, which then caps
+    the growth of the next 200 accepted steps along with the error's.
 
     For p > 2 problems with an equilibrium u*, steps near a turn of u (a
     zero of w away from the origin) are taken in (E, w), E = G(u) + K(w):
@@ -572,8 +585,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     events: list[Event] = []
     termination: Optional[Termination] = None
     n_steps = n_attempts = 0
-    n_err = n_def = n_ovf = n_bisect = 0    # rejections by cause; halvings
-    n_retake = n_newton = 0
+    n_err = n_def = n_ovf = n_bisect = 0    # rejections by cause; events
+    n_retake = n_newton = n_capped = 0    # n_capped: see _DEFECT_WINDOW
 
     if eq_u is not None and abs(u_c - eq_u) <= 1e-8 and abs(w_c) <= 1e-8:
         events.append(Event(EventKind.EQUILIBRIUM_HIT, r0, u_c, w_c))
@@ -582,11 +595,12 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     k1u = w_c if lin else copysign((abs(w_c) * inv_B) ** e_u, w_c) if w_c else 0.0
     g_c = g(u_c)
     k1w = neg_nm1 / r0 * w_c - g_c
-    # Initial step from the local derivative scale.
+    # Initial step (Hairer, Norsett & Wanner, Solving ODEs I, section II.4)
     su = atol + rtol * abs(u_c)
     sw = atol + rtol * abs(w_c)
+    d0 = max(abs(u_c) / su, abs(w_c) / sw)
     d1 = max(abs(k1u) / su, abs(k1w) / sw)
-    h = min(0.1 * r0, 0.01 / d1) if d1 > 0.0 else 0.1 * r0
+    h = min(0.1 * r0, 0.01 * d0 / d1) if d1 > 0.0 else 0.1 * r0
     h = max(h, 1e-13 * r0)
 
     r = r0
@@ -781,9 +795,11 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         if not (defect <= 5.0):
             if isfinite(defect):
                 n_def += 1
+                h *= max(0.2, 0.9 * (5.0 / defect) ** _DEFECT_EXP)
+                n_capped = _DEFECT_WINDOW
             else:
                 n_ovf += 1
-            h *= 0.5
+                h *= 0.5
             continue
 
         n_steps += 1
@@ -889,10 +905,11 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         cw = (w_new - w) - inc_w
         r, u, w = r_new, u_new, w_new
         k1u, k1w, g_c = k7u, k7w, g7
-        if err == 0.0:
-            h *= 10.0
-        else:
-            h *= min(10.0, max(0.2, 0.9 * (0.25 / err) ** 0.2))
+        fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * (0.25 / err) ** 0.2))
+        if n_capped and defect > 0.0:
+            n_capped -= 1
+            fac = min(fac, 0.9 * (5.0 / defect) ** _DEFECT_EXP)
+        h *= fac
 
     r_arr = np.frombuffer(rs)
     u_arr = np.frombuffer(us)

@@ -660,12 +660,24 @@ def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
     return SystemResidual(res1, res2, ident)
 
 
-# node count and tolerance of residual_grade's capped pass.  At 2,000 nodes
-# every measured profile's five-point residuals are below 3e-7; more nodes
-# do not help res1, which differences u twice and so gains roundoff as
-# 1/h^2 past about 4,000 nodes
-_GRADE_STEPS = 2000
+# steps across the span (2,400 in the residual window) and tolerance of
+# residual_grade's capped pass.  At 2,000 nodes every measured profile's
+# five-point residuals are below 3e-7; more do not help res1, which
+# differences u twice and so gains roundoff as 1/h^2 past about 4,000
+_GRADE_STEPS = 3000
 _GRADE_TOL = 1e-12
+
+
+def _positive_span(sol: ProfileSolution, phi: PhiProfile, params: ModelParams) -> float:
+    """phi.span, but where phi (e^u) underflows to 0 past its last positive
+    node, the radius where it does on sol's dense output: not the grid's."""
+    lo = phi.span
+    k = int(np.searchsorted(phi.r, lo)) + 1
+    hi = float(phi.r[k]) if phi.support_radius is None and k < len(phi.r) else lo
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if phi_of_u(params, sol.sample(mid)[0]) > 0.0 else (lo, mid)
+    return lo
 
 
 def residual_grade(params: ModelParams, height: float,
@@ -673,8 +685,8 @@ def residual_grade(params: ModelParams, height: float,
     """Profile on a grid fine enough for the residual check.
 
     A scouting pass at default settings finds the radial span
-    (PhiProfile.span), then a pass at tolerance 1e-12 with the step capped
-    at span/2000 places about 2,000 solution nodes across it; the profile's
+    (_positive_span), then a pass at tolerance 1e-12 with the step capped
+    at span/3000 places about 3,000 solution nodes across it; the profile's
     opts are that pass's.
     Node values sit on the discrete flow to sub-tolerance accuracy, so the
     nested five-point differences of system_residual resolve the equation
@@ -683,15 +695,16 @@ def residual_grade(params: ModelParams, height: float,
     from .backward import solve_backward
     from .forward import ForwardOptions, solve_forward
 
-    def profile(opts: IntegratorOptions) -> PhiProfile:
+    def solve(opts: IntegratorOptions) -> tuple[ProfileSolution, PhiProfile]:
         if direction is Direction.BACKWARD:
-            return phi_from_u(solve_backward(params, height, opts), params)
-        return phi_from_forward(solve_forward(
-            params, height, ForwardOptions(integrator=opts)))
+            sol = solve_backward(params, height, opts)
+            return sol, phi_from_u(sol, params)
+        fp = solve_forward(params, height, ForwardOptions(integrator=opts))
+        return fp.sol, phi_from_forward(fp)
 
-    span = profile(IntegratorOptions()).span
-    return profile(IntegratorOptions(rel_tol=_GRADE_TOL, abs_tol=_GRADE_TOL,
-                                     h_max=span / _GRADE_STEPS))
+    span = _positive_span(*solve(IntegratorOptions()), params)
+    return solve(IntegratorOptions(rel_tol=_GRADE_TOL, abs_tol=_GRADE_TOL,
+                                   h_max=span / _GRADE_STEPS))[1]
 
 
 def residual_grade_backward(params: ModelParams, a: float) -> PhiProfile:

@@ -326,17 +326,26 @@ def test_energy_gap_signs_and_limit():
 
 
 def test_energy_gap_at_non_certifying_touch():
-    # the first minimum sits at u = -1.4e-13: it certifies nothing, and it
+    # the first minimum sits at u = -5.2e-13: it certifies nothing, and it
     # is a touch of zero (within event_tol), so the run ends there as a
     # tangential zero instead of going on to a later minimum with
     # E = -0.142; the gap is the energy at that zero, the boundary's 0
     P = derive_params(2, 3.0, 1.0)
-    c = classify(P, 1.6892931796201656)
+    c = classify(P, 1.6892931796038546)
     first_min = c.solution.events_of(EventKind.U_PRIME_ZERO)[0]
     assert c.set is ProfileClass.N0
     assert -1e-11 < first_min.u <= 0.0
     assert c.R_of_a == c.solution.r_end == first_min.r
     assert abs(c.energy_gap) < 1e-8
+
+
+def test_critical_radius_at_the_edge_point_against_tight_reference():
+    # R_c at critical_map's fixed N = 2 edge point, against a search at
+    # rel_tol = abs_tol = a_tol = 1e-13: the default search must keep the
+    # step controller's choices out of R_c (it reads 1.9e-11 off)
+    res = find_critical_a(derive_params(2, 2.02))
+    ref = 3.983884311053573
+    assert abs(res.R_c - ref) <= 1e-9 * ref
 
 
 def _counted(monkeypatch):

@@ -453,10 +453,10 @@ def test_reconstruct_underflowing_phi_reports_finite_residuals(capsys):
 
 
 def test_reconstruct_coarse_grid_reports_residual_note(capsys):
-    # the N = 1 forward run steps 2.7, 25 and 251 once u is nearly linear,
-    # which leaves 6 of its own nodes in the residual window: the residuals
-    # are unavailable, not the input invalid
-    rc, out, _ = _run(["reconstruct", "--N", "1", "--p", "2", "--b", "0.5",
+    # the N = 1 forward run steps 3.4, 33 and 319 once u is nearly
+    # quadratic, which leaves 6 of its own nodes in the residual window:
+    # the residuals are unavailable, not the input invalid
+    rc, out, _ = _run(["reconstruct", "--N", "1", "--p", "2", "--b", "-2",
                        "--format", "json"], capsys)
     assert rc == 0
     rep = json.loads(out)
@@ -479,7 +479,8 @@ def test_reconstruct_residual_grade_without_positive_phi(capsys):
 
 
 def test_reconstruct_coarse_grid_residual_grade(capsys):
-    # the same profile re-solved on the residual grade's capped grid
+    # a coarse N = 1 forward profile re-solved on the residual grade's
+    # capped grid
     rc, out, _ = _run(["reconstruct", "--N", "1", "--p", "2", "--b", "0.5",
                        "--residual-grade", "--format", "json"], capsys)
     assert rc == 0

@@ -22,28 +22,28 @@ RECORDED_WITH = {"python": "3.11.7", "numpy": "2.4.6"}
 GOLDEN = {
     "solve-backward": (
         "solve-backward --N 2 --p 3 --a 2.0",
-        "4095da1887266bb2d455195b1315e17ba89f483f4d853a3df39ba9d1c7c08904",
-        "41b6b9a2497f5cf4ee0411555cb8cda6a2279d257c71cb49e27b5d9128127467"),
+        "ab73c62c76ce607a8b3c7821132e94393e1bc31a59c88b8e944016d3523534a3",
+        "feae63edc67c72ceee1b397d4a3e0e8d03d6d68431023506b7f7de534f430cc2"),
     "solve-forward": (
         "solve-forward --N 3 --p 1.8 --b 1.0 --fit-decay",
-        "ffb453aac5d40cecb6981f907b12370158f3fcf9135bf9829ef41c6ad656afab",
-        "99961f7bec9fabb7fd7ecd5d97c0c06b5d8fc1d82ce119420ef9b196950a3b75"),
+        "9f95341cf665d0b89e4a59562b3b2e504f8f172778692874af15e121108006e7",
+        "fee51964dbae46561da4d883c79ef2c67af6634aef3a1a599cb7251146f5eb3d"),
     "find-critical": (
         "find-critical --N 1 --p 3",
-        "094f4e46bd67319cf7718f15fd4b8a04f08877d0dcfe704925b78297f0dcc73d",
-        "2af2e4d89e3e84faa1975d0196a7d44d1bcbce8cc615fe66455dbf7e8b465b7e"),
+        "adf9476ca23e5d09c9d0203ae79c353970387df6d5216c4cd23b876568b205df",
+        "3972027a076a65451bfdd6afa2fe8aa375451cd6007a7ecee14b2e2750fc0a1a"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
-        "0e18fe5bfc32c7a2c93c77fc4ea87db7c4f7d0a0c63ff25659c8fdb0c2ea3216",
-        "ec3c5bec23219a6d1fa7f24ff42664abbe87a7598ba5293c1502ba325022a07b"),
+        "a81f8447b59c6281aef45ac18ef6ced16fcd3fe1249765f9847eef0aa2254b1c",
+        "db688ada9f6a5a5474016e2a0f047210536028d19e29b1c825b9b6c8b5b09960"),
     "reconstruct": (
         "reconstruct --N 2 --p 3 --a 2.126 --residual-grade",
-        "e481a6ee0de2f87f7af4f818558dfb82e9682a1e5ac436b75778c4fb2958484b",
-        "847afe944683e83c8d3880a307007417e208418fa8853f25d19471b810abe82c"),
+        "1b835f093683789fac604a0606a90f190571e47d1e7e7a7e9d061ded688994c9",
+        "223af10bf398a12d46c8094054970ec712245e695dcaaeab97ba19ff0b18ac32"),
     "delta-test": (
         "delta-test --N 3 --p 1.8 --b 1.0",
-        "c99ca451261c768c2fcc3074ccc0c6e8fdd82d6da696897d9befce25754d2750",
-        "a89a869cbfe11c338bb6658973ccae1a066bcb0e9eb06fbcb63b6afcbebb4a12"),
+        "938f2cf8eaa2669317e29f0c9bc366e4b4c0dad6c2211fc2d8c36be61e560531",
+        "28968b738ec343d8b5a9fd84476776afd2c6d66b783d4aad899a11965001c69f"),
 }
 
 _RUNNING = {"python": platform.python_version(), "numpy": np.__version__}

@@ -573,8 +573,23 @@ def test_trajectory_and_audit_memory_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.n_steps == 1678
+    assert sol.n_steps == 1677
     assert peak <= 250 * sol.n_steps
+
+
+@pytest.mark.parametrize("problem,N,p,u0", [
+    ("backward", 2, 3.0, 0.845), ("backward", 1, 3.0, 0.5),
+    ("backward", 3, 1.8, 1.0), ("backward", 2, 2.0, 1.5),
+    ("backward", 2, 2.02, 5.0), ("forward", 2, 2.0, 0.0),
+    ("forward", 3, 1.8, 1.0), ("forward", 1, 2.05, 1e-3),
+    ("forward", 2, 3.0, 1e3)])
+def test_first_step_is_sized_from_the_state(problem, N, p, u0):
+    # h0 = min(0.1 r0, 0.01 d0/d1), d0 and d1 the tolerance-scaled sizes
+    # of the state and of its slope.  The rule 0.01/d1 dropped d0 and
+    # started these runs at 1e-12 to 6e-5 r0, then grew h x10 per step
+    sol = integrate(_ode(N, p, 1.0, problem), u0, IntegratorOptions(
+        r_max=1.0, stop_at_u_zero=False))
+    assert sol._h[0] >= 1e-3 * sol.r[0]
 
 
 def test_p_trajectory_at_fifty_against_tight_reference():

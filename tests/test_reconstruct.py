@@ -26,6 +26,7 @@ from plks.reconstruct import (
     _cumulative_simpson,
     _first_derivative,
     _gamma_half,
+    _positive_span,
     Direction,
     PhiProfile,
     SelfSimilarSolution,
@@ -743,11 +744,12 @@ def test_residual_converged_forward(N, p, b):
 
 
 def test_residual_grade_caps_steps_where_phi_is_positive():
-    # phi = e^u underflows to 0 near r = 52 here, and the scout's last
-    # step jumps from r = 34 to r = 285.  A cap sized from the scout's last
+    # phi = e^u underflows to 0 near r = 51.76 here, inside the scout's
+    # last step (r = 15 to 100).  A cap sized from the scout's last
     # radius left 290 nodes in the test window [0.1 R, 0.9 R] and an
-    # identity residual of 1.4e-8; sized from the last radius where
-    # phi > 0 (34), the window gets its ~2,000 nodes.
+    # identity residual of 1.4e-8; one sized from its last node where
+    # phi > 0 moved with the grid (5,483 nodes from r = 15).  Sized from
+    # where phi vanishes on the dense output, the window gets 2,400.
     P = derive_params(1, 2.0, 1.0)
     phi = residual_grade(P, 0.5, Direction.FORWARD)
     R = float(phi.r[phi.phi > 0.0][-1])
@@ -757,6 +759,20 @@ def test_residual_grade_caps_steps_where_phi_is_positive():
     res = system_residual(phi, psi_from_phi(phi, P), P, Direction.FORWARD)
     assert res.identity < 1e-8
     assert max(res.res1, res.res2) < 1e-6
+
+
+def test_residual_grade_span_does_not_depend_on_the_grid():
+    # the scout steps over the radius where e^u underflows; two tolerances
+    # give different grids and the same span, to the error in u over |u'|
+    P = derive_params(1, 2.0, 1.0)
+    spans = []
+    for tol in (1e-10, 1e-12):
+        fp = solve_forward(P, 0.5, ForwardOptions(
+            integrator=IntegratorOptions(rel_tol=tol, abs_tol=tol)))
+        phi = phi_from_forward(fp)
+        assert phi.span < 0.9 * _positive_span(fp.sol, phi, P)
+        spans.append(_positive_span(fp.sol, phi, P))
+    assert abs(spans[0] - spans[1]) < 1e-8 * spans[1]
 
 
 def test_residual_window_guards():
