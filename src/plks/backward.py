@@ -11,7 +11,8 @@ Positivity certificates rest on the energy E = B (p-1)/p |u'|^p + G(u),
 which never increases: reaching u = 0 requires E >= G(0), so a trajectory
 whose energy ever drops below G(0) can never vanish.  At an interior
 minimum E = G(u_min) < G(0) whenever 0 < u_min < u*, which makes the first
-interior minimum a sound certificate in every dimension.
+interior minimum a sound certificate in every dimension, as is G(a) < G(0)
+at the centre, below the zero-energy height (classify then needs no run).
 
 The fast problem (p < 2) is exposed through solve_backward for exploration;
 its profiles are bounded and positivity cannot be falsified (the source is
@@ -71,14 +72,14 @@ class ProfileClass(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of one shooting run in the slow backward problem."""
+    """One height's verdict; solution is None for "centre energy below G(0)"."""
 
     a: float
     set: ProfileClass
     R_of_a: Optional[float]          # vanishing radius, N / N0 only
     terminal_slope: Optional[float]  # u'(R(a)), N / N0 only
     reason: str
-    solution: ProfileSolution
+    solution: Optional[ProfileSolution]
 
     @property
     def label(self) -> str:
@@ -89,14 +90,16 @@ class Classification:
         """G(min u) < 0 for P; the (kinetic) energy at the zero > 0 for N, N0.
 
         min u is taken over the grid and the located minima, which steps
-        taken in the energy variable may straddle.
+        taken in the energy variable may straddle.  None without a run.
         """
         sol = self.solution
+        if sol is None or self.set is ProfileClass.INCONCLUSIVE:
+            return None
         if self.set is ProfileClass.P:
             u_min = min([float(np.min(sol.u))] + [
                 e.u for e in sol.events_of(EventKind.U_PRIME_ZERO)])
             return float(sol.ode.G_np(u_min))
-        return None if self.set is ProfileClass.INCONCLUSIVE else float(sol.energy[-1])
+        return float(sol.energy[-1])
 
 
 @dataclass(frozen=True)
@@ -119,20 +122,36 @@ def solve_backward(params: ModelParams, a: float,
     return integrate(backward_ode(params), a, opts)
 
 
+def _check_heights(params: ModelParams, heights) -> None:
+    if params.regime is not Regime.SLOW:
+        raise DomainError(
+            f"classification applies to the slow regime (p > 2), got p = {params.p}")
+    for a in heights:
+        if not (math.isfinite(a) and a > 0.0):
+            raise DomainError(f"initial height must be positive, got {a}")
+
+
 def classify(params: ModelParams, a: float,
              opts: Optional[ClassifyOptions] = None) -> Classification:
-    """Assign a to P, N, or N0 by integrating until a decisive event.
+    """Assign a to P, N, or N0 as _shoot does, but a height below (1 - 1e-12) h0,
+    h0 the zero-energy height, is P with no run ("centre energy below G(0)");
+    the margin covers rounding in h0's closed form."""
+    _check_heights(params, [a])
+    if a < (1.0 - 1e-12) * zero_energy_height(params):
+        return Classification(a, ProfileClass.P, None, None,
+                              "centre energy below G(0)", None)
+    return _shoot(params, a, opts)
+
+
+def _shoot(params: ModelParams, a: float,
+           opts: Optional[ClassifyOptions] = None) -> Classification:
+    """Classify a by integrating until a decisive event.
 
     Decisive outcomes: a zero of u (transversal -> N, tangential within
     slope_tol -> N0); a first interior minimum or equilibrium capture
     (-> P, certified by energy descent); survival to the scan radius
     (-> P).  Step underflow before any of these yields Inconclusive.
     """
-    if params.regime is not Regime.SLOW:
-        raise DomainError(
-            f"classification applies to the slow regime (p > 2), got p = {params.p}")
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"initial height must be positive, got {a}")
     if opts is None:
         opts = ClassifyOptions()
     base = opts.integrator if opts.integrator is not None else IntegratorOptions()
@@ -178,8 +197,10 @@ class SweepResult:
 
 def sweep_a(params: ModelParams, grid,
             opts: Optional[ClassifyOptions] = None) -> SweepResult:
-    """Classify every height in the (increasing) grid."""
+    """Classify every height in the (increasing) grid, as classify does
+    (below h0: "centre energy below G(0)"), once all of them are checked."""
     heights = [float(a) for a in grid]
+    _check_heights(params, heights)
     if any(b <= a for a, b in zip(heights, heights[1:])):
         raise DomainError("height grid must be strictly increasing")
     cls = [classify(params, a, opts) for a in heights]
@@ -321,6 +342,8 @@ def find_critical_a(params: ModelParams,
     Each trace entry's step names the rule that chose its height: "end"
     and "double" for the initial bracket, a _gap_step name or "mid" inside
     it, "certify" for an N0 hit's certifiers and "final" for a_c.
+    Probes are shot, not certified as in classify: the search needs each P
+    end's gap and last turn, and its lower end lies below h0.
     """
     if params.regime is not Regime.SLOW:
         raise DomainError(
@@ -351,7 +374,7 @@ def find_critical_a(params: ModelParams,
                 f"interior minimum by r_max = {c.solution.opts.r_max:g}")
         return c
 
-    c_lo = classify(params, lo, opts)
+    c_lo = _shoot(params, lo, opts)
     trace = [Probe.of(c_lo, "end")]
     if c_lo.set is ProfileClass.N0:
         return CriticalResult(lo, 0.0, c_lo.R_of_a, c_lo.solution, 0, c_lo,
@@ -360,7 +383,7 @@ def find_critical_a(params: ModelParams,
         raise BadBracketError(
             f"lower endpoint a = {lo:g} classifies {c_lo.label}, need P")
     turned(c_lo)
-    c_hi = classify(params, hi, opts)
+    c_hi = _shoot(params, hi, opts)
     trace.append(Probe.of(c_hi, "end"))
     n_expand = 0
     while c_hi.set is ProfileClass.P and bracket is None and n_expand < 60:
@@ -370,7 +393,7 @@ def find_critical_a(params: ModelParams,
                 "overflow, classify P")
         lo, c_lo = hi, turned(c_hi)
         hi = min(2.0 * hi, a_cap)
-        c_hi = classify(params, hi, opts)
+        c_hi = _shoot(params, hi, opts)
         trace.append(Probe.of(c_hi, "double"))
         n_expand += 1
     if c_hi.set is ProfileClass.N0:
@@ -399,7 +422,7 @@ def find_critical_a(params: ModelParams,
                                 max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid)))
             if lo < x < hi:
                 a, step = x, rule
-        c = classify(params, a, opts)
+        c = _shoot(params, a, opts)
         trace.append(Probe.of(c, step))
         n_iter += 1
         if c.set is ProfileClass.N0:
@@ -411,7 +434,7 @@ def find_critical_a(params: ModelParams,
             for a_s in (a + d, a - d):
                 if not lo < a_s < hi:
                     continue
-                c_s = classify(params, a_s, opts)
+                c_s = _shoot(params, a_s, opts)
                 trace.append(Probe.of(c_s, "certify"))
                 n_iter += 1
                 if c_s.set is ProfileClass.P:
@@ -434,7 +457,7 @@ def find_critical_a(params: ModelParams,
                 f"inconclusive classification at a = {a:g}: {c.reason}")
 
     a_c = 0.5 * (lo + hi)
-    c_mid = classify(params, a_c, opts)
+    c_mid = _shoot(params, a_c, opts)
     trace.append(Probe.of(c_mid, "final"))
     R_c = c_lo.solution.events_of(EventKind.U_PRIME_ZERO)[-1].r
     return CriticalResult(a_c, hi - lo, R_c, c_mid.solution, n_iter + 1, c_mid,

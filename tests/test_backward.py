@@ -18,11 +18,13 @@ from plks import (
     IntegratorOptions,
     ProfileClass,
     Termination,
+    backward_ode,
     classify,
     derive_params,
     admissible_p_threshold,
     energy_derivative_check,
     find_critical_a,
+    integrate,
     rescaled_limit_check,
     solve_backward,
     sweep_a,
@@ -106,10 +108,13 @@ def test_classify_requires_positive_height():
 
 
 def test_classify_small_height_is_positive():
+    # below the zero-energy height: P by the energy certificate, no run
     P = derive_params(2, 3.0, 1.0)
     c = classify(P, 0.5 * P.u_star)
     assert c.set is ProfileClass.P
     assert c.R_of_a is None and c.terminal_slope is None
+    assert c.reason == "centre energy below G(0)"
+    assert c.solution is None and c.energy_gap is None
 
 
 def test_classify_large_height_vanishes_transversally():
@@ -131,10 +136,12 @@ def test_positive_certificate_is_energy_descent():
 
 
 def test_one_dimensional_subcritical_heights_are_positive():
+    # all three lie below a_c = h0, so the certificate labels them
     P = derive_params(1, 3.0, 1.0)
     for a in [0.3, 0.8, 1.05]:
         c = classify(P, a)
         assert c.set is ProfileClass.P, (a, c.label)
+        assert c.reason == "centre energy below G(0)"
 
 
 def test_trichotomy_on_sweep():
@@ -154,6 +161,109 @@ def test_sweep_requires_increasing_grid():
     P = derive_params(2, 3.0, 1.0)
     with pytest.raises(DomainError):
         sweep_a(P, [1.0, 1.0, 2.0])
+
+
+def test_sweep_checks_regime_and_heights_before_any_work(monkeypatch):
+    heights = _counted(monkeypatch)
+    for P in (derive_params(2, 2.0, 0.5), derive_params(1, 1.5, 1.0)):
+        with pytest.raises(DomainError, match="slow regime"):
+            sweep_a(P, [])
+    P = derive_params(2, 3.0, 1.0)
+    for grid in ([0.0, 2.0], [-1.0, 2.0], [2.0, 3.0, float("nan")],
+                 [2.0, float("inf")]):
+        with pytest.raises(DomainError, match="must be positive"):
+            sweep_a(P, grid)
+    assert heights == []
+
+
+# The energy certificate labels heights below the zero-energy height P with
+# no run.  These heights, once shot by classify, are shot here: each run must
+# stay positive with its energy below G(0) = 0, and end at an interior
+# minimum or an equilibrium capture (or, where turned is False, at r_max).
+def _shot_positive(P, a, turned=True):
+    sol = integrate(backward_ode(P), a, IntegratorOptions(stop_at_first_minimum=True))
+    ends = (Termination.U_PRIME_VANISHED,) + (() if turned else (Termination.REACHED_RMAX,))
+    assert sol.termination in ends, (a, sol.termination)
+    assert np.min(sol.u) > 0.0 and all(
+        e.u > 0.0 for e in sol.events_of(EventKind.U_PRIME_ZERO)), a
+    assert np.max(sol.energy) < 0.0, a
+    return sol
+
+
+# (N, p, a_c) of the six sweeps of bench/workloads.py's critical_map at seed
+# 1; each sweeps geomspace(0.1 a_c, 3 a_c, 64), 218 heights below h0
+SEED1_SWEEPS = [
+    (1, 2.667127119361658, 1.1314765272517198),
+    (1, 3.618069125057861, 1.072473015656211),
+    (2, 2.65047931971853, 1.8138078279713539),
+    (2, 3.665754211374827, 1.5272106967756582),
+    (3, 2.746970429302808, 2.974671385014993),
+    (3, 3.5882672013835775, 2.2587803374525195)]
+
+
+def test_certified_heights_shoot_to_a_positive_minimum():
+    cases = [(derive_params(3, 2.5, 1.0), np.geomspace(0.1, 8.0, 16)),
+             (derive_params(3, 2.1, 1.0), np.geomspace(0.1, 50.0, 12)),
+             (derive_params(1, 3.0, 1.0), [0.3, 0.8, 1.05])]
+    P = derive_params(2, 3.0, 1.0)
+    cases.append((P, [0.5 * P.u_star]))
+    cases += [(derive_params(N, p), np.geomspace(0.1 * a_c, 3.0 * a_c, 64))
+              for N, p, a_c in SEED1_SWEEPS]
+    n = 0
+    for P, grid in cases:
+        for a in (float(a) for a in grid if a < zero_energy_height(P)):
+            assert classify(P, a).reason == "centre energy below G(0)"
+            _shot_positive(P, a)
+            n += 1
+    assert n == 10 + 5 + 3 + 1 + 218
+
+
+@st.composite
+def _below_zero_energy(draw):
+    N = draw(st.integers(1, 4))
+    p = draw(st.floats(max(2.0, admissible_p_threshold(N)), 4.5, exclude_min=True))
+    P = derive_params(N, p, draw(st.floats(0.25, 4.0)))
+    return P, draw(st.floats(0.01, 1.0 - 1e-9)) * zero_energy_height(P)
+
+
+# Near p = 2 the first turn lies beyond the default r_max = 1e3 (N = 1,
+# a = h0/2: r = 894 at p = 2 + 1e-5, 28,284 at p = 2 + 1e-8), so a shot
+# there may end at r_max, still positive with negative energy: the label
+# classify's run gave such heights ("negative energy").
+@settings(max_examples=200, deadline=None)
+@given(_below_zero_energy())
+@example(case=(derive_params(1, 2.0 + 4e-16), 0.5))
+@example(case=(derive_params(4, 4.5, 4.0), (1.0 - 1e-9) * zero_energy_height(
+    derive_params(4, 4.5, 4.0))))
+def test_certificate_agrees_with_shooting(case):
+    P, a = case
+    assert classify(P, a).reason == "centre energy below G(0)"
+    sol = _shot_positive(P, a, turned=False)
+    if sol.termination is Termination.REACHED_RMAX:
+        assert P.p < 2.001, (P, a)
+
+
+def test_sweep_shoots_exactly_the_heights_from_h0(monkeypatch):
+    heights = _counted(monkeypatch)
+    P = derive_params(2, 3.0, 1.0)
+    h0 = zero_energy_height(P)
+    grid = np.geomspace(0.3, 3.0, 12)
+    res = sweep_a(P, grid)
+    assert heights == [a for a in grid if a >= (1.0 - 1e-12) * h0]
+    assert 0 < len(heights) < len(grid)
+    assert [c.solution is None for c in res.classifications] == [
+        a < (1.0 - 1e-12) * h0 for a in grid]
+
+
+def test_heights_in_the_margin_are_shot(monkeypatch):
+    heights = _counted(monkeypatch)
+    P = derive_params(2, 3.0, 1.0)
+    a = zero_energy_height(P) * (1.0 - 1e-13)
+    assert classify(P, a).reason == "interior minimum"
+    P1 = derive_params(1, 3.0, 1.0)
+    h0 = zero_energy_height(P1)     # a_c itself at N = 1
+    assert classify(P1, h0).solution is not None
+    assert heights == [a, h0]
 
 
 # ---------------------------------------------------------------- heights
@@ -367,7 +477,9 @@ def test_critical_trace_is_every_integration_in_order(N, p, monkeypatch):
     trace = res.trace
     assert [t.a for t in trace] == heights
     assert len(trace) == res.n_iterations + 2
+    # the lower end lies below h0, yet is shot, not certified
     assert trace[0].a == 0.999 * zero_energy_height(res.lower.solution.ode.params)
+    assert trace[0].reason == "interior minimum"
     # a_c is the last probe, or an N0 probe followed by its two certifiers
     i = len(trace) - (3 if res.classification.set is ProfileClass.N0 else 1)
     assert trace[i].a == res.a_c and trace[i].label == res.classification.label

@@ -665,7 +665,8 @@ def _child_env():
 
 def test_cli_loads_no_scipy():
     # importing the CLI and running a reconstruction and a delta test load
-    # nothing from scipy
+    # nothing from scipy; nor does classify or sweep_a at p = 2, which fail
+    # on the regime before they ask for the zero-energy height
     code = (
         "import sys, contextlib, io, plks, plks.cli\n"
         "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
@@ -674,6 +675,11 @@ def test_cli_loads_no_scipy():
         "    plks.cli.main(['reconstruct', '--N', '2', '--p', '3', '--a', '2.126'])\n"
         "    plks.cli.main(['delta-test', '--N', '3', '--p', '1.8', '--b', '1.0',\n"
         "                   '--steps', '2'])\n"
+        "P2 = plks.derive_params(2, 2.0, 0.5)\n"
+        "for call in (lambda: plks.classify(P2, 1.0), lambda: plks.sweep_a(P2, [])):\n"
+        "    with contextlib.suppress(plks.DomainError):\n"
+        "        call()\n"
+        "        raise SystemExit('no DomainError at p = 2')\n"
         "print(scipy())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env())
