@@ -33,6 +33,7 @@ from .errors import (
     AmbiguousBracketError,
     BadBracketError,
     DomainError,
+    IntegrationError,
 )
 from .params import ModelParams, Regime
 from .radial_ode import (
@@ -120,6 +121,17 @@ def solve_backward(params: ModelParams, a: float,
         # u = ln phi is 0 where phi = 1, inside the profile: go on past it
         opts = replace(opts or IntegratorOptions(), stop_at_u_zero=False)
     return integrate(backward_ode(params), a, opts)
+
+
+def _backward_profile(params: ModelParams, a: float,
+                      opts: Optional[IntegratorOptions] = None) -> ProfileSolution:
+    """solve_backward's run, which has no profile if it stopped short: at
+    step underflow or out of the problem's range; that raises IntegrationError."""
+    sol = solve_backward(params, a, opts)
+    if sol.termination in (Termination.STEP_UNDERFLOW, Termination.DIVERGED):
+        raise IntegrationError(
+            f"integration failed ({sol.termination.value}) at r = {sol.r_end:g}")
+    return sol
 
 
 def _check_heights(params: ModelParams, heights) -> None:

@@ -24,12 +24,12 @@ import numpy as np
 from .backward import (
     ClassifyOptions,
     ProfileClass,
+    _backward_profile,
     find_critical_a,
-    solve_backward,
     sweep_a,
     zero_energy_height,
 )
-from .errors import DomainError, InfiniteMassError, IntegrationError, PlksError
+from .errors import DomainError, InfiniteMassError, PlksError
 from .forward import (
     ForwardOptions,
     fit_decay_rate,
@@ -39,7 +39,6 @@ from .forward import (
 )
 from .params import (
     ModelParams,
-    Regime,
     admissible_p_threshold,
     compact_support_admissible,
     derive_params,
@@ -154,14 +153,6 @@ def _classify_opts(args) -> ClassifyOptions:
                            integrator=_integrator(args))
 
 
-def _backward_profile(params: ModelParams, args) -> ProfileSolution:
-    sol = solve_backward(params, args.a, _integrator(args))
-    if sol.termination in (Termination.STEP_UNDERFLOW, Termination.DIVERGED):
-        raise IntegrationError(
-            f"integration failed ({sol.termination.value}) at r = {sol.r_end:g}")
-    return sol
-
-
 def _derived_block(params: ModelParams) -> dict:
     d = {
         "m": params.m,
@@ -211,7 +202,7 @@ def _class_block(c) -> dict:
 # the overrides replace echoed settings the command resolved or ran at.
 
 def cmd_solve_backward(params: ModelParams, args):
-    sol = _backward_profile(params, args)
+    sol = _backward_profile(params, args.a, _integrator(args))
     header, rows = _profile_table(params, sol)
     audit = energy_derivative_check(sol, raise_on_violation=False)
     results = {
@@ -249,8 +240,7 @@ def cmd_solve_forward(params: ModelParams, args):
         "support_radius": fp.support_radius,
         "tail": _tail_block(fp.tail),
     }
-    tol = {"completed": sol.termination is not Termination.STEP_UNDERFLOW
-           or fp.regime is Regime.LINEAR}
+    tol = {"completed": sol.termination is not Termination.STEP_UNDERFLOW}
     if fp.support_radius is not None:
         edge = support_radius(fp)
         results["support"] = {
@@ -386,7 +376,7 @@ def _reconstructed(params: ModelParams, args):
     if getattr(args, "residual_grade", False):
         phi = residual_grade(params, height, direction)
     elif direction is Direction.BACKWARD:
-        phi = phi_from_u(_backward_profile(params, args), params)
+        phi = phi_from_u(_backward_profile(params, height, _integrator(args)), params)
     else:
         phi = phi_from_forward(solve_forward(params, height, ForwardOptions(
             integrator=_integrator(args))))

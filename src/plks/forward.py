@@ -149,20 +149,13 @@ def solve_forward(params: ModelParams, a_or_b: float,
 
     regime = params.regime
     if regime is Regime.LINEAR:
-        if a <= opts.u_floor:
-            raise DomainError(f"center value {a} is at or under the floor")
-        # |u| >= ceiling terminates; u only moves down, so the ceiling
-        # acts as the floor as long as it clears the start value
-        sol = integrate(forward_ode(params), a, replace(
-            base, stop_at_u_zero=False,
-            u_ceiling=max(abs(opts.u_floor), 2.0 * abs(a) + 1.0)))
+        sol = integrate(replace(forward_ode(params), u_floor=opts.u_floor), a,
+                        replace(base, stop_at_u_zero=False))
         _check_monotone(sol.u, -1, regime)
         fp = ForwardProfile(params, a, sol, LogQuadraticTail(-0.25))
     elif regime is Regime.FAST:
-        if a >= opts.u_ceiling:
-            raise DomainError(f"center value {a} is at or above the ceiling")
-        sol = integrate(forward_ode(params), a, replace(
-            base, stop_at_u_zero=False, u_ceiling=opts.u_ceiling))
+        sol = integrate(replace(forward_ode(params), u_ceiling=opts.u_ceiling), a,
+                        replace(base, stop_at_u_zero=False))
         _check_monotone(sol.u, +1, regime)
         p, B, N, m = params.p, params.B, params.N, params.m
         K = (1.0 / (B * N * m)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p

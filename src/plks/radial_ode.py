@@ -85,7 +85,8 @@ class RadialODE:
     for g, g' and G, stopping once the next update would be below tol, with
     a Chebyshev step.  It returns the root (nan when that update exceeds
     1000 tol), g there to first order in the step, and the iteration count.
-    For p < 2, g is singular at u = 0, and a run stops once u is at u_floor.
+    A run lives in u_floor < u < u_ceiling and ends where it leaves: for
+    p < 2, g is singular at u = 0, and the backward problem's floor is 1e-8.
     """
 
     params: ModelParams
@@ -97,7 +98,8 @@ class RadialODE:
     equilibrium_u: Optional[float] = None
     G: Optional[Callable[[float], float]] = None
     solve_G: Optional[Callable[[float, float, float], tuple]] = None
-    u_floor: float = -math.inf
+    u_floor: float = -1e12
+    u_ceiling: float = 1e12
 
 
 def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
@@ -257,14 +259,13 @@ class IntegratorOptions:
     increases, so the trajectory can never reach zero afterwards.  It also
     stops at the problem's equilibrium u*, reached within 1e-8 in u and w.
     Tolerances must be finite and non-negative with abs_tol > 0, r_max
-    finite, h_max and u_ceiling positive; other settings raise DomainError.
+    finite and h_max positive; other settings raise DomainError.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
     event_tol: float = 1e-12
     r_max: float = 1e3
-    u_ceiling: float = 1e12
     r0: float = 1e-6
     stop_at_u_zero: bool = True
     stop_at_first_minimum: bool = False
@@ -280,8 +281,6 @@ class IntegratorOptions:
                 f"> 0, a finite r_max and h_max > 0; got rel_tol={self.rel_tol}, "
                 f"abs_tol={self.abs_tol}, event_tol={self.event_tol}, "
                 f"r_max={self.r_max}, h_max={self.h_max}")
-        if not self.u_ceiling > 0.0:
-            raise DomainError(f"u_ceiling must be positive, got {self.u_ceiling}")
 
 
 # attempts before integrate gives up; flux size a sign change of w must
@@ -525,7 +524,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     Terminations: REACHED_RMAX; U_CROSSED_ZERO (terminal zero of u);
     U_PRIME_VANISHED (first interior minimum with u > 0, or equilibrium
     capture, under stop_at_first_minimum); STEP_UNDERFLOW (step below
-    1e-14 r, or u at the problem's u_floor); DIVERGED (|u| over the ceiling).
+    1e-14 r); DIVERGED (u out of the problem's range, which must hold u0).
     A defect rejection cuts h by the defect's own factor, which then caps
     the growth of the next 200 accepted steps along with the error's.
 
@@ -556,8 +555,10 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     rtol, atol = opts.rel_tol, opts.abs_tol
     r_max, event_tol = opts.r_max, opts.event_tol
     h_max = math.inf if opts.h_max is None else opts.h_max
-    u_floor = ode.u_floor
-    u_ceiling = opts.u_ceiling
+    u_floor, u_ceiling = ode.u_floor, ode.u_ceiling
+    if not u_floor < u0 < u_ceiling:
+        raise DomainError(f"{ode.kind}: initial height {u0} lies outside "
+                          f"({u_floor:g}, {u_ceiling:g})")
     eq_u = ode.equilibrium_u if opts.stop_at_first_minimum else None
     # the energy variable: problems whose flux zeros are turns of u
     en = p > 2.0 and ode.equilibrium_u is not None
@@ -877,12 +878,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
 
         rs.append(r_new); us.append(u_new); ws.append(w_new)
 
-        if u_new <= u_floor:
-            # Cannot falsify positivity: the source is singular at u = 0 and
-            # the step size collapses there; report as underflow.
-            termination = Termination.STEP_UNDERFLOW
-            break
-        if abs(u_new) >= u_ceiling:
+        if not u_floor < u_new < u_ceiling:
             termination = Termination.DIVERGED
             break
         if eq_u is not None and abs(u_new - eq_u) <= 1e-8 and abs(w_new) <= 1e-8:

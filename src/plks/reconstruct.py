@@ -687,17 +687,18 @@ def residual_grade(params: ModelParams, height: float,
     A scouting pass at default settings finds the radial span
     (_positive_span), then a pass at tolerance 1e-12 with the step capped
     at span/3000 places about 3,000 solution nodes across it; the profile's
-    opts are that pass's.
+    opts are that pass's.  A backward run that stops short has no profile
+    and raises IntegrationError (backward._backward_profile).
     Node values sit on the discrete flow to sub-tolerance accuracy, so the
     nested five-point differences of system_residual resolve the equation
     residual instead of grid noise.
     """
-    from .backward import solve_backward
+    from .backward import _backward_profile
     from .forward import ForwardOptions, solve_forward
 
     def solve(opts: IntegratorOptions) -> tuple[ProfileSolution, PhiProfile]:
         if direction is Direction.BACKWARD:
-            sol = solve_backward(params, height, opts)
+            sol = _backward_profile(params, height, opts)
             return sol, phi_from_u(sol, params)
         fp = solve_forward(params, height, ForwardOptions(integrator=opts))
         return fp.sol, phi_from_forward(fp)

@@ -491,6 +491,19 @@ def test_reconstruct_coarse_grid_residual_grade(capsys):
     assert rep["tolerances_met"]["residuals_below_1e-6"] is True
 
 
+def test_backward_run_stopped_short_has_no_profile(capsys):
+    # p < 2: the run leaves its range at the singular floor near u = 0, so
+    # there is no profile, for the residual grade's pass either
+    errs = []
+    for grade in ([], ["--residual-grade"]):
+        rc, _, err = _run(["reconstruct", "--N", "1", "--p", "1.5",
+                           "--a", "50", *grade], capsys)
+        assert rc == 3
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert "integration failed (diverged)" in errs[0]
+
+
 def test_reconstruct_residual_grade_echoes_its_own_pass(capsys):
     # the grade pass runs at tolerance 1e-12 with its own step cap and the
     # default r_max, whatever the command line gives; the report says so

@@ -84,6 +84,29 @@ def test_solve_forward_preconditions():
         # p < 2 center already at the ceiling
         solve_forward(derive_params(3, 1.8, 1.0), 5.0,
                       ForwardOptions(u_ceiling=5.0))
+    with pytest.raises(DomainError):
+        solve_forward(derive_params(2, 2.0, 1.0), -0.6,
+                      ForwardOptions(u_floor=-0.5))
+    with pytest.raises(DomainError):
+        solve_forward(derive_params(3, 1.8, 1.0), 6.0,
+                      ForwardOptions(u_ceiling=5.0))
+
+
+@pytest.mark.parametrize("N,p,b,cutoff", [
+    (1, 2.0, 2.0, {"u_floor": -0.5}), (1, 2.0, 2.0, {"u_floor": 1.0}),
+    (1, 2.0, -3.0, {"u_floor": -4.0}), (1, 2.0, 0.0, {"u_floor": -1e3}),
+    (3, 1.8, 1.0, {"u_ceiling": 5.0}), (3, 1.8, 1.0, {"u_ceiling": 100.0}),
+])
+def test_forward_cutoffs_hold(N, p, b, cutoff):
+    # the cutoff bounds the problem's range: the run ends at the first
+    # step past it, whatever the center height
+    fp = solve_forward(derive_params(N, p, 1.0), b, ForwardOptions(**cutoff))
+    u = fp.sol.u
+    assert fp.sol.termination is Termination.DIVERGED
+    if "u_floor" in cutoff:
+        assert u[-1] <= cutoff["u_floor"] < u[-2]
+    else:
+        assert u[-2] < cutoff["u_ceiling"] <= u[-1]
 
 
 @pytest.mark.parametrize("cutoffs", [

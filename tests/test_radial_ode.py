@@ -81,7 +81,8 @@ def test_problem_shape_per_regime(N, p, problem):
         equilibrium = P.u_star_log if p == 2.0 else P.u_star
     assert ode.equilibrium_u == equilibrium
     assert ode.u_floor == (1e-8 if problem == "backward" and p < 2.0
-                           else -math.inf)
+                           else -1e12)
+    assert ode.u_ceiling == 1e12
     assert (ode.G is not None) == (ode.solve_G is not None) == (p > 2.0)
 
 
@@ -369,8 +370,7 @@ def test_amplitude_samples_recorded():
     dict(rel_tol=0.0, abs_tol=0.0), dict(rel_tol=-1e-10, abs_tol=-1e-10),
     dict(rel_tol=math.nan), dict(abs_tol=math.inf), dict(event_tol=-1.0),
     dict(r_max=math.nan), dict(r_max=math.inf), dict(h_max=0.0),
-    dict(h_max=-1.0), dict(h_max=math.nan), dict(u_ceiling=math.nan),
-    dict(u_ceiling=0.0), dict(u_ceiling=-1.0)])
+    dict(h_max=-1.0), dict(h_max=math.nan)])
 def test_bad_integrator_settings_raise_domain_error(bad):
     with pytest.raises(DomainError):
         IntegratorOptions(**bad)
@@ -381,31 +381,39 @@ def test_bad_integrator_settings_raise_domain_error(bad):
 # ------------------------------------------------------------ terminations
 
 def test_reached_rmax():
-    ode = _ode(2, 2.0, 1.0, "backward")
+    ode = replace(_ode(2, 2.0, 1.0, "backward"), u_ceiling=1e9)
     sol = integrate(ode, 0.5, IntegratorOptions(
-        r_max=10.0, stop_at_u_zero=False, u_ceiling=1e9))
+        r_max=10.0, stop_at_u_zero=False))
     assert sol.termination is Termination.REACHED_RMAX
     assert sol.r_end == 10.0
 
 
 def test_diverged_on_ceiling():
     # forward problem with unbounded growth hits the ceiling
-    ode = _ode(3, 1.8, 1.0, "forward")
+    ode = replace(_ode(3, 1.8, 1.0, "forward"), u_ceiling=1e4)
     sol = integrate(ode, 1.0, IntegratorOptions(
-        r_max=1e4, stop_at_u_zero=False, u_ceiling=1e4))
+        r_max=1e4, stop_at_u_zero=False))
     assert sol.termination is Termination.DIVERGED
     assert abs(sol.u[-1]) >= 1e4
 
 
-def test_singular_floor_underflow():
+def test_singular_floor_ends_diverged():
     # fast backward with reachable u = 0: integration cannot falsify
-    # positivity; it reports underflow at the floor instead of crashing
+    # positivity; the run leaves the problem's range at its floor
     ode = _ode(1, 1.2, 1.0, "backward")
     sol = integrate(ode, 1.0, IntegratorOptions(
         r_max=100.0, stop_at_u_zero=False))
-    assert sol.termination is Termination.STEP_UNDERFLOW
+    assert sol.termination is Termination.DIVERGED
     assert sol.u[-1] <= 1e-8
     assert sol.u[-1] > 0.0
+
+
+@pytest.mark.parametrize("N,p,problem,u0", [
+    (1, 1.2, "backward", 1e-9), (1, 1.2, "backward", 1e-8),
+    (2, 3.0, "backward", 1e12), (2, 2.0, "forward", -1e12)])
+def test_center_height_off_the_range_raises(N, p, problem, u0):
+    with pytest.raises(DomainError):
+        integrate(_ode(N, p, 1.0, problem), u0)
 
 
 def _faulted(ode, fault_at, fault):
@@ -443,8 +451,8 @@ def test_overflow_rejects_step(fault_at, fault, factor):
 
 def test_rejection_causes_sum_to_rejected():
     for N, p, chi, problem, u0 in ORACLE_CASES:
-        sol = integrate(_ode(N, p, chi, problem), u0, IntegratorOptions(
-            r_max=20.0, stop_at_u_zero=False, u_ceiling=1e5))
+        sol = integrate(replace(_ode(N, p, chi, problem), u_ceiling=1e5), u0,
+                        IntegratorOptions(r_max=20.0, stop_at_u_zero=False))
         st = sol.stats
         assert st.rejected_error + st.rejected_defect + st.rejected_overflow \
             == sol.n_rejected
@@ -454,8 +462,8 @@ def test_energy_step_counters():
     # steps in (E, w) and their Newton iterations are counted, never more
     # energy steps than steps, and none at all for p <= 2
     for N, p, chi, problem, u0 in ORACLE_CASES + [(2, 3.0, 1.0, "backward", 0.845)]:
-        sol = integrate(_ode(N, p, chi, problem), u0, IntegratorOptions(
-            r_max=20.0, stop_at_u_zero=False, u_ceiling=1e5))
+        sol = integrate(replace(_ode(N, p, chi, problem), u_ceiling=1e5), u0,
+                        IntegratorOptions(r_max=20.0, stop_at_u_zero=False))
         st = sol.stats
         assert st.rejected_error + st.rejected_defect + st.rejected_overflow \
             == sol.n_rejected
@@ -612,9 +620,9 @@ def test_energy_nonincreasing_higher_dimensions():
                               (2, 2.0, "backward", 1.5),
                               (3, 1.8, "forward", 1.0),
                               (2, 3.0, "forward", 1.0)]:
-        ode = _ode(N, p, 1.0, problem)
+        ode = replace(_ode(N, p, 1.0, problem), u_ceiling=1e5)
         sol = integrate(ode, u0, IntegratorOptions(
-            r_max=20.0, stop_at_u_zero=False, u_ceiling=1e5))
+            r_max=20.0, stop_at_u_zero=False))
         chk = energy_derivative_check(sol)
         assert chk.max_increase <= 1e-8 * chk.scale
         # the decrease matches the dissipation integral
@@ -669,9 +677,9 @@ def test_constant_equilibrium_profile():
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
 def test_local_residual_bound(tol):
     for N, p, chi, problem, u0 in ORACLE_CASES:
-        ode = _ode(N, p, chi, problem)
+        ode = replace(_ode(N, p, chi, problem), u_ceiling=1e5)
         opts = IntegratorOptions(rel_tol=tol, abs_tol=tol, r_max=20.0,
-                                 stop_at_u_zero=False, u_ceiling=1e5)
+                                 stop_at_u_zero=False)
         sol = integrate(ode, u0, opts)
         rep = local_residual_check(sol)
         assert rep.max_w < 10.0, (N, p, problem, rep)
