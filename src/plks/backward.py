@@ -73,7 +73,8 @@ class ProfileClass(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """One height's verdict; solution is None for "centre energy below G(0)"."""
+    """One height's verdict; solution is None for "centre energy below G(0)",
+    and a shot's grid starts at the origin series' reach."""
 
     a: float
     set: ProfileClass
@@ -163,12 +164,13 @@ def _shoot(params: ModelParams, a: float,
     slope_tol -> N0); a first interior minimum or equilibrium capture
     (-> P, certified by energy descent); survival to the scan radius
     (-> P).  Step underflow before any of these yields Inconclusive.
+    The run starts at the origin series' reach (r0 = inf), short of events.
     """
     if opts is None:
         opts = ClassifyOptions()
     base = opts.integrator if opts.integrator is not None else IntegratorOptions()
     sol = integrate(backward_ode(params), a, replace(
-        base, stop_at_u_zero=True, stop_at_first_minimum=True))
+        base, r0=math.inf, stop_at_u_zero=True, stop_at_first_minimum=True))
     term = sol.termination
     if term is Termination.U_CROSSED_ZERO:
         ev = sol.events_of(EventKind.U_ZERO)[-1]
@@ -262,13 +264,14 @@ class Probe:
     reason: str
     gap: Optional[float]
     n_steps: int
+    r_start: float   # where the run started: the origin series' reach
     r_end: float
     step: str     # why this height: see find_critical_a
 
     @classmethod
     def of(cls, c: Classification, step: str) -> "Probe":
         return cls(c.a, c.label, c.reason, c.energy_gap, c.solution.n_steps,
-                   c.solution.r_end, step)
+                   float(c.solution.r[0]), c.solution.r_end, step)
 
 
 @dataclass(frozen=True)

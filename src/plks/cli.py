@@ -298,7 +298,7 @@ def cmd_find_critical(params: ModelParams, args):
         "certificates": certificates,
         "trace": [{"a": t.a, "step": t.step, "class": t.label,
                    "reason": t.reason, "gap": t.gap, "n_steps": t.n_steps,
-                   "r_end": t.r_end}
+                   "r_start": t.r_start, "r_end": t.r_end}
                   for t in res.trace],
     }
     tol = {

@@ -16,13 +16,10 @@ equivalent first-order system in the flux variable
 which is regular wherever g is (the p-Laplacian degeneracy is absorbed into
 w).  At p = 2 the map collapses to w = u' with B = 1.
 
-The origin is a removable singularity of the w equation; integration starts at
-a small r0 > 0 from the two-term series
-
-    w(r0) = -g(u0) r0 / N,
-    u(r0) = u0 - sign(g0) (p-1)/p (|g0|/(B N))^(1/(p-1)) r0^(p/(p-1)),
-
-obtained from w(r) = -r^(1-N) * integral_0^r g(u) s^(N-1) ds.
+The origin is a removable singularity of the w equation, where u - u0 ~
+r^(p/(p-1)) is not smooth in r.  u and w/r are analytic in r^(p/(p-1)), and
+a run starts from their power series (_origin_series) at min(r0, reach),
+where the series holds to 1e-3 of the step tolerance (_series_reach).
 
 The stepper is an embedded Dormand-Prince 5(4) pair with the standard
 quartic dense-output interpolant.  Events (u crossing zero, u' vanishing,
@@ -33,6 +30,7 @@ acceptance near w = 0 degrades gracefully to the absolute tolerance alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field, replace
@@ -87,6 +85,8 @@ class RadialODE:
     1000 tol), g there to first order in the step, and the iteration count.
     A run lives in u_floor < u < u_ceiling and ends where it leaves: for
     p < 2, g is singular at u = 0, and the backward problem's floor is 1e-8.
+    g_taylor(a, c) is term n >= 1 of g(u(x)) from u's terms a[:n+1], with
+    its own series in c, given as [1.0]; None where g has no expansion.
     """
 
     params: ModelParams
@@ -100,6 +100,16 @@ class RadialODE:
     solve_G: Optional[Callable[[float, float, float], tuple]] = None
     u_floor: float = -1e12
     u_ceiling: float = 1e12
+    g_taylor: Optional[Callable[[list, list], Optional[float]]] = None
+
+
+def _miller(b: list, c: list, alpha: float) -> float:
+    """Term n = len(c) >= 1 of (b / b_0)^alpha, c_0 = 1, by J. C. P. Miller's
+    recurrence n b_0 c_n = sum_(j=1..n) ((alpha + 1) j - n) b_j c_(n-j)."""
+    n, ap1, acc = len(c), alpha + 1.0, 0.0
+    for j in range(1, n + 1):
+        acc += (ap1 * j - n) * b[j] * c[n - j]
+    return acc / (n * b[0])
 
 
 def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
@@ -159,9 +169,17 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
                         gu + gp * step, n)
             u -= d
 
+    def g_taylor(a: list, c: list) -> Optional[float]:
+        # c: (u / u(0))^q; at u(0) = 0 there is no expansion
+        if a[0] == 0.0:
+            return None
+        c.append(_miller(a, c, q))
+        return coef * copysign(abs(a[0]) ** q, a[0]) * c[-1]
+
     smooth = q > 1.0
     return RadialODE(params, kind, params.B, g, g_np, G_np, equilibrium,
-                     G if smooth else None, solve_G if smooth else None)
+                     G if smooth else None, solve_G if smooth else None,
+                     g_taylor=g_taylor)
 
 
 def _exp_ode(params: ModelParams, kind: str, const: float,
@@ -183,7 +201,14 @@ def _exp_ode(params: ModelParams, kind: str, const: float,
         with np.errstate(over="ignore"):
             return chi / m * np.exp(m * u) + const * u
 
-    return RadialODE(params, kind, 1.0, g, g_np, G_np, equilibrium)
+    def g_taylor(a: list, e: list) -> float:
+        # e: e^(m (u - u(0))), e_n = (m/n) sum_(j=1..n) j a_j e_(n-j)
+        n = len(e)
+        e.append(m / n * sum(j * a[j] * e[n - j] for j in range(1, n + 1)))
+        return chi * math.exp(m * a[0]) * e[-1]
+
+    return RadialODE(params, kind, 1.0, g, g_np, G_np, equilibrium,
+                     g_taylor=g_taylor)
 
 
 def backward_ode(params: ModelParams) -> RadialODE:
@@ -266,7 +291,7 @@ class IntegratorOptions:
     abs_tol: float = 1e-10
     event_tol: float = 1e-12
     r_max: float = 1e3
-    r0: float = 1e-6
+    r0: float = 1e-6          # the run starts at min(r0, the series' reach)
     stop_at_u_zero: bool = True
     stop_at_first_minimum: bool = False
     h_max: Optional[float] = None
@@ -430,30 +455,19 @@ def _u_of_energy(ode: RadialODE, T: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def effective_startup_radius(ode: RadialODE, u0: float, opts: IntegratorOptions) -> float:
-    """Startup radius, shrunk if needed so the series stays a tiny correction.
-
-    The u correction scales like (|g0|/(BN))^(1/(p-1)) r0^(p/(p-1)); for very
-    steep initial heights the default r0 would overshoot the entire core
-    region, so r0 is reduced until the correction is <= 1e-9 max(|u0|, 1).
-    """
-    r0 = opts.r0
-    g0 = ode.g(u0)
-    if g0 == 0.0 or not math.isfinite(g0):
-        return r0
-    pe, Be, N = ode.params.p, ode.B_eff, ode.params.N
-    scale = max(abs(u0), 1.0)
-    cap = ((1e-9 * scale * pe / (pe - 1.0)) ** ((pe - 1.0) / pe)
-           * (Be * N / abs(g0)) ** (1.0 / pe))
-    if 0.0 < cap < r0:
-        return cap
-    return r0
+# terms of the origin series; its tail at the reach, against the step tolerance
+_SERIES_TERMS, _SERIES_TOL = 16, 1e-3
 
 
-def startup_state(ode: RadialODE, u0: float, r0: float) -> tuple[float, float]:
-    """Two-term series state (u(r0), w(r0)) leaving the regular origin."""
-    if r0 <= 0.0:
-        raise DomainError(f"startup radius must be positive, got {r0}")
+def _origin_series(ode: RadialODE, u0: float) -> tuple[list, list, float, float]:
+    """a, y, y0, rho of u = sum a_k x^k, w = r y0 sum y_k x^k, x = r^beta / rho:
+    (r^(N-1) w)' = -r^(N-1) g(u) gives y_k = (g_k / g0) N / (N + k beta),
+    g_k the terms of g(u(x)) (the problem's g_taylor), and u' = sign(w)
+    (|w|/B)^(1/(p-1)) gives a_k = S v_(k-1) / k, v those of y^(1/(p-1)).
+    rho is where the first term moves u by S = max(|u0|, 1), or g by g0 if
+    that comes first, which keeps steep heights' terms in range.  The series
+    stops before a non-finite term and after a_1 where g has no expansion
+    at u0; g(u0) = 0 leaves u = u0, w = 0."""
     if ode.params.p < 2.0 and u0 <= 0.0:
         raise DomainError(
             f"{ode.kind}: initial height must be positive "
@@ -462,13 +476,76 @@ def startup_state(ode: RadialODE, u0: float, r0: float) -> tuple[float, float]:
     if not math.isfinite(g0):
         raise DomainError(f"source term not finite at u0 = {u0}")
     if g0 == 0.0:
-        return u0, 0.0
-    N = ode.params.N
-    pe, Be = ode.params.p, ode.B_eff
-    w0 = -g0 * r0 / N
-    corr = ((pe - 1.0) / pe * (abs(g0) / (Be * N)) ** (1.0 / (pe - 1.0))
-            * r0 ** (pe / (pe - 1.0)))
-    return u0 - math.copysign(corr, g0), w0
+        return [u0], [], 0.0, 1.0
+    N, pe = ode.params.N, ode.params.p
+    beta, y0 = pe / (pe - 1.0), -g0 / N
+    S = math.copysign(max(abs(u0), 1.0), y0)
+    t = ode.g_taylor([u0, S], [1.0])         # g'(u0) S
+    if t is not None and abs(g0) < abs(t) < math.inf:
+        S *= abs(g0 / t)
+    rho = beta * abs(S) / (abs(y0) / ode.B_eff) ** (1.0 / (pe - 1.0))
+    a, y, v, c = [u0], [1.0], [1.0], [1.0]
+    for k in range(1, _SERIES_TERMS + 1):
+        a.append(S * v[-1] / k)
+        g_k = ode.g_taylor(a, c) if k < _SERIES_TERMS else None
+        if g_k is None:
+            break
+        y.append(g_k / g0 * N / (N + k * beta))
+        v.append(_miller(y, v, 1.0 / (pe - 1.0)))
+        if not (math.isfinite(y[-1]) and math.isfinite(v[-1])):
+            y.pop()
+            break
+    return a, y, y0, rho
+
+
+def _series_reach(ode: RadialODE, series: tuple, opts: IntegratorOptions) -> float:
+    """Largest radius below r_max / 2 where the tail (the last two terms) is
+    below _SERIES_TOL of the step tolerance, u's at the origin and w's for
+    |w| >= r |y0| / 2, and u (u0 != 0) and w/r keep half their value there."""
+    a, y, y0, rho = series
+    r = 0.5 * opts.r_max
+    if not y:
+        return r
+    ib = 1.0 - 1.0 / ode.params.p                 # 1 / beta
+    tol_u = _SERIES_TOL * (opts.abs_tol + opts.rel_tol * abs(a[0]))
+    xs = [(tol_u / abs(a[k])) ** (1.0 / k)
+          for k in range(max(1, len(a) - 2), len(a)) if a[k]]
+    tol_a = _SERIES_TOL * opts.abs_tol / (abs(y0) * rho ** ib)
+    xs += [max((tol_a / abs(y[k])) ** (1.0 / (k + ib)),
+               (0.5 * _SERIES_TOL * opts.rel_tol / abs(y[k])) ** (1.0 / k))
+           for k in range(max(1, len(y) - 2), len(y)) if y[k]]
+    x = min(xs, default=math.inf)
+    if (rho * x) ** ib > r:
+        x = r ** (1.0 / ib) / rho
+    # the majorant sum_(k>=1) |c_k| x^k shrinks at least in proportion to x
+    for c in ((a, y) if a[0] != 0.0 else (y,)):
+        m = x * _horner([abs(ck) for ck in c[1:]], x)
+        if m > 0.5 * abs(c[0]):
+            x *= 0.5 * abs(c[0]) / m
+    return min(r, (rho * x) ** ib)
+
+
+def _horner(c: list, x: float) -> float:
+    return functools.reduce(lambda s, ck: s * x + ck, reversed(c), 0.0)
+
+
+def _series_state(ode: RadialODE, series: tuple, r: float) -> tuple[float, float]:
+    a, y, y0, rho = series
+    x = r ** (ode.params.p / (ode.params.p - 1.0)) / rho
+    return _horner(a, x), r * y0 * _horner(y, x)
+
+
+def effective_startup_radius(ode: RadialODE, u0: float, opts: IntegratorOptions) -> float:
+    """min(opts.r0, the origin series' reach (_series_reach)); opts.r0 = inf
+    starts a run at the reach."""
+    return min(opts.r0, _series_reach(ode, _origin_series(ode, u0), opts))
+
+
+def startup_state(ode: RadialODE, u0: float, r0: float) -> tuple[float, float]:
+    """The origin series' state (u(r0), w(r0))."""
+    if r0 <= 0.0:
+        raise DomainError(f"startup radius must be positive, got {r0}")
+    return _series_state(ode, _origin_series(ode, u0), r0)
 
 
 def _dense_coefficients(k1: float, k3: float, k4: float, k5: float, k6: float,
@@ -567,10 +644,11 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         G_eq = G(ode.equilibrium_u)
         c_K = (p - 1.0) / p     # K(w) = c_K w u'
 
-    r0 = effective_startup_radius(ode, u0, opts)
-    if r0 >= r_max:
-        raise DomainError(f"startup radius {r0:g} >= r_max {r_max:g}")
-    u_c, w_c = startup_state(ode, u0, r0)
+    series = _origin_series(ode, u0)
+    r0 = min(opts.r0, _series_reach(ode, series, opts))
+    if not 0.0 < r0 < r_max:
+        raise DomainError(f"startup radius {r0:g} must lie in (0, r_max = {r_max:g})")
+    u_c, w_c = _series_state(ode, series, r0)
 
     # The grid, each accepted step's length and its 8 dense-output
     # coefficients, u's (E's on an (E, w) step) then w's, as raw doubles:

@@ -1,8 +1,8 @@
 """Independent fixed-step reference integrator for cross-checking.
 
 Everything here is written directly from the model definition, not imported
-from the package: exponents, source terms, flux inversion, startup series,
-and a classical fourth-order Runge-Kutta sweep.  Oracle trajectories are the
+from the package: exponents, source terms, flux inversion, a three-term
+startup expansion, and a classical fourth-order Runge-Kutta sweep.  Oracle trajectories are the
 ground truth the adaptive integrator is compared against.  The spherical
 average at the end is the point-by-point rule the delta test's vectorized
 quadrature must reproduce bit for bit, the off-centre Gaussian's average is
@@ -62,10 +62,25 @@ def oracle_g(N: int, p: float, chi: float, problem: str):
     return lambda u: -(chi * pw(u) + 1.0 / m)
 
 
+def oracle_dg(N: int, p: float, chi: float, problem: str):
+    """g'(u) of oracle_g's source term, differentiated by hand."""
+    m = ((p - 2.0) * N + p) / N
+    if p == 2.0:
+        return lambda u: chi * m * math.exp(m * u)
+    q = m * (p - 1.0) / (p - 2.0)
+    sign = -1.0 if (p < 2.0 and problem != "limit") else 1.0
+    return lambda u: sign * chi * q * abs(u) ** (q - 1.0)
+
+
 def oracle_startup(N: int, p: float, chi: float, problem: str,
                    u0: float, r0: float) -> tuple[float, float]:
-    g = oracle_g(N, p, chi, problem)
-    g0 = g(u0)
+    """Three-term expansion at the origin, u = u0 + A r^b + C r^(2b) and
+    w = r (Y0 + Y1 r^b), b = p/(p-1).  Integrating (r^(N-1) w)' =
+    -r^(N-1) (g0 + g1 A r^b) gives Y0 = -g0/N and Y1 = -g1 A/(N + b);
+    u' = sign(w) (|w|/B)^(1/(p-1)) = s K r^(b-1) (1 + Y1/Y0 r^b/(p-1) + ...)
+    with s = sign(Y0), K = (|Y0|/B)^(1/(p-1)), so A = s K/b and
+    C = s K Y1/((p-1) Y0 2b).  Dropped: r^(3b) in u and r^(1+2b) in w."""
+    g0 = oracle_g(N, p, chi, problem)(u0)
     if g0 == 0.0:
         return u0, 0.0
     if p == 2.0:
@@ -73,10 +88,15 @@ def oracle_startup(N: int, p: float, chi: float, problem: str,
     else:
         B = abs((p - 1.0) / (p - 2.0)) ** (p - 1.0)
         pe = p
-    w0 = -g0 * r0 / N
-    du = ((pe - 1.0) / pe * (abs(g0) / (B * N)) ** (1.0 / (pe - 1.0))
-          * r0 ** (pe / (pe - 1.0)))
-    return u0 - math.copysign(du, g0), w0
+    b = pe / (pe - 1.0)
+    Y0 = -g0 / N
+    s = math.copysign(1.0, Y0)
+    K = (abs(Y0) / B) ** (1.0 / (pe - 1.0))
+    A = s * K / b
+    Y1 = -oracle_dg(N, p, chi, problem)(u0) * A / (N + b)
+    C = s * K * Y1 / ((pe - 1.0) * Y0 * 2.0 * b)
+    x = r0 ** b
+    return u0 + A * x + C * x * x, r0 * (Y0 + Y1 * x)
 
 
 def rk4_trajectory(N: int, p: float, chi: float, problem: str, u0: float,

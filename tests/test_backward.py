@@ -436,17 +436,37 @@ def test_energy_gap_signs_and_limit():
 
 
 def test_energy_gap_at_non_certifying_touch():
-    # the first minimum sits at u = -5.2e-13: it certifies nothing, and it
+    # the first minimum sits at u = -9.7e-13: it certifies nothing, and it
     # is a touch of zero (within event_tol), so the run ends there as a
     # tangential zero instead of going on to a later minimum with
-    # E = -0.142; the gap is the energy at that zero, the boundary's 0
+    # E = -0.142; the gap is the energy at that zero, the boundary's 0.
+    # (The height lies 2.4e-11 below a_c, found by bisecting the labels;
+    # which heights touch moves with the startup state, at the run's error.)
     P = derive_params(2, 3.0, 1.0)
-    c = classify(P, 1.6892931796038546)
+    c = classify(P, 1.6892931796807709)
     first_min = c.solution.events_of(EventKind.U_PRIME_ZERO)[0]
     assert c.set is ProfileClass.N0
     assert -1e-11 < first_min.u <= 0.0
     assert c.R_of_a == c.solution.r_end == first_min.r
     assert abs(c.energy_gap) < 1e-8
+
+
+def test_shots_skip_the_origin_layer():
+    # Shots start at the origin series' reach instead of stepping through
+    # the layer where u - a ~ r^(p/(p-1)), which held 36 % of a seed-1
+    # critical_map pass's steps.  With the two-term startup at r0 = 1e-6
+    # the README searches took 1,705 (N = 2, p = 3) and 2,500 (N = 3,
+    # p = 2.5) accepted steps over their traces, and the README sweep
+    # 1,184; each is pinned at 65 % of that, and the sweep's labels stay
+    for (N, p), before in (((2, 3.0), 1705), ((3, 2.5), 2500)):
+        res = find_critical_a(derive_params(N, p))
+        assert sum(t.n_steps for t in res.trace) <= 0.65 * before
+        assert all(0.0 < t.r_start < t.r_end for t in res.trace)
+        assert res.trace[-1].r_start == res.profile.r[0]
+    sw = sweep_a(derive_params(3, 2.5), np.geomspace(0.1, 8.0, 16))
+    assert sum(c.solution.n_steps for c in sw.classifications
+               if c.solution is not None) <= 0.65 * 1184
+    assert sw.labels == ["P"] * 13 + ["N"] * 3
 
 
 def test_critical_radius_at_the_edge_point_against_tight_reference():

@@ -303,7 +303,9 @@ def test_find_critical_json_trace(capsys):
     trace = res["trace"]
     assert len(trace) == res["n_iterations"] + 2
     assert all(list(t) == ["a", "step", "class", "reason", "gap", "n_steps",
-                           "r_end"] for t in trace)
+                           "r_start", "r_end"] for t in trace)
+    # each probe starts at its origin series' reach, short of any event
+    assert all(0.0 < t["r_start"] < t["r_end"] for t in trace)
     assert [t["class"] for t in trace[:2]] == ["P", "N"]
     assert [t["step"] for t in trace[:2]] == ["end", "end"]
     assert trace[-1]["step"] == "final"

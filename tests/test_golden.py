@@ -22,28 +22,28 @@ RECORDED_WITH = {"python": "3.11.7", "numpy": "2.4.6"}
 GOLDEN = {
     "solve-backward": (
         "solve-backward --N 2 --p 3 --a 2.0",
-        "ab73c62c76ce607a8b3c7821132e94393e1bc31a59c88b8e944016d3523534a3",
-        "feae63edc67c72ceee1b397d4a3e0e8d03d6d68431023506b7f7de534f430cc2"),
+        "8bc93c0ebc89f9c6251daccf1d7680c23e7c58d8fbea8a8c87435ecc544772ba",
+        "5058163ac2b04a090cd5da554a26acd7e9d17e30058e6d4245d9f4883eb094c8"),
     "solve-forward": (
         "solve-forward --N 3 --p 1.8 --b 1.0 --fit-decay",
-        "9f95341cf665d0b89e4a59562b3b2e504f8f172778692874af15e121108006e7",
-        "fee51964dbae46561da4d883c79ef2c67af6634aef3a1a599cb7251146f5eb3d"),
+        "243741501e50799e9f73f3ea8e9f8b707d9aace12e8727a0e3a08d900813bd91",
+        "b6f0addfed1b644543daf13d6809e31382b33cefa8e1298bdc6df2f41e140581"),
     "find-critical": (
         "find-critical --N 1 --p 3",
-        "adf9476ca23e5d09c9d0203ae79c353970387df6d5216c4cd23b876568b205df",
-        "3972027a076a65451bfdd6afa2fe8aa375451cd6007a7ecee14b2e2750fc0a1a"),
+        "b7e9adfb98643696708c383dd4adf8f0f659710c1d8e0d2e5a13b4ac29a1b39f",
+        "f48cc36449fcfa09a94f834ef24576fc8bf35290249e6f2a6a7057ea22a8aa9f"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
-        "a81f8447b59c6281aef45ac18ef6ced16fcd3fe1249765f9847eef0aa2254b1c",
-        "db688ada9f6a5a5474016e2a0f047210536028d19e29b1c825b9b6c8b5b09960"),
+        "9d04b80661fcac86494a8c57361bc2f7f665a8e4b53c3aba2f97415a2d92161e",
+        "4fc78b62035cbb97505fca1a8770031cb5b85915bb6096272c643be878beb7be"),
     "reconstruct": (
         "reconstruct --N 2 --p 3 --a 2.126 --residual-grade",
-        "1b835f093683789fac604a0606a90f190571e47d1e7e7a7e9d061ded688994c9",
-        "223af10bf398a12d46c8094054970ec712245e695dcaaeab97ba19ff0b18ac32"),
+        "603d06947e45fd00a16b646a7ac271287b286188837e5fe83f52e435a7520475",
+        "2a91ba4848d757aeadd3988aa837e46a95dea09fcca9355c27ce3cb667930e88"),
     "delta-test": (
         "delta-test --N 3 --p 1.8 --b 1.0",
-        "938f2cf8eaa2669317e29f0c9bc366e4b4c0dad6c2211fc2d8c36be61e560531",
-        "28968b738ec343d8b5a9fd84476776afd2c6d66b783d4aad899a11965001c69f"),
+        "e07b837a5417ec1c22376db04d95560238d791310f986fae5145a111a40555ff",
+        "64d2bee7a83c5962f84a7a836d83e08ff10a8ed50a46f10df3b9dd5bf6ee2d8c"),
 }
 
 _RUNNING = {"python": platform.python_version(), "numpy": np.__version__}

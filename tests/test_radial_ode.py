@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plks import (
     DomainError,
@@ -14,6 +16,7 @@ from plks import (
     EventKind,
     IntegratorOptions,
     Termination,
+    admissible_p_threshold,
     backward_ode,
     derive_params,
     effective_startup_radius,
@@ -190,8 +193,8 @@ def test_startup_matches_oracle():
 
 
 def test_startup_series_consistency():
-    # moving the startup radius across four decades below the series cap
-    # (5.2e-7 here) barely moves u(1)
+    # moving the startup radius across four decades below the series'
+    # reach barely moves u(1)
     ode = _ode(1, 3.0, 1.0, "backward")
     vals = []
     for r0 in (1e-7, 1e-9, 1e-11):
@@ -206,19 +209,102 @@ def test_startup_series_consistency():
 
 
 def test_startup_radius_shrinks_to_the_series_cap():
-    # steep heights pull r0 below the requested one until the series
-    # correction is 1e-9 max(|u0|, 1), up to the rounding of u0 - corr;
-    # where the cap lies above r0, r0 stays as requested
+    # a run starts at min(r0, reach).  r0 = inf starts it at the reach,
+    # which steeper heights pull in (the series' terms grow with g(u0)),
+    # where u and w/r keep at least half their value at the origin, and
+    # which a short scan radius caps at r_max / 2; a requested r0 below
+    # the reach stays as requested
     ode = _ode(1, 3.0, 1.0, "backward")
-    opts = IntegratorOptions(r_max=1e-3)
-    for u0 in (1.5, 2.0, 10.0):
+    opts = IntegratorOptions(r0=math.inf)
+    reaches = []
+    for u0 in (1.0, 1.5, 2.0, 10.0, 100.0):
         r0 = effective_startup_radius(ode, u0, opts)
-        assert r0 < opts.r0
-        u, _ = startup_state(ode, u0, r0)
-        assert abs(u - u0) <= 1e-9 * max(abs(u0), 1.0) + math.ulp(u0)
+        reaches.append(r0)
         assert integrate(ode, u0, opts).r[0] == r0
-    for u0, r0 in ((0.5, 1e-6), (1.0, 1e-6), (2.0, 1e-9)):
-        assert effective_startup_radius(ode, u0, replace(opts, r0=r0)) == r0
+        u, w = startup_state(ode, u0, r0)
+        assert 0.5 * u0 <= u < u0
+        assert 0.5 <= (w / r0) / (-ode.g(u0)) <= 1.5   # w/r = -g(u0)/N at 0
+        for r_req in (1e-6, 0.5 * r0):
+            assert effective_startup_radius(ode, u0, replace(opts, r0=r_req)) == r_req
+    assert reaches == sorted(reaches, reverse=True) and reaches[-1] < 1e-4
+    short = replace(opts, r_max=1e-3)
+    assert effective_startup_radius(ode, 1.5, short) == 0.5 * short.r_max
+    # at u0 = 0 the power source has no expansion: the two-term startup,
+    # whose next term is unknown, so its correction |a_1| r^(3/2) stops at
+    # 1e-3 abs_tol
+    r0 = effective_startup_radius(ode, 0.0, opts)
+    u, w = startup_state(ode, 0.0, r0)
+    assert u == pytest.approx(1e-3 * opts.abs_tol, rel=1e-12)
+    assert (u, w) == pytest.approx(oracle_startup(1, 3.0, 1.0, "backward", 0.0, r0),
+                                   rel=1e-14)
+
+
+def _series_against_tight_run(ode, u0, r_max=1e3):
+    """The startup state at the reach against a run at tolerance 1e-13.
+
+    At the reach the series' tail is below 1e-3 of the step scale, by its
+    last-two-terms estimate: abs_tol + rel_tol |u0| for u, and
+    abs_tol + rel_tol |w| for w.  The reference starts at
+    min(1e-9, 1e-3 reach), where the series is exact to roundoff (its
+    terms shrink at least 1000-fold there), and each of its n accepted
+    steps commits at most 0.25 of its scale 1e-13 (1 + |y|), |y| up to
+    1.5 |u0| for u and max |w| for w.  Over the layer, where u and w/r
+    stay within half their value at the origin, the ODE's growth factor is
+    taken as at most 2, so the reference is off by at most 0.5 n 1e-13
+    (1 + |y|).  The bound is the sum of the two, at most the step
+    tolerance abs_tol + rel_tol |y| for n <= 1000, which is asserted.
+    """
+    opts = IntegratorOptions(r0=math.inf, r_max=r_max)
+    reach = effective_startup_radius(ode, u0, opts)
+    assert 0.0 < reach <= 0.5 * r_max
+    u, w = startup_state(ode, u0, reach)
+    ref = integrate(ode, u0, IntegratorOptions(
+        rel_tol=1e-13, abs_tol=1e-13, r0=min(1e-9, 1e-3 * reach), r_max=reach))
+    # no event in the layer: no zero of u, no turn, no capture
+    assert ref.termination is Termination.REACHED_RMAX and not ref.events
+    assert float(np.min(ref.u)) > 0.0
+    assert np.all(np.sign(ref.w) == -math.copysign(1.0, ode.g(u0)))
+    n = ref.n_steps
+    assert n <= 1000
+    u_max, w_max = 1.5 * abs(u0), float(np.max(np.abs(ref.w)))
+    assert abs(u - ref.u[-1]) <= 1e-3 * (opts.abs_tol + opts.rel_tol * abs(u0)) \
+        + 0.5 * n * 1e-13 * (1.0 + u_max)
+    assert abs(w - ref.w[-1]) <= 1e-3 * (opts.abs_tol + opts.rel_tol * w_max) \
+        + 0.5 * n * 1e-13 * (1.0 + w_max)
+    # find-critical --r-max 2 keeps the reach below its scan radius too
+    assert effective_startup_radius(ode, u0, replace(opts, r_max=2.0)) <= 1.0
+    return reach
+
+
+@st.composite
+def _slow_start(draw):
+    """A backward height in [0.999 h0, 100 h0] or a forward b in [1e-3,
+    1e3], at p > 2; both stay below find_critical_a's cap a_cap, where
+    chi a^q is 2^-20 of the largest double (near p = 2, q is in the
+    thousands and g(100 h0) overflows)."""
+    N = draw(st.integers(1, 4))
+    p = draw(st.floats(max(2.0, admissible_p_threshold(N)) + 1e-3, 4.5))
+    P = derive_params(N, p, draw(st.floats(0.25, 4.0)))
+    a_cap = (sys.float_info.max * 2.0 ** -20 / max(P.chi, 1.0)) ** (1.0 / P.q)
+    if draw(st.booleans()):
+        f = math.exp(draw(st.floats(math.log(0.999), math.log(100.0))))
+        return backward_ode(P), min(f * zero_energy_height(P), a_cap)
+    return forward_ode(P), min(10.0 ** draw(st.floats(-3.0, 3.0)), a_cap)
+
+
+# Steep forward heights, g(u0) up to 1e302: the series' terms must stay in
+# range, or it truncates to two terms, which leave w's tail unbounded
+@settings(max_examples=60, deadline=None)
+@given(_slow_start())
+@example(case=(forward_ode(derive_params(1, 2.03125)), 100.0))
+@example(case=(forward_ode(derive_params(1, 2.0078125)), 14.533461096164054))
+def test_origin_series_matches_a_tight_run(case):
+    _series_against_tight_run(*case)
+
+
+@pytest.mark.parametrize("problem,u0", [("backward", 1.0), ("forward", 1.0)])
+def test_origin_series_matches_a_tight_run_under_exp_forcing(problem, u0):
+    _series_against_tight_run(_ode(2, 2.0, 0.5, problem), u0)
 
 
 def test_startup_rejects_bad_input():
@@ -417,8 +503,9 @@ def test_center_height_off_the_range_raises(N, p, problem, u0):
 
 
 def _faulted(ode, fault_at, fault):
-    """ode whose g misbehaves on call fault_at alone: returns inf or raises."""
-    calls = itertools.count()
+    """ode whose g misbehaves on call fault_at (from 1) alone: returns inf or
+    raises."""
+    calls = itertools.count(1)
     g = ode.g
 
     def g_faulty(u):
@@ -431,8 +518,8 @@ def _faulted(ode, fault_at, fault):
     return replace(ode, g=g_faulty)
 
 
-# g calls 0-2 are the startup (radius, state, k1); the first attempt
-# evaluates stages k2..k7 at calls 3-8 and the defect midpoint at call 9
+# g calls 1-2 are the startup (g(u0) for the origin series, k1); the first
+# attempt evaluates stages k2..k7 at calls 3-8 and the defect midpoint at 9
 @pytest.mark.parametrize("fault_at,fault,factor", [
     (3, "inf", 0.2), (8, "inf", 0.2), (3, "raise", 0.2), (8, "raise", 0.2),
     (9, "inf", 0.5), (9, "raise", 0.2)])

@@ -36,7 +36,7 @@ def stepper_digest(sol) -> str:
 
 
 def _slow_p():
-    # the long P trajectory: 64,104 accepted and 8,444 rejected steps
+    # the long P trajectory: 64,113 accepted and 8,428 rejected steps
     # (107,237 and 44,007 when every step was taken in (u, w))
     return solve_backward(derive_params(2, 3.0), 0.845)
 
@@ -61,20 +61,20 @@ def _zero_energy_n1():
 GOLDEN = {
     "slow-P": (
         _slow_p,
-        "f97a1b6197dd6206c606bec94e83eadefbc9d54dc08247c57ed97c216dde149e",
-        64104, 8444, (8444, 0, 0, 8078, 25600, 358476, 0)),
+        "974ffbf24b65821d4aa4a6d52206a409f7f4b831a27eb52c6dfb7720098479d4",
+        64113, 8428, (8428, 0, 0, 8077, 25608, 358618, 0)),
     "fast-backward": (
         _fast_backward,
-        "143c43cd256b95f4d74788eba58394261bfdebdb704ea72def8c9b8840ea2e40",
+        "9ca8d9413f8165ad6c77f87466ed72c32c6a651e5028c2ad6ab7e545650cf0a0",
         9835, 943, (942, 1, 0, 518, 0, 0, 0)),
     "linear-forward": (
         _linear_forward,
-        "7a968e7adc50148cf3f49288b48ec86d324a3c18d0c4adfafd28d72b268230ac",
+        "05eb547d01f3f444a95bc6f3343a2c8e06d095afe3d2db673f31d45bdb9daccf",
         141, 1, (0, 1, 0, 0, 0, 0, 0)),
     "zero-energy-N1": (
         _zero_energy_n1,
-        "9ce46a343940a41b2b961883c3446be4f159ee235c1c14a08611007e67a11ca9",
-        24131, 2525, (1294, 1231, 0, 400, 7522, 82633, 0)),
+        "fc24e2a3410d0d4c876fd110f054e883941c89c0bd871cb245e48cb16d2aa3b4",
+        24130, 2519, (1295, 1224, 0, 400, 7536, 82747, 0)),
 }
 
 
