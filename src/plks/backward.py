@@ -396,7 +396,8 @@ def find_critical_a(params: ModelParams,
                               trace=tuple(trace))
     if c_lo.set is not ProfileClass.P:
         raise BadBracketError(
-            f"lower endpoint a = {lo:g} classifies {c_lo.label}, need P")
+            f"lower endpoint a = {lo:g} classifies {c_lo.label} ({c_lo.reason} "
+            f"at r = {c_lo.solution.r_end:g}), need P")
     turned(c_lo)
     c_hi = _shoot(params, hi, opts)
     trace.append(Probe.of(c_hi, "end"))
@@ -416,7 +417,8 @@ def find_critical_a(params: ModelParams,
                               c_hi, trace=tuple(trace))
     if c_hi.set is not ProfileClass.N:
         raise BadBracketError(
-            f"upper endpoint a = {hi:g} classifies {c_hi.label}, need N")
+            f"upper endpoint a = {hi:g} classifies {c_hi.label} ({c_hi.reason} "
+            f"at r = {c_hi.solution.r_end:g}), need N")
 
     def halvings(lo, hi):   # bisection rounds to the stopping width, at most
         return max(0, math.ceil(math.log2((hi - lo) / max(a_tol * lo, math.ulp(hi)))))

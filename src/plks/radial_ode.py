@@ -22,8 +22,9 @@ a run starts from their power series (_origin_series) at min(r0, reach),
 where the series holds to 1e-3 of the step tolerance (_series_reach).
 
 The stepper is an embedded Dormand-Prince 5(4) pair with the standard
-quartic dense-output interpolant.  Events (u crossing zero, u' vanishing,
-equilibrium capture) are located by Illinois iterations on the dense output.
+quartic dense-output interpolant, formed in numpy from blocks of stage
+slopes (_dense_block).  Events (u crossing zero, u' vanishing, equilibrium
+capture) are located by Illinois iterations on the dense output.
 Error control uses scale = abs_tol + rel_tol * |y| per component, so
 acceptance near w = 0 degrades gracefully to the absolute tolerance alone.
 """
@@ -139,7 +140,8 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
     if qp1 != 0.0:
         def G_np(u):
             u = np.asarray(u, dtype=float)
-            return coef / qp1 * np.abs(u) ** qp1 + const * u
+            with np.errstate(over="ignore"):
+                return coef / qp1 * np.abs(u) ** qp1 + const * u
     else:
         # q = -1: the power antiderivative degenerates to a logarithm,
         # defined for u > 0 only.
@@ -151,21 +153,25 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
             return coef * np.log(u) + const * u
 
     def G(u: float) -> float:
-        return coef / qp1 * abs(u) ** qp1 + const * u
+        try:
+            return coef / qp1 * abs(u) ** qp1 + const * u
+        except OverflowError:       # +-inf, as g gives
+            return coef / qp1 * math.inf + const * u
 
     copysign, nan = math.copysign, math.nan
 
     def solve_G(T: float, u: float, tol: float) -> tuple[float, float, int]:
+        # signs by branches: copysign(|u|^q, u) is u itself at u = +-0
         for n in (1, 2, 3):
-            t = coef * copysign(abs(u) ** q, u)
+            t = coef * (u ** q if u > 0.0 else -(-u) ** q if u < 0.0 else u)
             gu = t + const
             d = ((t / qp1 + const) * u - T) / gu
             gp = q * t / u if u else 0.0           # g'(u), 0 at u = 0
             e = gp * d * d / (2.0 * gu)            # Newton's next update
-            if abs(e) <= tol or n == 3:
+            if -tol <= e <= tol or n == 3:
                 # the Chebyshev step u - d - e, and g there to first order
                 step = -d - e
-                return (u + step if abs(e) <= 1e3 * tol else nan,
+                return (u + step if -1e3 * tol <= e <= 1e3 * tol else nan,
                         gu + gp * step, n)
             u -= d
 
@@ -309,9 +315,10 @@ class IntegratorOptions:
 
 
 # attempts before integrate gives up; flux size a sign change of w must
-# exceed to count as an event
+# exceed to count as an event; accepted steps per _dense_block
 _MAX_STEPS = 5_000_000
 _W_EVENT_FLOOR = 1e-8
+_DENSE_BLOCK = 256
 
 # The midpoint defect scales as h^5 like the embedded estimate (fits over
 # h..h/8 at 500 of its rejections on the zero-energy N = 1, p = 3 run:
@@ -321,21 +328,18 @@ _W_EVENT_FLOOR = 1e-8
 _DEFECT_EXP, _DEFECT_WINDOW = 1.0 / 6.0, 200
 
 
-# Dormand-Prince 5(4) tableau (FSAL), plus the quartic dense-output matrix.
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
-                                71.0 / 1920.0, -17253.0 / 339200.0,
-                                22.0 / 525.0, -1.0 / 40.0)
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+# Dormand-Prince 5(4) tableau (FSAL), unpacked into integrate's locals (read
+# faster) _A21 .. _A65, _B1, _B3 .. _B6, _E1, _E3 .. _E7 and _C2 .. _C5.
+_DP54 = (1.0 / 5.0,
+         3.0 / 40.0, 9.0 / 40.0,
+         44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0,
+         19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0,
+         9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+         -5103.0 / 18656.0,
+         35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0,
+         71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+         22.0 / 525.0, -1.0 / 40.0,
+         1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0)
 
 # Quartic dense output: coefficient j = 1..3 of a step's interpolant is
 # sum_s k_s _Pjs over the stages s; coefficient 0 is k1 alone, and stage 2
@@ -387,7 +391,8 @@ class ProfileSolution:
     (E, w) the first interpolant is E's, _e holds E at the step's start
     (nan on (u, w) steps), and u is recovered from G(u) = E - K(w).
     r, u, w, _h and _q are float64 views over the stepper's buffers, made
-    without a copy.
+    without a copy; integrate forms _q from the stage slopes, every
+    _DENSE_BLOCK steps and at the end of the run (_dense_block).
     """
 
     ode: RadialODE
@@ -483,7 +488,13 @@ def _origin_series(ode: RadialODE, u0: float) -> tuple[list, list, float, float]
     t = ode.g_taylor([u0, S], [1.0])         # g'(u0) S
     if t is not None and abs(g0) < abs(t) < math.inf:
         S *= abs(g0 / t)
-    rho = beta * abs(S) / (abs(y0) / ode.B_eff) ** (1.0 / (pe - 1.0))
+    try:
+        rho = beta * abs(S) / (abs(y0) / ode.B_eff) ** (1.0 / (pe - 1.0))
+    except ArithmeticError:
+        rho = 0.0
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"{ode.kind}: the origin series' length scale over- or "
+                          f"underflows a double at u0 = {u0:g} (g(u0) = {g0:g})")
     a, y, v, c = [u0], [1.0], [1.0], [1.0]
     for k in range(1, _SERIES_TERMS + 1):
         a.append(S * v[-1] / k)
@@ -522,7 +533,11 @@ def _series_reach(ode: RadialODE, series: tuple, opts: IntegratorOptions) -> flo
         m = x * _horner([abs(ck) for ck in c[1:]], x)
         if m > 0.5 * abs(c[0]):
             x *= 0.5 * abs(c[0]) / m
-    return min(r, (rho * x) ** ib)
+    r = min(r, (rho * x) ** ib)
+    if r == 0.0:
+        raise DomainError(f"{ode.kind}: the origin series' reach underflows "
+                          f"at u0 = {a[0]:g}")
+    return r
 
 
 def _horner(c: list, x: float) -> float:
@@ -559,6 +574,13 @@ def _dense_coefficients(k1: float, k3: float, k4: float, k5: float, k6: float,
             0.0 + k1 * _P11 + k3 * _P13 + k4 * _P14 + k5 * _P15 + k6 * _P16 + k7 * _P17,
             0.0 + k1 * _P21 + k3 * _P23 + k4 * _P24 + k5 * _P25 + k6 * _P26 + k7 * _P27,
             0.0 + k1 * _P31 + k3 * _P33 + k4 * _P34 + k5 * _P35 + k6 * _P36 + k7 * _P37]
+
+
+def _dense_block(k) -> np.ndarray:
+    """_dense_coefficients of each row (k1, k3, .., k7) of the flat buffer k,
+    as rows of an array: the same sums in numpy, so the same doubles."""
+    with np.errstate(all="ignore"):
+        return np.stack(_dense_coefficients(*np.reshape(k, (-1, 6)).T), axis=1)
 
 
 def _dense_eval(u0: float, w0: float, h: float, q, theta: float) -> tuple[float, float]:
@@ -628,6 +650,9 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     lin = p == 2.0                     # u' = w; otherwise the Hoelder flux map
     inv_B = 1.0 / ode.B_eff
     e_u = 1.0 / (p - 1.0)
+    (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
+     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
+     _C2, _C3, _C4, _C5) = _DP54
     copysign, isfinite, sqrt = math.copysign, math.isfinite, math.sqrt
     rtol, atol = opts.rel_tol, opts.abs_tol
     r_max, event_tol = opts.r_max, opts.event_tol
@@ -651,14 +676,15 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     u_c, w_c = _series_state(ode, series, r0)
 
     # The grid, each accepted step's length and its 8 dense-output
-    # coefficients, u's (E's on an (E, w) step) then w's, as raw doubles:
-    # a quarter of the memory of lists of floats, and the result's arrays
-    # are views over them
+    # coefficients, u's (E's on an (E, w) step) then w's, as raw doubles, a
+    # quarter of the memory of lists of floats; the result's arrays are
+    # views over them.  ks holds slopes for _dense_block (_DENSE_BLOCK steps).
     rs = array('d', (r0,))
     us = array('d', (u_c,))
     ws = array('d', (w_c,))
     hs = array('d')
     qs = array('d')
+    ks = array('d')
     e_steps: list[int] = []      # indices of (E, w) steps
     e_starts = array('d')        # and E at their start
     events: list[Event] = []
@@ -740,7 +766,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         try:
             yu = u + h * _A21 * k1u
             yw = w + h * _A21 * k1w
-            k2u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k2u = yw if lin else (yw * inv_B) ** e_u if yw > 0.0 else (
+                -(-yw * inv_B) ** e_u if yw else 0.0)
             t = neg_nm1 / (r + _C2 * h) * yw
             if in_E:
                 k1E = neg_nm1 / r * w * k1u
@@ -750,7 +777,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                 k2w = t - g(yu)
             yu = u + h * (_A31 * k1u + _A32 * k2u)
             yw = w + h * (_A31 * k1w + _A32 * k2w)
-            k3u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k3u = yw if lin else (yw * inv_B) ** e_u if yw > 0.0 else (
+                -(-yw * inv_B) ** e_u if yw else 0.0)
             t = neg_nm1 / (r + _C3 * h) * yw
             if in_E:
                 _, gy, n3 = solve_G(E_c + h * (_A31 * k1E + _A32 * k2E)
@@ -760,7 +788,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                 k3w = t - g(yu)
             yu = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
             yw = w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w)
-            k4u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k4u = yw if lin else (yw * inv_B) ** e_u if yw > 0.0 else (
+                -(-yw * inv_B) ** e_u if yw else 0.0)
             t = neg_nm1 / (r + _C4 * h) * yw
             if in_E:
                 _, gy, n4 = solve_G(E_c + h * (_A41 * k1E + _A42 * k2E + _A43 * k3E)
@@ -770,7 +799,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                 k4w = t - g(yu)
             yu = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
             yw = w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w)
-            k5u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k5u = yw if lin else (yw * inv_B) ** e_u if yw > 0.0 else (
+                -(-yw * inv_B) ** e_u if yw else 0.0)
             t = neg_nm1 / (r + _C5 * h) * yw
             if in_E:
                 _, gy, n5 = solve_G(E_c + h * (_A51 * k1E + _A52 * k2E + _A53 * k3E
@@ -781,7 +811,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             rh = r + h
             yu = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
             yw = w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w)
-            k6u = yw if lin else copysign((abs(yw) * inv_B) ** e_u, yw) if yw else 0.0
+            k6u = yw if lin else (yw * inv_B) ** e_u if yw > 0.0 else (
+                -(-yw * inv_B) ** e_u if yw else 0.0)
             t = neg_nm1 / rh * yw
             if in_E:
                 _, gy, n6 = solve_G(E_c + h * (_A61 * k1E + _A62 * k2E + _A63 * k3E
@@ -793,8 +824,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             s_u = h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
             inc_w = h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w) - cw
             w_new = w + inc_w
-            k7u = w_new if lin else (
-                copysign((abs(w_new) * inv_B) ** e_u, w_new) if w_new else 0.0)
+            k7u = w_new if lin else (w_new * inv_B) ** e_u if w_new > 0.0 else (
+                -(-w_new * inv_B) ** e_u if w_new else 0.0)
             if in_E:
                 # Newton from u + s_u: the u carry belongs to (u, w) steps
                 inc_E = h * (_B1 * k1E + _B3 * k3E + _B4 * k4E + _B5 * k5E
@@ -824,9 +855,11 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                 in_E = True
                 continue
 
-            su = atol + rtol * max(abs(u), abs(u_new))
-            sw = atol + rtol * max(abs(w), abs(w_new))
-            s1 = abs(g7) * su if in_E else su
+            a0, a1 = -u if u < 0.0 else u, -u_new if u_new < 0.0 else u_new
+            su = atol + rtol * (a1 if a1 > a0 else a0)
+            a0, a1 = -w if w < 0.0 else w, -w_new if w_new < 0.0 else w_new
+            sw = atol + rtol * (a1 if a1 > a0 else a0)
+            s1 = (-g7 if g7 < 0.0 else g7) * su if in_E else su
             # a ratio past ~1e154 or a zero scale raises: rejected below
             err = sqrt(0.5 * ((err_1 / s1) ** 2 + (err_w / sw) ** 2))
             if not (err <= 0.25 and isfinite(u_new) and isfinite(w_new)):
@@ -847,8 +880,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             # bound unattainable for p != 2.
             um_h = 0.5 * (u + u_new) + h * (k1u - k7u) / 8.0
             wm_h = 0.5 * (w + w_new) + h * (k1w - k7w) / 8.0
-            dmu = wm_h if lin else (
-                copysign((abs(wm_h) * inv_B) ** e_u, wm_h) if wm_h else 0.0)
+            dmu = wm_h if lin else (wm_h * inv_B) ** e_u if wm_h > 0.0 else (
+                -(-wm_h * inv_B) ** e_u if wm_h else 0.0)
             t = neg_nm1 / (r + 0.5 * h) * wm_h
             if in_E:
                 _, gy, n = solve_G(0.5 * (E_c + E_new) + h * (k1E - k7E) / 8.0
@@ -864,11 +897,12 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             n_ovf += 1
             h *= 0.2
             continue
+        b0, b1 = -k1w if k1w < 0.0 else k1w, -k7w if k7w < 0.0 else k7w
         if in_E:
-            defect = max(def_1, def_w)      # a nan def_1 rejects
-        elif lin or (w * w_new > 0.0 and min(abs(w), abs(w_new))
-                     > 4.0 * (h * max(abs(k1w), abs(k7w)))):
-            defect = max(def_w, def_1)
+            defect = def_w if def_w > def_1 else def_1    # a nan def_1 rejects
+        elif lin or (w * w_new > 0.0 and (a0 if a1 > a0 else a1)   # min |w|, |w_new|
+                     > 4.0 * (h * (b1 if b1 > b0 else b0))):
+            defect = def_1 if def_1 > def_w else def_w
         else:
             defect = def_w
         if not (defect <= 5.0):
@@ -886,10 +920,9 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         if in_E:
             e_steps.append(n_steps - 1)
             e_starts.append(E_c)
-            qs.fromlist(_dense_coefficients(k1E, k3E, k4E, k5E, k6E, k7E))
+            ks.extend((k1E, k3E, k4E, k5E, k6E, k7E, k1w, k3w, k4w, k5w, k6w, k7w))
         else:
-            qs.fromlist(_dense_coefficients(k1u, k3u, k4u, k5u, k6u, k7u))
-        qs.fromlist(_dense_coefficients(k1w, k3w, k4w, k5w, k6w, k7w))
+            ks.extend((k1u, k3u, k4u, k5u, k6u, k7u, k1w, k3w, k4w, k5w, k6w, k7w))
         if clipped:
             r_new = r_max
             inc_r = r_new - r
@@ -902,7 +935,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         w_cross = ((w > 0.0 and w_new <= 0.0) or (w < 0.0 and w_new >= 0.0)) \
             and max(abs(w), abs(w_new)) > _W_EVENT_FLOOR
         if u_cross or w_cross:
-            q8 = qs[-8:]
+            q8 = _dense_coefficients(*ks[-12:-6]) + _dense_coefficients(*ks[-6:])
             located: list[tuple[float, int, float, float, float]] = []
             if not in_E:
                 def state_at(th):
@@ -979,12 +1012,16 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         cw = (w_new - w) - inc_w
         r, u, w = r_new, u_new, w_new
         k1u, k1w, g_c = k7u, k7w, g7
-        fac = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * (0.25 / err) ** 0.2))
+        fac = 10.0 if err == 0.0 else 0.9 * (0.25 / err) ** 0.2   # >= 0.9: err <= 0.25
         if n_capped and defect > 0.0:
             n_capped -= 1
             fac = min(fac, 0.9 * (5.0 / defect) ** _DEFECT_EXP)
-        h *= fac
+        h *= fac if fac < 10.0 else 10.0
+        if not n_steps % _DENSE_BLOCK:
+            qs.frombytes(_dense_block(ks).tobytes())
+            del ks[:]
 
+    qs.frombytes(_dense_block(ks).tobytes())
     r_arr = np.frombuffer(rs)
     u_arr = np.frombuffer(us)
     w_arr = np.frombuffer(ws)

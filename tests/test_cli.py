@@ -204,6 +204,30 @@ def test_failure_line_and_exit_code(argv, code, line, capsys):
     assert (rc, out, err) == (code, "", line + "\n")
 
 
+@pytest.mark.parametrize("argv,code,cause", [
+    # the N = 1 startup energy overflowed G (OverflowError); G now gives
+    # +inf as g does, and the run that starts there cannot step
+    (["find-critical", "--N", "1", "--p", "2.00001"], 4,
+     "error[BadBracketError] lower endpoint a = 0.999058 classifies "
+     "Inconclusive (terminated by step-underflow at r = 447.018), need P"),
+    # the series' length scale overflowed (OverflowError) or underflowed
+    # to 0 (ZeroDivisionError in the reach)
+    (["solve-forward", "--N", "3", "--p", "1.8", "--b", "1e-170"], 2,
+     "error[DomainError] forward-fast: the origin series' length scale over- "
+     "or underflows a double at u0 = 1e-170 (g(u0) = -1e+272)"),
+    (["solve-forward", "--N", "3", "--p", "1.8", "--b", "1e-110"], 2,
+     "error[DomainError] forward-fast: the origin series' length scale over- "
+     "or underflows a double at u0 = 1e-110 (g(u0) = -1e+176)"),
+    # the reach underflowed to 0 ("startup radius 0 must lie in ...")
+    (["solve-forward", "--N", "3", "--p", "1.8", "--b", "1e-130"], 2,
+     "error[DomainError] forward-fast: the origin series' reach underflows "
+     "at u0 = 1e-130"),
+])
+def test_startup_failures_name_their_cause(argv, code, cause, capsys):
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out, err) == (code, "", cause + "\n")
+
+
 # ---------------------------------------------------------------------------
 # find-critical
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from array import array
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -34,7 +35,8 @@ from plks import (
 )
 from oracles import (dense_coefficients_loop, energy_audit_by_sample,
                      oracle_g, oracle_startup, rk4_trajectory)
-from plks.radial_ode import _dense_coefficients
+from plks import radial_ode
+from plks.radial_ode import _dense_block, _dense_coefficients
 
 RNG = np.random.default_rng(20260822)
 
@@ -341,6 +343,15 @@ def test_adaptive_agrees_with_rk4(N, p, chi, problem, u0):
     assert abs(float(sol.w[-1]) - w_ref) < 1e-5 * max(1.0, abs(w_ref))
 
 
+def test_energy_potential_overflows_to_infinity():
+    # near p = 2 the scalar G overflows a double as g does: +-inf, no raise
+    P = derive_params(1, 2.00001)
+    for ode in (backward_ode(P), forward_ode(P), limit_ode(P)):
+        assert ode.G(1.5) == math.inf == ode.g(1.5)
+        assert ode.G(-1.5) == math.inf == -ode.g(-1.5)
+    assert math.isfinite(backward_ode(P).G(0.999))
+
+
 def test_dense_output_against_oracle():
     # dense samples between nodes must agree with a refined fixed-step run
     ode = _ode(1, 3.0, 1.0, "backward")
@@ -358,17 +369,66 @@ def test_dense_output_against_oracle():
 
 def test_dense_coefficients_match_matrix_loop():
     # the unrolled sums equal the loop over the published matrix bit for
-    # bit, signed zeros and non-finite slopes included
+    # bit, signed zeros and non-finite slopes included, and so do the
+    # block sums integrate forms with numpy, row by row
     cases = [RNG.standard_normal(7) * 10.0 ** RNG.integers(-8, 8, 7)
              for _ in range(200)]
     cases += [[-0.0] * 7, [0.0] * 7, [-0.0, 1.0, -0.0, 0.0, -0.0, 0.0, -0.0],
               [math.inf, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-              [1.0, 2.0, math.nan, 0.0, 0.0, 0.0, -1.0]]
-    for ks in cases:
-        ks = [float(k) for k in ks]
+              [1.0, 2.0, math.nan, 0.0, 0.0, 0.0, -1.0],
+              [-math.inf, 0.0, -0.0, math.inf, 1.0, -0.0, 0.0],
+              [math.nan, 0.0, -0.0, -0.0, -0.0, -0.0, -0.0]]
+    cases = [[float(k) for k in ks] for ks in cases]
+    block = _dense_block(array("d", [k for ks in cases for k in ks[:1] + ks[2:]]))
+    assert block.shape == (len(cases), 4)
+    for ks, row in zip(cases, block.tolist()):
         want = dense_coefficients_loop(ks)
         got = _dense_coefficients(ks[0], *ks[2:])
         assert [v.hex() for v in got] == [v.hex() for v in want], ks
+        assert [v.hex() for v in row] == [v.hex() for v in want], ks
+
+
+def test_dense_blocks_over_a_run_ending_at_an_event(monkeypatch):
+    # a run of more than two blocks, the last one partial, that ends at a
+    # zero of u: the interpolants formed in blocks are the per-step sums
+    # of _dense_coefficients, and the event state is the last step's
+    # interpolant at the event radius
+    ode = _ode(2, 3.0, 1.0, "backward")
+    opts = IntegratorOptions(rel_tol=1e-13, abs_tol=1e-13)
+    sol = integrate(ode, 3.0, opts)
+    assert sol.termination is Termination.U_CROSSED_ZERO
+    assert sol.n_steps > 2 * radial_ode._DENSE_BLOCK
+    assert sol.n_steps % radial_ode._DENSE_BLOCK
+    assert len(sol._q) == sol.n_steps
+
+    def per_step(k):
+        k = np.reshape(k, (-1, 6)).tolist()
+        return np.array([_dense_coefficients(*row) for row in k]).reshape(-1, 4)
+
+    monkeypatch.setattr(radial_ode, "_dense_block", per_step)
+    ref = integrate(ode, 3.0, opts)
+    for name in ("r", "u", "w", "_h", "_q"):
+        assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert sol.events == ref.events
+
+    # every step's own interpolant at theta = 1 lands on the next node, to
+    # rounding: no step's coefficients are lost or shifted at a block seam
+    assert not np.isfinite(sol._e).any()       # u's interpolants throughout
+    h = sol._h[:-1]
+    for y, comp in ((sol.u, 0), (sol.w, 1)):
+        end = y[:-2] + h * sol._q[:-1, comp].sum(axis=1)
+        assert np.all(np.abs(end - y[1:-1]) <= 1e-14 * (np.abs(y[1:-1]) + 1.0))
+
+    ev = sol.events[-1]
+    assert ev.kind is EventKind.U_ZERO and ev.r == sol.r_end
+    u_s, w_s = sol.sample(ev.r)
+    # sample() finds the step's theta again from the rounded event radius:
+    # a radius off by about eps r, and rounding in the step's own sums
+    h, eps = sol._h[-1], sys.float_info.epsilon
+    slope_u = abs(uprime_from_w(ode, ev.w))
+    slope_w = abs((ode.params.N - 1.0) / ev.r * ev.w + ode.g(ev.u))
+    assert abs(u_s - ev.u) <= 8.0 * eps * (abs(sol.u[-2]) + (h + ev.r) * slope_u)
+    assert abs(w_s - ev.w) <= 8.0 * eps * (abs(sol.w[-2]) + (h + ev.r) * slope_w)
 
 
 def test_dense_output_hits_nodes():
