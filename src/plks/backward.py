@@ -3,9 +3,9 @@
 For p > 2 (slow regime) each initial height a > 0 falls into one of three
 sets: P (the profile stays positive over the scan radius), N (it vanishes
 transversally at a finite radius), or N0 (it vanishes tangentially).  The
-critical height a_c separating P from N is found by a bracketed secant on
-the energy gap; the profile at a_c has a zero with vanishing slope and
-generates the compactly supported blow-up solution.
+critical height a_c separating P from N is found by Brent's method on the
+signed first minimum of u, smooth across a_c; the profile at a_c has a zero
+with vanishing slope and generates the compactly supported blow-up solution.
 
 Positivity certificates rest on the energy E = B (p-1)/p |u'|^p + G(u),
 which never increases: reaching u = 0 requires E >= G(0), so a trajectory
@@ -87,22 +87,6 @@ class Classification:
     def label(self) -> str:
         return self.set.value
 
-    @property
-    def energy_gap(self) -> Optional[float]:
-        """G(min u) < 0 for P; the (kinetic) energy at the zero > 0 for N, N0.
-
-        min u is taken over the grid and the located minima, which steps
-        taken in the energy variable may straddle.  None without a run.
-        """
-        sol = self.solution
-        if sol is None or self.set is ProfileClass.INCONCLUSIVE:
-            return None
-        if self.set is ProfileClass.P:
-            u_min = min([float(np.min(sol.u))] + [
-                e.u for e in sol.events_of(EventKind.U_PRIME_ZERO)])
-            return float(sol.ode.G_np(u_min))
-        return float(sol.energy[-1])
-
 
 @dataclass(frozen=True)
 class ClassifyOptions:
@@ -157,7 +141,8 @@ def classify(params: ModelParams, a: float,
 
 
 def _shoot(params: ModelParams, a: float,
-           opts: Optional[ClassifyOptions] = None) -> Classification:
+           opts: Optional[ClassifyOptions] = None,
+           past_zero: bool = False) -> Classification:
     """Classify a by integrating until a decisive event.
 
     Decisive outcomes: a zero of u (transversal -> N, tangential within
@@ -165,15 +150,19 @@ def _shoot(params: ModelParams, a: float,
     (-> P, certified by energy descent); survival to the scan radius
     (-> P).  Step underflow before any of these yields Inconclusive.
     The run starts at the origin series' reach (r0 = inf), short of events.
+    past_zero runs on past a zero to the first minimum of either sign,
+    whose u is then the run's last; the label is the same.
     """
     if opts is None:
         opts = ClassifyOptions()
     base = opts.integrator if opts.integrator is not None else IntegratorOptions()
     sol = integrate(backward_ode(params), a, replace(
-        base, r0=math.inf, stop_at_u_zero=True, stop_at_first_minimum=True))
+        base, r0=math.inf, stop_at_u_zero=not past_zero,
+        stop_at_first_minimum=True))
     term = sol.termination
-    if term is Termination.U_CROSSED_ZERO:
-        ev = sol.events_of(EventKind.U_ZERO)[-1]
+    zeros = sol.events_of(EventKind.U_ZERO)
+    if zeros:
+        ev = zeros[0]
         slope = uprime_from_w(sol.ode, ev.w)
         if abs(slope) <= opts.slope_tol:
             return Classification(a, ProfileClass.N0, ev.r, slope,
@@ -257,21 +246,30 @@ def zero_energy_height(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class Probe:
-    """One classification made by find_critical_a, in the order it ran."""
+    """One classification made by find_critical_a, in the order it ran.
+
+    gap is u where the run stopped at its first minimum, of either sign
+    (u* at an equilibrium capture), the value the search roots; None when
+    the run ended otherwise.  n_steps and n_rejected count its steps.
+    """
 
     a: float
     label: str
     reason: str
     gap: Optional[float]
     n_steps: int
+    n_rejected: int
     r_start: float   # where the run started: the origin series' reach
     r_end: float
     step: str     # why this height: see find_critical_a
 
     @classmethod
     def of(cls, c: Classification, step: str) -> "Probe":
-        return cls(c.a, c.label, c.reason, c.energy_gap, c.solution.n_steps,
-                   float(c.solution.r[0]), c.solution.r_end, step)
+        sol = c.solution
+        gap = (float(sol.u[-1]) if sol.termination is Termination.U_PRIME_VANISHED
+               else None)
+        return cls(c.a, c.label, c.reason, gap, sol.n_steps, sol.n_rejected,
+                   float(sol.r[0]), sol.r_end, step)
 
 
 @dataclass(frozen=True)
@@ -279,10 +277,11 @@ class CriticalResult:
     """Bracketed search output for the P/N boundary.
 
     lower and upper are the classifications of the final bracket's
-    endpoints, P below and N above; they are None when an endpoint of the
-    initial bracket is itself tangential (N0) and bracket_width is 0.
-    trace holds every classification of the search in order: the initial
-    bracket ends, the doublings, the interior probes and a_c itself.
+    endpoints, P below and N (or N0) above; a_c is one of them, and
+    classification and profile are its own probe's.  They are None when an
+    endpoint of the initial bracket is itself tangential (N0) and
+    bracket_width is 0.  trace holds every classification of the search in
+    order: the initial bracket ends, the doublings and the interior probes.
     """
 
     a_c: float
@@ -296,69 +295,41 @@ class CriticalResult:
     trace: tuple[Probe, ...] = ()
 
 
-def _squash(g: float) -> float:
-    """sign(g) log1p(|g|): the gap near a_c, the log of the N gap far above it."""
-    return math.copysign(math.log1p(abs(g)), g)
-
-
-def _gap_step(trace, lo, g_lo, hi, g_hi, old, tol: float) -> tuple[float, str]:
-    """The next height and its step name, on the squashed gaps.
-
-    "overshoot": the last two probes share a side, so their secant alone
-    would move one end only; the height goes past the secant's estimate by
-    half the step s times its contraction |s| / |q - p|, a guess at the
-    estimate's error, so that it lands beyond a_c and moves the other end.
-    "quadratic": inverse quadratic through the ends and the end the last
-    probe replaced (old).  "falsi": the secant through the ends.  "tol":
-    the estimate sits within tol of the best end, so the step is tol past it.
-    """
-    (b, fb), (c, fc) = sorted(((lo, _squash(g_lo)), (hi, _squash(g_hi))),
-                              key=lambda t: abs(t[1]))
-    p, q = trace[-2], trace[-1]
-    if p.label == q.label and (q.gap - p.gap) * (q.a - p.a) > 0.0:
-        fp, fq = _squash(p.gap), _squash(q.gap)
-        s = -fq * (q.a - p.a) / (fq - fp)
-        x, step = q.a + s * (1.0 + 0.5 * abs(s / (q.a - p.a))), "overshoot"
-    elif old is not None and old[1] not in (g_lo, g_hi):
-        a, fa = old[0], _squash(old[1])
-        x = (b + (a - b) * fb * fc / ((fa - fb) * (fa - fc))
-             + (c - b) * fb * fa / ((fc - fb) * (fc - fa)))
-        step = "quadratic"
-    else:
-        x, step = b - fb * (c - b) / (fc - fb), "falsi"
-    if abs(x - b) >= tol:
-        return x, step
-    return b + math.copysign(tol, c - b), "tol"
-
-
 def find_critical_a(params: ModelParams,
                     bracket: Optional[tuple[float, float]] = None,
                     opts: Optional[ClassifyOptions] = None,
                     a_tol: float = 1e-10) -> CriticalResult:
-    """Find a_c by a bracketed search on the energy gap.
+    """Find a_c by Brent's method on the signed first minimum of u.
 
-    bracket defaults to [0.999 h0, expanding doublings] with h0 the
-    zero-energy height, which is certified P (N = 1: it is a_c itself; the
-    factor keeps the lower endpoint strictly inside P).  An upper end above
-    a_cap, where the source term nears overflow, raises BadBracketError.
-    The bracket moves on P/N labels alone; energy gaps pick the next height
-    (_gap_step), but the midpoint is taken when an end's gap has the wrong
-    sign, or when the probes made, this one included, plus the halvings
-    left would exceed bisection's count for the initial bracket plus 2.
-    a_tol is the relative bracket width target; a_tol = 0 narrows it to
-    the floating-point limit.  An N0 hit is certified by a P and an N
-    height within a_tol/2 of it, which end the search.
+    Each probe runs on past a zero of u to its first interior minimum; that
+    minimum u_min is positive on P, negative on N and smooth across a_c,
+    where it is 0.  bracket defaults to [0.999 h0, expanding doublings]
+    with h0 the zero-energy height, which is certified P (N = 1: it is a_c
+    itself; the factor keeps the lower endpoint strictly inside P).  An
+    upper end above a_cap, where the source term nears overflow, raises
+    BadBracketError.
+
+    The bracket moves on labels alone: P below, N or N0 above.  Brent's
+    zeroin (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4) on u_min picks the next height, and bisects while an end's
+    u_min disagrees in sign with its label.  The search stops once
+    hi - lo <= a_tol mid; a_tol = 0 narrows the bracket to the
+    floating-point limit.  a_c is Brent's best iterate, the end with the
+    smaller |u_min|, so bracket_width bounds its error; its own probe is the
+    result's classification and profile, which runs on to that minimum.
 
     Only a P height that stopped at its first interior minimum moves the
     bracket; any other P label (positive up to r_max, say) raises
     BadBracketError.  R_c is the radius of the final P end's last turn,
     smooth in a, while the zero of an N height moves like
-    (a - a_c)^((p-1)/p).  An N0 hit reports its touch radius.
+    (a - a_c)^((p-1)/p).  An initial end that classifies N0 is a_c, with
+    bracket_width 0 and its touch radius as R_c.
     Each trace entry's step names the rule that chose its height: "end"
-    and "double" for the initial bracket, a _gap_step name or "mid" inside
-    it, "certify" for an N0 hit's certifiers and "final" for a_c.
-    Probes are shot, not certified as in classify: the search needs each P
-    end's gap and last turn, and its lower end lies below h0.
+    and "double" for the initial bracket; inside it "secant", "quadratic"
+    (inverse quadratic), "mid" (bisection), or "tol", a step of the
+    stopping tolerance past the best end when the estimate lies closer.
+    Probes are shot, not certified as in classify: the search needs each
+    P end's last turn, and its lower end lies below h0.
     """
     if params.regime is not Regime.SLOW:
         raise DomainError(
@@ -389,8 +360,16 @@ def find_critical_a(params: ModelParams,
                 f"interior minimum by r_max = {c.solution.opts.r_max:g}")
         return c
 
-    c_lo = _shoot(params, lo, opts)
-    trace = [Probe.of(c_lo, "end")]
+    def shot(a: float, step: str) -> Classification:
+        c = _shoot(params, a, opts, past_zero=True)
+        trace.append(Probe.of(c, step))
+        return c
+
+    def u_min(t: Probe) -> float:    # nan where the run has no minimum
+        return math.nan if t.gap is None else t.gap
+
+    trace: list[Probe] = []
+    c_lo = shot(lo, "end")
     if c_lo.set is ProfileClass.N0:
         return CriticalResult(lo, 0.0, c_lo.R_of_a, c_lo.solution, 0, c_lo,
                               trace=tuple(trace))
@@ -399,85 +378,77 @@ def find_critical_a(params: ModelParams,
             f"lower endpoint a = {lo:g} classifies {c_lo.label} ({c_lo.reason} "
             f"at r = {c_lo.solution.r_end:g}), need P")
     turned(c_lo)
-    c_hi = _shoot(params, hi, opts)
-    trace.append(Probe.of(c_hi, "end"))
-    n_expand = 0
-    while c_hi.set is ProfileClass.P and bracket is None and n_expand < 60:
+    c_hi = shot(hi, "end")
+    n_iter = 0
+    while c_hi.set is ProfileClass.P and bracket is None and n_iter < 60:
         if hi >= a_cap:
             raise BadBracketError(
                 f"heights up to a = {a_cap:g}, where the source term nears "
                 "overflow, classify P")
         lo, c_lo = hi, turned(c_hi)
         hi = min(2.0 * hi, a_cap)
-        c_hi = _shoot(params, hi, opts)
-        trace.append(Probe.of(c_hi, "double"))
-        n_expand += 1
+        c_hi = shot(hi, "double")
+        n_iter += 1
     if c_hi.set is ProfileClass.N0:
-        return CriticalResult(hi, 0.0, c_hi.R_of_a, c_hi.solution, n_expand,
+        return CriticalResult(hi, 0.0, c_hi.R_of_a, c_hi.solution, n_iter,
                               c_hi, trace=tuple(trace))
     if c_hi.set is not ProfileClass.N:
         raise BadBracketError(
             f"upper endpoint a = {hi:g} classifies {c_hi.label} ({c_hi.reason} "
             f"at r = {c_hi.solution.r_end:g}), need N")
 
-    def halvings(lo, hi):   # bisection rounds to the stopping width, at most
-        return max(0, math.ceil(math.log2((hi - lo) / max(a_tol * lo, math.ulp(hi)))))
-
-    n_iter = n_expand
-    budget = n_expand + halvings(lo, hi) + 2
-    g_lo, g_hi = c_lo.energy_gap, c_hi.energy_gap
-    old = None
+    # zeroin's state, f being u_min: b is the end with the smaller |f|, c
+    # the other end, a the last b; d is the last step and e the one before
+    f_lo, f_hi = u_min(trace[-2]), u_min(trace[-1])
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc, d = a, fa, b - a
+    e = d
     while True:
+        if not abs(fb) <= abs(fc):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at the floating-point limit
-        if (hi - lo) <= a_tol * abs(mid):
-            break
-        a, step = mid, "mid"
-        if g_lo < 0.0 < g_hi and n_iter + 1 + halvings(lo, hi) <= budget:
-            x, rule = _gap_step(trace, lo, g_lo, hi, g_hi, old,
-                                max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid)))
-            if lo < x < hi:
-                a, step = x, rule
-        c = _shoot(params, a, opts)
-        trace.append(Probe.of(c, step))
+        if mid <= lo or mid >= hi or hi - lo <= a_tol * abs(mid):
+            break  # the stopping width, or the floating-point limit
+        tol = max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid))
+        xm = 0.5 * (c - b)
+        step = "mid"
+        if f_lo > 0.0 > f_hi and abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                pn, qd, rule = 2.0 * xm * s, 1.0 - s, "secant"
+            else:
+                qd, rt = fa / fc, fb / fc
+                pn = s * (2.0 * xm * qd * (qd - rt) - (b - a) * (rt - 1.0))
+                qd, rule = (qd - 1.0) * (rt - 1.0) * (s - 1.0), "quadratic"
+            qd = -qd if pn > 0.0 else qd
+            pn = abs(pn)
+            if 2.0 * pn < min(3.0 * xm * qd - abs(tol * qd), abs(e * qd)):
+                e, d, step = d, pn / qd, rule
+        if step == "mid":
+            d = e = xm
+        elif abs(d) <= tol:
+            d, step = math.copysign(tol, xm), "tol"
+        x = b + d
+        if not lo < x < hi:     # a tolerance step at the floating-point limit
+            x, step = mid, "mid"
+        c_x = shot(x, step)
         n_iter += 1
-        if c.set is ProfileClass.N0:
-            # a tangential zero lies in a narrow band at a_c: certify it by
-            # heights just under a_tol/2 above and below.  It is a_c when
-            # both are decisive, or when neither is
-            d = 0.49 * a_tol * a
-            n_ends = 0
-            for a_s in (a + d, a - d):
-                if not lo < a_s < hi:
-                    continue
-                c_s = _shoot(params, a_s, opts)
-                trace.append(Probe.of(c_s, "certify"))
-                n_iter += 1
-                if c_s.set is ProfileClass.P:
-                    old, lo, c_lo, g_lo = (lo, g_lo), a_s, turned(c_s), trace[-1].gap
-                elif c_s.set is ProfileClass.N:
-                    old, hi, c_hi, g_hi = (hi, g_hi), a_s, c_s, trace[-1].gap
-                else:
-                    continue
-                n_ends += 1
-            if n_ends == 2 or (n_ends == 0 and (hi - lo) > a_tol * a):
-                return CriticalResult(a, hi - lo, c.R_of_a, c.solution, n_iter,
-                                      c, c_lo, c_hi, tuple(trace))
-            continue
-        if c.set is ProfileClass.P:
-            old, lo, c_lo, g_lo = (lo, g_lo), a, turned(c), trace[-1].gap
-        elif c.set is ProfileClass.N:
-            old, hi, c_hi, g_hi = (hi, g_hi), a, c, trace[-1].gap
-        else:
+        f_x = u_min(trace[-1])
+        if c_x.set is ProfileClass.P:
+            lo, c_lo, f_lo = x, turned(c_x), f_x
+        elif c_x.set is ProfileClass.INCONCLUSIVE:
             raise AmbiguousBracketError(
-                f"inconclusive classification at a = {a:g}: {c.reason}")
+                f"inconclusive classification at a = {x:g}: {c_x.reason}")
+        else:
+            hi, c_hi, f_hi = x, c_x, f_x
+        if (x == lo) == (c < b):     # x took c's side: b is the new c
+            c, fc, d = b, fb, x - b
+            e = d
+        a, fa, b, fb = b, fb, x, f_x
 
-    a_c = 0.5 * (lo + hi)
-    c_mid = _shoot(params, a_c, opts)
-    trace.append(Probe.of(c_mid, "final"))
+    best = c_lo if b == lo else c_hi
     R_c = c_lo.solution.events_of(EventKind.U_PRIME_ZERO)[-1].r
-    return CriticalResult(a_c, hi - lo, R_c, c_mid.solution, n_iter + 1, c_mid,
+    return CriticalResult(b, hi - lo, R_c, best.solution, n_iter, best,
                           c_lo, c_hi, tuple(trace))
 
 

@@ -298,7 +298,8 @@ def cmd_find_critical(params: ModelParams, args):
         "certificates": certificates,
         "trace": [{"a": t.a, "step": t.step, "class": t.label,
                    "reason": t.reason, "gap": t.gap, "n_steps": t.n_steps,
-                   "r_start": t.r_start, "r_end": t.r_end}
+                   "n_rejected": t.n_rejected, "r_start": t.r_start,
+                   "r_end": t.r_end}
                   for t in res.trace],
     }
     tol = {
@@ -529,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_solve_forward)
 
     sp = sub.add_parser("find-critical",
-                        help="bracketed secant on the energy gap for a_c")
+                        help="Brent's method on the signed first minimum for a_c")
     _add_common(sp)
     sp.add_argument("--a-lo", type=float, default=None, dest="a_lo")
     sp.add_argument("--a-hi", type=float, default=None, dest="a_hi")

@@ -158,7 +158,8 @@ def phi_of_u(params: ModelParams, u) -> np.ndarray:
     if params.p == 2.0:
         return np.exp(u)
     ex = (params.p - 1.0) / (params.p - 2.0)
-    return np.power(u, ex, out=np.zeros_like(u), where=u > 0.0)
+    with np.errstate(over="ignore"):     # inf, reported as null
+        return np.power(u, ex, out=np.zeros_like(u), where=u > 0.0)
 
 
 def admissible_p_threshold(N: int) -> float:

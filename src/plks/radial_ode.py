@@ -289,6 +289,9 @@ class IntegratorOptions:
     u > 0 the energy is G(u_min) < G at any later zero, and the energy never
     increases, so the trajectory can never reach zero afterwards.  It also
     stops at the problem's equilibrium u*, reached within 1e-8 in u and w.
+    With stop_at_u_zero False it stops at the first interior minimum of
+    either sign, past any zero: its signed u_min is smooth across the
+    height where the minimum touches zero.
     Tolerances must be finite and non-negative with abs_tol > 0, r_max
     finite and h_max positive; other settings raise DomainError.
     """
@@ -621,8 +624,9 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     """Integrate the (u, w) system from the startup state to a termination.
 
     Terminations: REACHED_RMAX; U_CROSSED_ZERO (terminal zero of u);
-    U_PRIME_VANISHED (first interior minimum with u > 0, or equilibrium
-    capture, under stop_at_first_minimum); STEP_UNDERFLOW (step below
+    U_PRIME_VANISHED (first interior minimum with u > 0, of either sign
+    without stop_at_u_zero, or equilibrium capture, under
+    stop_at_first_minimum); STEP_UNDERFLOW (step below
     1e-14 r); DIVERGED (u out of the problem's range, which must hold u0).
     A defect rejection cuts h by the defect's own factor, which then caps
     the growth of the next 200 accepted steps along with the error's.
@@ -718,6 +722,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     # for N = 1, E is invariant: every (E, w) stretch starts from its value
     E_inv = G(u_c) + c_K * w_c * k1u if en and neg_nm1 == 0.0 else None
     in_E = resolved = False
+    fresh = True                 # the state is new: choose its variable
 
     def newton_u(T, v):
         # G(u) = T from v, to convergence (event location)
@@ -730,8 +735,10 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         return v
 
     while termination is None:
-        if en and not in_E:
-            # choose the variable of the next step from the state
+        if en and fresh:
+            # choose the variable of the next step from the state, once:
+            # a rejection leaves the state, and so the choice, unchanged
+            fresh = False
             K_c = c_K * w * k1u
             if E_c is None:
                 E_c = G(u) + K_c if E_inv is None else E_inv
@@ -968,7 +975,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                     th, ue, we, n = _locate_zero(state_at, 0, event_tol, lo, hi)
                     n_bisect += n
                     located.append((th, 0, r + th * h, ue, we))
-            located.sort(key=lambda t: t[0])
+            located.sort()   # by theta; at a touch, the zero before the turn
             for th, comp, re_, ue, we in located:
                 if comp == 0:
                     events.append(Event(EventKind.U_ZERO, re_, ue, we))
@@ -979,7 +986,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                     events.append(Event(EventKind.U_PRIME_ZERO, re_, ue, we))
                     # w rising through zero means a minimum of u.
                     is_min = w < 0.0 <= w_new or (w < 0.0 and w_new == 0.0)
-                    if opts.stop_at_first_minimum and is_min and ue > 0.0:
+                    if opts.stop_at_first_minimum and is_min and (
+                            ue > 0.0 or not opts.stop_at_u_zero):
                         termination = Termination.U_PRIME_VANISHED
                         break
             if termination is not None:
@@ -1001,6 +1009,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             break
 
         cr = 0.0 if clipped else (r_new - r) - inc_r
+        fresh = True
         if in_E:
             cu = 0.0
             cE = (E_new - E_c) - inc_E

@@ -114,7 +114,7 @@ def test_classify_small_height_is_positive():
     assert c.set is ProfileClass.P
     assert c.R_of_a is None and c.terminal_slope is None
     assert c.reason == "centre energy below G(0)"
-    assert c.solution is None and c.energy_gap is None
+    assert c.solution is None
 
 
 def test_classify_large_height_vanishes_transversally():
@@ -328,7 +328,10 @@ def test_critical_height_scales_with_chi(N, p):
         P = derive_params(N, p, chi)
         res = find_critical_a(P)
         assert abs(res.a_c * chi ** (1.0 / P.q) / ref.a_c - 1.0) <= bound
-        assert res.classification.label == ref.classification.label
+        # a_c is the end nearer the root, of either label, so the labels
+        # of a_c need not agree; the straddle must
+        assert res.lower.set is ProfileClass.P
+        assert res.upper.set in (ProfileClass.N, ProfileClass.N0)
 
 
 @pytest.mark.parametrize("p", [2.003, 2.05, 2.081])
@@ -369,7 +372,9 @@ def test_critical_bracket_straddles():
     assert res.lower.set is ProfileClass.P
     assert res.upper.set is ProfileClass.N
     assert res.upper.a - res.lower.a == res.bracket_width
-    assert res.lower.a < res.a_c < res.upper.a
+    # a_c is the end with the smaller |u_min|, Brent's best iterate
+    assert res.lower.a < res.upper.a
+    assert res.a_c in (res.lower.a, res.upper.a)
 
 
 def test_critical_result_profile_is_near_critical():
@@ -406,49 +411,39 @@ def test_find_critical_a_rejects_fast_and_linear():
 
 
 def test_tangential_exit_meets_slope_band():
-    # with slope_tol matched to the integration accuracy the bisection ends
-    # on a tangential zero whose slope sits inside its own tolerance band;
-    # the terminal slope scales like (integration error)^(1/p), so the
-    # default slope_tol = 1e-6 cannot fire at rel_tol = 1e-10
+    # with slope_tol matched to the integration accuracy the search ends
+    # with a tangential zero above a_c whose slope sits inside its own
+    # tolerance band; the terminal slope scales like (integration
+    # error)^(1/p), so the default slope_tol = 1e-6 cannot fire at
+    # rel_tol = 1e-10
     for (N, p) in [(1, 2.5), (2, 3.0)]:
         P = derive_params(N, p, 1.0)
         copts = ClassifyOptions(
             slope_tol=1e-3,
             integrator=IntegratorOptions(rel_tol=1e-12, abs_tol=1e-12))
         res = find_critical_a(P, opts=copts, a_tol=0.0)
-        c = res.classification
+        c = res.upper
         assert c.set is ProfileClass.N0
         assert abs(c.terminal_slope) <= 10.0 * copts.slope_tol
 
 
-def test_energy_gap_signs_and_limit():
-    # negative on P, positive on N, and both shrink toward a_c
+def test_touch_is_a_zero_in_both_shots():
+    # the first minimum sits at u = -9.7e-13, within event_tol of zero: a
+    # touch, which both classify and the search's probe, which runs on to
+    # its first minimum of either sign, label N0.  The probe's turn and
+    # zero share a radius, and the zero is recorded first; taken the other
+    # way round, the probe stopped at the turn with no zero, labelled P
     P = derive_params(2, 3.0, 1.0)
-    a_c = find_critical_a(P).a_c
-    for d in (1e-1, 1e-3):
-        lo, hi = classify(P, a_c * (1 - d)), classify(P, a_c * (1 + d))
-        assert lo.set is ProfileClass.P and lo.energy_gap < 0.0
-        assert hi.set is ProfileClass.N and hi.energy_gap > 0.0
-        assert max(-lo.energy_gap, hi.energy_gap) < 3.0 * d * a_c
-    stalled = Classification(a_c, ProfileClass.INCONCLUSIVE, None, None,
-                             "terminated by step-underflow", lo.solution)
-    assert stalled.energy_gap is None
-
-
-def test_energy_gap_at_non_certifying_touch():
-    # the first minimum sits at u = -9.7e-13: it certifies nothing, and it
-    # is a touch of zero (within event_tol), so the run ends there as a
-    # tangential zero instead of going on to a later minimum with
-    # E = -0.142; the gap is the energy at that zero, the boundary's 0.
-    # (The height lies 2.4e-11 below a_c, found by bisecting the labels;
-    # which heights touch moves with the startup state, at the run's error.)
-    P = derive_params(2, 3.0, 1.0)
-    c = classify(P, 1.6892931796807709)
-    first_min = c.solution.events_of(EventKind.U_PRIME_ZERO)[0]
+    a = 1.6892931796807709
+    c = classify(P, a)
     assert c.set is ProfileClass.N0
-    assert -1e-11 < first_min.u <= 0.0
-    assert c.R_of_a == c.solution.r_end == first_min.r
-    assert abs(c.energy_gap) < 1e-8
+    assert c.R_of_a == c.solution.r_end
+    probe = plks.backward._shoot(P, a, past_zero=True)
+    assert probe.set is ProfileClass.N0 and probe.R_of_a == c.R_of_a
+    turn = probe.solution.events_of(EventKind.U_PRIME_ZERO)[-1]
+    assert turn.r == c.R_of_a == probe.solution.r_end
+    assert -1e-11 < turn.u <= 0.0
+    assert plks.backward.Probe.of(probe, "end").gap == turn.u
 
 
 def test_shots_skip_the_origin_layer():
@@ -462,7 +457,8 @@ def test_shots_skip_the_origin_layer():
         res = find_critical_a(derive_params(N, p))
         assert sum(t.n_steps for t in res.trace) <= 0.65 * before
         assert all(0.0 < t.r_start < t.r_end for t in res.trace)
-        assert res.trace[-1].r_start == res.profile.r[0]
+        at_a_c = [t for t in res.trace if t.a == res.a_c]
+        assert [t.r_start for t in at_a_c] == [res.profile.r[0]]
     sw = sweep_a(derive_params(3, 2.5), np.geomspace(0.1, 8.0, 16))
     assert sum(c.solution.n_steps for c in sw.classifications
                if c.solution is not None) <= 0.65 * 1184
@@ -497,40 +493,53 @@ def test_critical_trace_is_every_integration_in_order(N, p, monkeypatch):
     trace = res.trace
     assert [t.a for t in trace] == heights
     assert len(trace) == res.n_iterations + 2
+    assert len(set(heights)) == len(heights)     # no height is shot twice
     # the lower end lies below h0, yet is shot, not certified
     assert trace[0].a == 0.999 * zero_energy_height(res.lower.solution.ode.params)
     assert trace[0].reason == "interior minimum"
-    # a_c is the last probe, or an N0 probe followed by its two certifiers
-    i = len(trace) - (3 if res.classification.set is ProfileClass.N0 else 1)
-    assert trace[i].a == res.a_c and trace[i].label == res.classification.label
-    assert trace[i].n_steps == res.profile.n_steps
-    assert trace[i].r_end == res.profile.r_end
+    # every probe stops at its first minimum, whose sign is its label's
     for t in trace:
-        assert (t.gap < 0.0) if t.label == "P" else (t.gap > 0.0)
-    # the final bracket ends are the last P and the last N probe but a_c
-    others = trace[:i] + trace[i + 1:]
-    assert [t.a for t in others if t.label == "P"][-1] == res.lower.a
-    assert [t.a for t in others if t.label == "N"][-1] == res.upper.a
+        assert (t.gap > 0.0) if t.label == "P" else (t.gap < 0.0)
+    # the final bracket ends are the last P and the last N (or N0) probe
+    assert [t.a for t in trace if t.label == "P"][-1] == res.lower.a
+    assert [t.a for t in trace if t.label != "P"][-1] == res.upper.a
+    # a_c is the end with the smaller |u_min|, and its probe is the result's
+    ends = [t for t in trace if t.a in (res.lower.a, res.upper.a)]
+    best = min(ends, key=lambda t: abs(t.gap))
+    assert best.a == res.a_c and best.label == res.classification.label
+    assert (best.n_steps, best.n_rejected, best.r_end) == (
+        res.profile.n_steps, res.profile.n_rejected, res.profile.r_end)
     # each entry names the rule that chose its height
     steps = Counter(t.step for t in trace)
-    assert sum(steps[s] for s in ("end", "double", "overshoot", "quadratic",
-                                  "falsi", "tol", "mid", "certify", "final")
-               ) == len(trace)
+    assert sum(steps[s] for s in ("end", "double", "secant", "quadratic",
+                                  "mid", "tol")) == len(trace)
     assert [t.step for t in trace[:2]] == ["end", "end"]
-    if res.classification.set is ProfileClass.N0:
-        assert [t.step for t in trace[i + 1:]] == ["certify", "certify"]
-    else:
-        assert trace[i].step == "final" and steps["final"] == 1
 
 
-def test_certified_n0_probe_is_not_classified_again():
-    # N = 1: the search hits the tangential height, and both of its
-    # certifiers are decisive; a_c is that probe, not a second run of it
-    res = find_critical_a(derive_params(1, 3.0, 1.0))
-    assert res.classification.set is ProfileClass.N0
-    assert res.lower.a < res.a_c < res.upper.a
-    assert len(res.trace) == 8
-    assert all(s != t for s, t in zip(res.trace, res.trace[1:]))
+def test_n0_probe_is_an_upper_end_not_classified_again():
+    # N = 3, p = 2.17: the search hits a tangential height, which is an N0
+    # upper end like any N; it is a_c, nearer the root than the P end, and
+    # is not shot again
+    res = find_critical_a(derive_params(3, 2.17, 1.0))
+    assert res.upper.set is ProfileClass.N0
+    assert res.classification is res.upper and res.a_c == res.upper.a
+    assert res.lower.a < res.a_c
+    assert [t.a for t in res.trace].count(res.a_c) == 1
+
+
+# Searches at (N, p) = (1, 3), (2, 3) and (3, 2.5), with the energy-gap
+# secant and its midpoint shot at a_c, took 8, 12 and 12 integrations and
+# 530, 975 and 1,535 accepted steps.  Each N probe now runs on past its
+# zero to its first minimum, which costs more steps per N probe: at N = 1
+# the upper end's 68 steps to its zero become 168 to its minimum, so that
+# search takes more steps than before in fewer integrations.
+@pytest.mark.parametrize("N,p,shots,steps", [
+    (1, 3.0, 7, 564), (2, 3.0, 9, 816), (3, 2.5, 9, 1205)])
+def test_critical_search_work_is_pinned(N, p, shots, steps, monkeypatch):
+    heights = _counted(monkeypatch)
+    res = find_critical_a(derive_params(N, p))
+    assert len(heights) <= shots
+    assert sum(t.n_steps for t in res.trace) <= steps
 
 
 # Before the overshoot step these searches took 39, 39, 39, 40, 12 and 41
@@ -591,13 +600,30 @@ def test_critical_search_properties(N, t, chi):
     P = derive_params(N, p, chi)
     res = find_critical_a(P)
     assert res.lower.set is ProfileClass.P
-    assert res.upper.set is ProfileClass.N
+    assert res.upper.set in (ProfileClass.N, ProfileClass.N0)
     assert res.bracket_width <= 1e-10 * res.a_c
     rounds, probes = _bisection_rounds(res)
     assert probes <= rounds + 3
     if N == 1:
         exact = zero_energy_height(P)
         assert abs(res.a_c - exact) / exact < 1e-6
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(0.25, 4.0), st.integers(2, 7), st.sampled_from([-1.0, 1.0]))
+def test_search_probe_and_classify_give_one_verdict(N, t, chi, k, side):
+    # Heights a_c (1 +- 10^-k): the search's probe, which runs on past a zero
+    # to its first minimum, must label as classify, which stops at the zero
+    # (or certifies below h0 without a run), and its signed minimum is
+    # positive exactly on P.  4,000 draws agreed in a scratch run
+    lo_p = max(2.0, admissible_p_threshold(N)) + 0.15
+    P = derive_params(N, lo_p + t * (4.0 - lo_p), chi)
+    a = find_critical_a(P).a_c * (1.0 + side * 10.0 ** -k)
+    probe = plks.backward.Probe.of(
+        plks.backward._shoot(P, a, past_zero=True), "end")
+    assert probe.label == classify(P, a).label
+    assert (probe.gap > 0.0) == (probe.label == "P")
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,17 @@ def test_startup_failures_name_their_cause(argv, code, cause, capsys):
     assert (rc, out, err) == (code, "", cause + "\n")
 
 
+def test_overflowing_density_runs_clean_under_warnings_as_errors(capsys):
+    # phi = u^((p-1)/(p-2)) overflows a double at --b 1e-100, and the report
+    # prints it as null; the power used to print a RuntimeWarning to stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(["solve-forward", "--N", "3", "--p", "1.8", "--b",
+                             "1e-100", "--format", "json"], capsys)
+    assert (rc, err) == (0, "")
+    assert None in json.loads(out)["columns"]["phi"]
+
+
 # ---------------------------------------------------------------------------
 # find-critical
 
@@ -327,14 +339,15 @@ def test_find_critical_json_trace(capsys):
     trace = res["trace"]
     assert len(trace) == res["n_iterations"] + 2
     assert all(list(t) == ["a", "step", "class", "reason", "gap", "n_steps",
-                           "r_start", "r_end"] for t in trace)
+                           "n_rejected", "r_start", "r_end"] for t in trace)
     # each probe starts at its origin series' reach, short of any event
     assert all(0.0 < t["r_start"] < t["r_end"] for t in trace)
+    assert all(t["n_rejected"] >= 0 for t in trace)
     assert [t["class"] for t in trace[:2]] == ["P", "N"]
     assert [t["step"] for t in trace[:2]] == ["end", "end"]
-    assert trace[-1]["step"] == "final"
-    assert trace[-1]["a"] == res["a_c"]
-    assert trace[-1]["class"] == res["classification"]["class"]
+    # a_c is a bracket end's own probe, not shot again
+    at_a_c = [t for t in trace if t["a"] == res["a_c"]]
+    assert [t["class"] for t in at_a_c] == [res["classification"]["class"]]
     for role in ("lower", "upper"):
         assert any(t["a"] == res["certificates"][role]["a"] for t in trace)
 

@@ -30,8 +30,8 @@ GOLDEN = {
         "b6f0addfed1b644543daf13d6809e31382b33cefa8e1298bdc6df2f41e140581"),
     "find-critical": (
         "find-critical --N 1 --p 3",
-        "b7e9adfb98643696708c383dd4adf8f0f659710c1d8e0d2e5a13b4ac29a1b39f",
-        "f48cc36449fcfa09a94f834ef24576fc8bf35290249e6f2a6a7057ea22a8aa9f"),
+        "108d7a3501446a5fa35baa6ee13c20c03468bf26d099a8a3e6bace3757637f74",
+        "75ec61d4d53493a5ddfb5c9aea8e1fb6587bbda6ea6619bc911c5268bcbb8916"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
         "9d04b80661fcac86494a8c57361bc2f7f665a8e4b53c3aba2f97415a2d92161e",
