@@ -35,7 +35,12 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .params import ModelParams, Regime
+from .params import (
+    ModelParams,
+    Regime,
+    admissible_p_threshold,
+    compact_support_admissible,
+)
 from .radial_ode import (
     EventKind,
     IntegratorOptions,
@@ -307,7 +312,8 @@ def find_critical_a(params: ModelParams,
     with h0 the zero-energy height, which is certified P (N = 1: it is a_c
     itself; the factor keeps the lower endpoint strictly inside P).  An
     upper end above a_cap, where the source term nears overflow, raises
-    BadBracketError.
+    BadBracketError; p at or below the admissibility threshold, where no
+    height vanishes, raises DomainError.
 
     The bracket moves on labels alone: P below, N or N0 above.  Brent's
     zeroin (R. P. Brent, Algorithms for Minimization without Derivatives,
@@ -334,6 +340,11 @@ def find_critical_a(params: ModelParams,
     if params.regime is not Regime.SLOW:
         raise DomainError(
             f"critical height exists in the slow regime (p > 2), got p = {params.p}")
+    if not compact_support_admissible(params.N, params.p):
+        raise DomainError(
+            f"critical-height search needs an admissible slow exponent: "
+            f"p = {params.p:g} is not above the ground-state admissibility "
+            f"threshold {admissible_p_threshold(params.N):.6g} for N = {params.N}")
     if opts is None:
         opts = ClassifyOptions()
 

@@ -31,19 +31,12 @@ from .backward import (
 )
 from .errors import DomainError, InfiniteMassError, PlksError
 from .forward import (
-    ForwardOptions,
     fit_decay_rate,
     solve_forward,
     support_radius,
     support_radius_upper_bound,
 )
-from .params import (
-    ModelParams,
-    admissible_p_threshold,
-    compact_support_admissible,
-    derive_params,
-    phi_of_u,
-)
+from .params import ModelParams, derive_params, phi_of_u
 from .radial_ode import (
     IntegratorOptions,
     ProfileSolution,
@@ -97,10 +90,8 @@ def _jval(v, indent: int) -> str:
         return "%.17g" % v if math.isfinite(v) else "null"
     if v is None:
         return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, (int, np.integer)):
@@ -145,7 +136,7 @@ def _columns(header: Sequence[str], rows: Sequence[Sequence]) -> dict:
 
 def _integrator(args) -> IntegratorOptions:
     return IntegratorOptions(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                             event_tol=args.event_tol, r_max=args.r_max)
+                             r_max=args.r_max)
 
 
 def _classify_opts(args) -> ClassifyOptions:
@@ -224,9 +215,7 @@ def cmd_solve_backward(params: ModelParams, args):
 
 
 def cmd_solve_forward(params: ModelParams, args):
-    fp = solve_forward(params, args.b, ForwardOptions(
-        u_floor=args.u_floor, u_ceiling=args.u_ceiling,
-        integrator=_integrator(args)))
+    fp = solve_forward(params, args.b, _integrator(args))
     sol = fp.sol
     header, rows = _profile_table(params, sol)
     results = {
@@ -267,11 +256,6 @@ def cmd_solve_forward(params: ModelParams, args):
 
 
 def cmd_find_critical(params: ModelParams, args):
-    if not compact_support_admissible(params.N, params.p):
-        raise DomainError(
-            f"critical-height search needs an admissible slow exponent: "
-            f"p = {params.p:g} is not above the ground-state admissibility "
-            f"threshold {admissible_p_threshold(params.N):.6g} for N = {params.N}")
     if (args.a_lo is None) != (args.a_hi is None):
         raise DomainError("--a-lo and --a-hi must be given together")
     bracket = None if args.a_lo is None else (args.a_lo, args.a_hi)
@@ -360,27 +344,17 @@ def cmd_sweep(params: ModelParams, args):
 
 def _reconstructed(params: ModelParams, args):
     """Shared profile pipeline: solve, map to phi, quadrature psi."""
-    if args.a is not None and args.b is not None:
-        raise DomainError("give either --a (backward) or --b (forward), not both")
-    if args.direction is not None:
-        direction = Direction(args.direction)
-    elif args.a is not None:
-        direction = Direction.BACKWARD
-    elif args.b is not None:
-        direction = Direction.FORWARD
-    else:
-        raise DomainError("need --a (backward) or --b (forward)")
-    height, flag = ((args.a, "--a") if direction is Direction.BACKWARD
-                    else (args.b, "--b"))
-    if height is None:
-        raise DomainError(f"{direction.value} reconstruction needs {flag}")
+    if (args.a is None) == (args.b is None):
+        raise DomainError(
+            "give one height, --a (backward) or --b (forward), not both or neither")
+    direction, height = ((Direction.BACKWARD, args.a) if args.b is None
+                         else (Direction.FORWARD, args.b))
     if getattr(args, "residual_grade", False):
         phi = residual_grade(params, height, direction)
     elif direction is Direction.BACKWARD:
         phi = phi_from_u(_backward_profile(params, height, _integrator(args)), params)
     else:
-        phi = phi_from_forward(solve_forward(params, height, ForwardOptions(
-            integrator=_integrator(args))))
+        phi = phi_from_forward(solve_forward(params, height, _integrator(args)))
     psi = psi_from_phi(phi, params, strict=False)
     return direction, height, phi, psi
 
@@ -423,12 +397,9 @@ def cmd_reconstruct(params: ModelParams, args):
             and max(res_block["res1"], res_block["res2"],
                     res_block["identity"]) < 1e-6,
     }
-    overrides = {"direction": direction.value}
-    if args.residual_grade:
-        # the grade pass runs at its own tolerances and step cap
-        o = phi.opts
-        overrides.update(r_max=o.r_max, rel_tol=o.rel_tol, abs_tol=o.abs_tol,
-                         event_tol=o.event_tol, h_max=o.h_max)
+    o = phi.opts    # a grade pass runs at its own tolerances and step cap
+    overrides = ({"r_max": o.r_max, "rel_tol": o.rel_tol, "abs_tol": o.abs_tol,
+                  "h_max": o.h_max} if args.residual_grade else {})
     return results, tol, header, rows, overrides
 
 
@@ -468,7 +439,7 @@ def cmd_delta_test(params: ModelParams, args):
     }
     tol = {"monotone_decreasing": True,
            "decrease_above_1e3": factor >= 1e3}
-    return results, tol, header, rows, {"direction": direction.value}
+    return results, tol, header, rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +454,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="scan radius cap")
     sp.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
     sp.add_argument("--abs-tol", type=float, default=1e-10, dest="abs_tol")
-    sp.add_argument("--event-tol", type=float, default=1e-12, dest="event_tol")
     sp.add_argument("--output", default=None,
                     help="base path: writes <base>.csv and <base>.json")
     sp.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -500,8 +470,6 @@ def _add_reconstruction_flags(sp: argparse.ArgumentParser) -> None:
                     help="backward center height u(0)")
     sp.add_argument("--b", type=float, default=None,
                     help="forward center height u(0)")
-    sp.add_argument("--direction", choices=("backward", "forward"),
-                    default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,8 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, required=True, help="center height u(0)")
     sp.add_argument("--fit-decay", action="store_true", dest="fit_decay",
                     help="fit the far-field decay against its exact limit")
-    sp.add_argument("--u-floor", type=float, default=-1e3, dest="u_floor")
-    sp.add_argument("--u-ceiling", type=float, default=1e6, dest="u_ceiling")
     sp.set_defaults(handler=cmd_solve_forward)
 
     sp = sub.add_parser("find-critical",

@@ -3,7 +3,7 @@
 The forward problems are monotone in every regime: for p = 2 the profile
 decreases without bound, for p < 2 it increases without bound, and for
 p > 2 it decreases to 0 at a finite support radius R_0.  The unbounded
-trajectories are cut off at a configurable level and their behavior beyond
+trajectories are cut off at a fixed level and their behavior beyond
 the grid is carried by an explicit tail model; the known asymptotic laws are
 
     p < 2:  phi(r) r^(p/(2-p)) -> K^((p-1)/(p-2)),  K = (1/(BNm))^(1/(p-1)) (p-1)/p
@@ -40,7 +40,6 @@ __all__ = [
     "PowerTail",
     "LogQuadraticTail",
     "CompactTail",
-    "ForwardOptions",
     "ForwardProfile",
     "solve_forward",
     "SupportEdge",
@@ -86,20 +85,6 @@ Tail = Union[PowerTail, LogQuadraticTail, CompactTail]
 
 
 @dataclass(frozen=True)
-class ForwardOptions:
-    u_floor: float = -1e3     # p = 2 cutoff (u -> -infinity)
-    u_ceiling: float = 1e6    # p < 2 cutoff (u -> +infinity)
-    integrator: Optional[IntegratorOptions] = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u_floor) and math.isfinite(self.u_ceiling)
-                and self.u_ceiling > 0.0):
-            raise DomainError(
-                f"cutoffs need a finite u_floor and a finite u_ceiling > 0; "
-                f"got u_floor={self.u_floor}, u_ceiling={self.u_ceiling}")
-
-
-@dataclass(frozen=True)
 class ForwardProfile:
     """A spreading profile; its regime is the params' and its support
     radius, for p > 2, the radius of its compact tail."""
@@ -130,12 +115,13 @@ def _check_monotone(u: np.ndarray, direction: int, regime: Regime) -> None:
 
 
 def solve_forward(params: ModelParams, a_or_b: float,
-                  opts: Optional[ForwardOptions] = None) -> ForwardProfile:
+                  opts: Optional[IntegratorOptions] = None) -> ForwardProfile:
     """Integrate the spreading profile problem from center value a_or_b.
 
-    p = 2 runs to u_floor, p < 2 to u_ceiling, p > 2 to the zero of u; a
-    center value at or beyond its regime's cutoff raises DomainError.
-    The regime's strict monotonicity is verified on every accepted step.
+    p = 2 runs down to u = -1e3, p < 2 up to u = 1e6 (forward_ode's
+    cutoffs), p > 2 to the zero of u; a center value at or beyond its
+    regime's cutoff raises DomainError.  The regime's strict monotonicity
+    is verified on every accepted step.
     """
     a = float(a_or_b)
     if not math.isfinite(a):
@@ -144,34 +130,27 @@ def solve_forward(params: ModelParams, a_or_b: float,
         raise DomainError(
             f"center value must be positive for p != 2, got {a}")
     if opts is None:
-        opts = ForwardOptions()
-    base = opts.integrator if opts.integrator is not None else IntegratorOptions()
+        opts = IntegratorOptions()
 
     regime = params.regime
+    sol = integrate(forward_ode(params), a,
+                    replace(opts, stop_at_u_zero=regime is Regime.SLOW))
     if regime is Regime.LINEAR:
-        sol = integrate(replace(forward_ode(params), u_floor=opts.u_floor), a,
-                        replace(base, stop_at_u_zero=False))
         _check_monotone(sol.u, -1, regime)
-        fp = ForwardProfile(params, a, sol, LogQuadraticTail(-0.25))
-    elif regime is Regime.FAST:
-        sol = integrate(replace(forward_ode(params), u_ceiling=opts.u_ceiling), a,
-                        replace(base, stop_at_u_zero=False))
+        return ForwardProfile(params, a, sol, LogQuadraticTail(-0.25))
+    if regime is Regime.FAST:
         _check_monotone(sol.u, +1, regime)
         p, B, N, m = params.p, params.B, params.N, params.m
         K = (1.0 / (B * N * m)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
         tail = PowerTail(p / (p - 2.0), K ** ((p - 1.0) / (p - 2.0)))
-        fp = ForwardProfile(params, a, sol, tail)
-    else:
-        sol = integrate(forward_ode(params), a, replace(base, stop_at_u_zero=True))
-        if sol.termination is not Termination.U_CROSSED_ZERO:
-            raise NoSupportRadiusError(
-                f"trajectory from a = {a:g} did not vanish by r = {base.r_max:g} "
-                f"({sol.termination.value})")
-        keep = sol.u > 0.0
-        _check_monotone(sol.u[keep], -1, regime)
-        R0 = sol.events_of(EventKind.U_ZERO)[-1].r
-        fp = ForwardProfile(params, a, sol, CompactTail(R0))
-    return fp
+        return ForwardProfile(params, a, sol, tail)
+    if sol.termination is not Termination.U_CROSSED_ZERO:
+        raise NoSupportRadiusError(
+            f"trajectory from a = {a:g} did not vanish by r = {opts.r_max:g} "
+            f"({sol.termination.value})")
+    _check_monotone(sol.u[sol.u > 0.0], -1, regime)
+    R0 = sol.events_of(EventKind.U_ZERO)[-1].r
+    return ForwardProfile(params, a, sol, CompactTail(R0))
 
 
 @dataclass(frozen=True)
@@ -186,7 +165,7 @@ def support_radius(fp: ForwardProfile, eps: float = 1e-6) -> SupportEdge:
 
     phi' = (p-1)/(p-2) u^(1/(p-2)) u' vanishes as r -> R_0 even though
     u'(R_0) < 0, because the exponent is positive for p > 2; the returned
-    phi slope is evaluated at R_0 - eps.
+    phi slope is evaluated at R_0 - eps min(1, R_0), inside the grid.
     """
     if fp.regime is not Regime.SLOW:
         raise DomainError("support radius exists in the slow regime (p > 2)")
@@ -196,7 +175,7 @@ def support_radius(fp: ForwardProfile, eps: float = 1e-6) -> SupportEdge:
     ev = fp.sol.events_of(EventKind.U_ZERO)[-1]
     u_slope = uprime_from_w(fp.sol.ode, ev.w)
     p = fp.params.p
-    u_in, w_in = fp.sol.sample(R0 - eps)
+    u_in, w_in = fp.sol.sample(R0 - eps * min(1.0, R0))
     up_in = uprime_from_w(fp.sol.ode, w_in)
     phi_slope = (p - 1.0) / (p - 2.0) * max(u_in, 0.0) ** (1.0 / (p - 2.0)) * up_in
     return SupportEdge(R0, u_slope, phi_slope)

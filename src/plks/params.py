@@ -80,7 +80,13 @@ class ModelParams:
         if p != 2.0:
             self._q = self.m * (p - 1.0) / (p - 2.0)
             self._B = abs((p - 1.0) / (p - 2.0)) ** (p - 1.0)
-            self._u_star = (1.0 / (chi * self.m)) ** (1.0 / self._q)
+            try:
+                self._u_star = (1.0 / (chi * self.m)) ** (1.0 / self._q)
+            except OverflowError:
+                raise DomainError(
+                    f"equilibrium height u* = (1/(chi m))^(1/q) overflows a "
+                    f"double: 1/(chi m) = {1.0 / (chi * self.m):.6g}, "
+                    f"q = {self._q:.6g}") from None
             self._u_star_log = None
         else:
             self._q = None

@@ -85,7 +85,8 @@ class RadialODE:
     a Chebyshev step.  It returns the root (nan when that update exceeds
     1000 tol), g there to first order in the step, and the iteration count.
     A run lives in u_floor < u < u_ceiling and ends where it leaves: for
-    p < 2, g is singular at u = 0, and the backward problem's floor is 1e-8.
+    p < 2, g is singular at u = 0, and the backward problem's floor is 1e-8;
+    the forward problems, unbounded, end at u = -1e3 (p = 2) or 1e6 (p < 2).
     g_taylor(a, c) is term n >= 1 of g(u(x)) from u's terms a[:n+1], with
     its own series in c, given as [1.0]; None where g has no expansion.
     """
@@ -236,9 +237,13 @@ def forward_ode(params: ModelParams) -> RadialODE:
         # g > 0 everywhere: u decreases, profile vanishes at finite radius.
         return _power_ode(params, "forward-slow", chi, +1.0 / m, None)
     if params.regime is Regime.LINEAR:
-        return _exp_ode(params, "forward-linear", +1.0 / m, None)
-    # g < 0 everywhere on u > 0: u grows without bound.
-    return _power_ode(params, "forward-fast", -chi, -1.0 / m, None)
+        # u decreases without bound: the run ends at u = -1e3
+        return replace(_exp_ode(params, "forward-linear", +1.0 / m, None),
+                       u_floor=-1e3)
+    # g < 0 everywhere on u > 0: u grows without bound, to the cutoff 1e6;
+    # a run that falls to the singular source at u = 0 ends there
+    return replace(_power_ode(params, "forward-fast", -chi, -1.0 / m, None),
+                   u_floor=0.0, u_ceiling=1e6)
 
 
 def limit_ode(params: ModelParams) -> RadialODE:
@@ -298,7 +303,6 @@ class IntegratorOptions:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    event_tol: float = 1e-12
     r_max: float = 1e3
     r0: float = 1e-6          # the run starts at min(r0, the series' reach)
     stop_at_u_zero: bool = True
@@ -306,21 +310,21 @@ class IntegratorOptions:
     h_max: Optional[float] = None
 
     def __post_init__(self):
-        if not (all(0.0 <= t < math.inf
-                    for t in (self.rel_tol, self.abs_tol, self.event_tol))
-                and self.abs_tol > 0.0 and math.isfinite(self.r_max)
+        if not (0.0 <= self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf
+                and math.isfinite(self.r_max)
                 and (self.h_max is None or self.h_max > 0.0)):
             raise DomainError(
                 "integrator settings need finite tolerances >= 0 with abs_tol "
                 f"> 0, a finite r_max and h_max > 0; got rel_tol={self.rel_tol}, "
-                f"abs_tol={self.abs_tol}, event_tol={self.event_tol}, "
-                f"r_max={self.r_max}, h_max={self.h_max}")
+                f"abs_tol={self.abs_tol}, r_max={self.r_max}, h_max={self.h_max}")
 
 
 # attempts before integrate gives up; flux size a sign change of w must
-# exceed to count as an event; accepted steps per _dense_block
+# exceed to count as an event; |u| or |w| at which an event is located;
+# accepted steps per _dense_block
 _MAX_STEPS = 5_000_000
 _W_EVENT_FLOOR = 1e-8
+_EVENT_TOL = 1e-12
 _DENSE_BLOCK = 256
 
 # The midpoint defect scales as h^5 like the embedded estimate (fits over
@@ -593,7 +597,7 @@ def _dense_eval(u0: float, w0: float, h: float, q, theta: float) -> tuple[float,
     return u0 + h * pu, w0 + h * pw
 
 
-def _locate_zero(f, comp: int, event_tol: float, lo: float = 0.0,
+def _locate_zero(f, comp: int, lo: float = 0.0,
                  hi: float = 1.0) -> tuple[float, float, float, int]:
     """Find a sign change of f(theta)[comp] on [lo, hi] of a step.
 
@@ -609,7 +613,7 @@ def _locate_zero(f, comp: int, event_tol: float, lo: float = 0.0,
             mid = 0.5 * (lo + hi)
         vals = f(mid)
         v_mid = vals[comp]
-        if abs(v_mid) <= event_tol or (hi - lo) < 1e-16 or n == 200:
+        if abs(v_mid) <= _EVENT_TOL or (hi - lo) < 1e-16 or n == 200:
             return mid, vals[0], vals[1], n
         if (v_lo < 0.0) == (v_mid < 0.0):
             lo, v_lo, v_hi = mid, v_mid, 0.5 * v_hi if side < 0 else v_hi
@@ -645,7 +649,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     tolerance.  A (u, w) trial that crosses a zero of w is retaken in
     (E, w) where E resolves u; an (E, w) step ends just past the turn its
     start predicts; and a turn of an (E, w) step where u lies within
-    event_tol of zero, or beyond it, is a zero of u.
+    _EVENT_TOL of zero, or beyond it, is a zero of u.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -659,7 +663,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
      _C2, _C3, _C4, _C5) = _DP54
     copysign, isfinite, sqrt = math.copysign, math.isfinite, math.sqrt
     rtol, atol = opts.rel_tol, opts.abs_tol
-    r_max, event_tol = opts.r_max, opts.event_tol
+    r_max = opts.r_max
     h_max = math.inf if opts.h_max is None else opts.h_max
     u_floor, u_ceiling = ode.u_floor, ode.u_ceiling
     if not u_floor < u0 < u_ceiling:
@@ -949,7 +953,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                     return _dense_eval(u, w, h, q8, th)
                 for comp, crossed in ((0, u_cross), (1, w_cross)):
                     if crossed:
-                        th, ue, we, n = _locate_zero(state_at, comp, event_tol)
+                        th, ue, we, n = _locate_zero(state_at, comp)
                         n_bisect += n
                         located.append((th, comp, r + th * h, ue, we))
             else:
@@ -960,19 +964,19 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                 spans = [(0.0, 1.0)] if u_cross else []
                 if w_cross:
                     th, _, we, n = _locate_zero(
-                        lambda t: _dense_eval(E_c, w, h, q8, t), 1, event_tol)
+                        lambda t: _dense_eval(E_c, w, h, q8, t), 1)
                     n_bisect += n
                     ue = state_at(th)[0]
                     located.append((th, 1, r + th * h, ue, we))
                     if not u_cross and (ue <= 0.0 if u > 0.0 else ue >= 0.0):
-                        if abs(ue) <= event_tol:
+                        if abs(ue) <= _EVENT_TOL:
                             # u touches zero at the turn: a zero of slope 0
                             located.append((th, 0, r + th * h, ue, we))
                         else:
                             # u passes zero and turns back within the step
                             spans = [(0.0, th), (th, 1.0)]
                 for lo, hi in spans:
-                    th, ue, we, n = _locate_zero(state_at, 0, event_tol, lo, hi)
+                    th, ue, we, n = _locate_zero(state_at, 0, lo, hi)
                     n_bisect += n
                     located.append((th, 0, r + th * h, ue, we))
             located.sort()   # by theta; at a touch, the zero before the turn

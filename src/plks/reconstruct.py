@@ -15,6 +15,7 @@ checks on the assembled pair.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
@@ -66,6 +67,7 @@ class Direction(Enum):
     FORWARD = "forward"
 
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 _RESIDUAL_WINDOW = (0.1, 0.9)   # span fractions that system_residual tests
 
 # Gamma(N/2) for N = 1..10 as scipy.special.gamma returns it.  At odd N it
@@ -225,8 +227,8 @@ def _scaled_upper_gamma(s: float, z: float) -> float:
     if z < 30.0:
         from scipy.special import exp1, gamma, gammaincc
         if s == 0.0:    # Gamma(0, z) = E1(z)
-            return math.exp(z) * exp1(z)
-        return math.exp(z) * gamma(s) * gammaincc(s, z)
+            return float(math.exp(z) * exp1(z))
+        return float(math.exp(z) * gamma(s) * gammaincc(s, z))
     # asymptotic expansion Gamma(s,z) e^z = z^(s-1) sum_k (s-1)...(s-k)/z^k,
     # truncated at the smallest term; remainder is below the last term kept
     acc = term = 1.0
@@ -241,7 +243,7 @@ def _scaled_upper_gamma(s: float, z: float) -> float:
 
 def _tail_moment(phi: PhiProfile, j: int, m: float = 1.0) -> float:
     """int_rend^inf s^(j-1) phi^m ds under phi's tail model, inf when it
-    diverges.  A power tail integrates its law; a log-quadratic one, whose
+    diverges or exceeds the largest double.  A power tail integrates its law; a log-quadratic one, whose
     ln phi keeps its curvature from the grid end, an upper incomplete gamma.
     """
     tail = phi.tail
@@ -252,7 +254,12 @@ def _tail_moment(phi: PhiProfile, j: int, m: float = 1.0) -> float:
         kappa = m * tail.exponent
         if not kappa + j < 0.0:
             return math.inf
-        return tail.coefficient ** m * r_end ** (kappa + j) / (-(kappa + j))
+        try:
+            return tail.coefficient ** m * r_end ** (kappa + j) / (-(kappa + j))
+        except OverflowError:    # a power leaves the doubles: add logarithms
+            log_t = (m * math.log(tail.coefficient)
+                     + (kappa + j) * math.log(r_end) - math.log(-(kappa + j)))
+            return math.exp(log_t) if log_t <= _LOG_DBL_MAX else math.inf
     k = -m * tail.coefficient
     phim_end = float(phi.phi[-1]) ** m
     if j == 2:    # e^z Gamma(1, z) = 1
@@ -325,9 +332,10 @@ def mass(phi: PhiProfile, params: ModelParams) -> float:
         raise InfiniteMassError("profile has no decaying tail model")
     extra = _tail_moment(phi, N)
     if math.isinf(extra):
+        why = ("has a moment beyond the largest double"
+               if phi.tail.exponent + N < 0.0 else "is not integrable")
         raise InfiniteMassError(
-            f"tail exponent {phi.tail.exponent:g} is not integrable against "
-            f"r^{N - 1}")
+            f"tail exponent {phi.tail.exponent:g} {why} against r^{N - 1}")
     return surface_area_unit_ball(N) * (float(_ball_integral(phi.r, phi.phi, N)[-1])
                                         + extra)
 
@@ -694,13 +702,13 @@ def residual_grade(params: ModelParams, height: float,
     residual instead of grid noise.
     """
     from .backward import _backward_profile
-    from .forward import ForwardOptions, solve_forward
+    from .forward import solve_forward
 
     def solve(opts: IntegratorOptions) -> tuple[ProfileSolution, PhiProfile]:
         if direction is Direction.BACKWARD:
             sol = _backward_profile(params, height, opts)
             return sol, phi_from_u(sol, params)
-        fp = solve_forward(params, height, ForwardOptions(integrator=opts))
+        fp = solve_forward(params, height, opts)
         return fp.sol, phi_from_forward(fp)
 
     span = _positive_span(*solve(IntegratorOptions()), params)

@@ -17,7 +17,6 @@ from oracles import oracle_u_at_one
 from plks import (
     Direction,
     EventKind,
-    ForwardOptions,
     IntegratorOptions,
     admissible_p_threshold,
     assemble,
@@ -113,8 +112,8 @@ def test_03_linear_envelope_contracts_to_equilibrium():
 def test_04_forward_decay_rates():
     # p = 2: ln phi / r^2 -> -1/4, checked on the window ending at r = 30
     # with a correction-basis extrapolation sharpening the raw value
-    fp = solve_forward(derive_params(2, 2.0, 1.0), 0.0, ForwardOptions(
-        integrator=IntegratorOptions(r_max=30.0)))
+    fp = solve_forward(derive_params(2, 2.0, 1.0), 0.0,
+                       IntegratorOptions(r_max=30.0))
     r = np.geomspace(3.0, 30.0, 200)
     u, _ = fp.sol.sample(r)
     y = u / r ** 2

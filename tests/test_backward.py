@@ -1,6 +1,7 @@
 """Tests for the blow-up shooting layer: classification, a_c search."""
 
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -354,9 +355,10 @@ def test_default_bracket_stays_below_source_overflow():
 
 
 def test_default_bracket_all_positive_up_to_cap():
-    # inadmissible (N, p): every height is P, so the doublings reach the
-    # overflow cap, which ends the search with BadBracketError
-    P = derive_params(4, 2.001, 1.0)
+    # admissible, but so near p = 2 that a_c lies above the overflow cap:
+    # every doubling is P up to the cap, which ends the search with
+    # BadBracketError (an inadmissible p is refused before any shot)
+    P = derive_params(2, 2.0001, 1.0)
     with pytest.raises(BadBracketError, match="source term nears overflow"):
         find_critical_a(P)
 
@@ -408,6 +410,12 @@ def test_find_critical_a_rejects_fast_and_linear():
         find_critical_a(derive_params(2, 2.0, 0.5))
     with pytest.raises(DomainError):
         find_critical_a(derive_params(1, 1.5, 1.0))
+    # slow but below the admissibility threshold (2.1514 for N = 3): every
+    # height stays positive, so the search refuses before its first shot
+    t0 = time.process_time()
+    with pytest.raises(DomainError, match="admissible slow exponent"):
+        find_critical_a(derive_params(3, 2.1))
+    assert time.process_time() - t0 < 0.1
 
 
 def test_tangential_exit_meets_slope_band():
@@ -428,11 +436,12 @@ def test_tangential_exit_meets_slope_band():
 
 
 def test_touch_is_a_zero_in_both_shots():
-    # the first minimum sits at u = -9.7e-13, within event_tol of zero: a
-    # touch, which both classify and the search's probe, which runs on to
-    # its first minimum of either sign, label N0.  The probe's turn and
-    # zero share a radius, and the zero is recorded first; taken the other
-    # way round, the probe stopped at the turn with no zero, labelled P
+    # the first minimum sits at u = -9.7e-13, within the event tolerance
+    # 1e-12 of zero: a touch, which both classify and the search's probe,
+    # which runs on to its first minimum of either sign, label N0.  The
+    # probe's turn and zero share a radius, and the zero is recorded
+    # first; taken the other way round, the probe stopped at the turn with
+    # no zero, labelled P
     P = derive_params(2, 3.0, 1.0)
     a = 1.6892931796807709
     c = classify(P, a)

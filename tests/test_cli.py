@@ -1,10 +1,12 @@
 """Command-line surface: exit codes, table formats, and byte determinism."""
 
+import contextlib
 import inspect
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import plks.backward
 import plks.cli
@@ -183,7 +186,7 @@ def test_error_type_carries_its_exit_code(exc_type, monkeypatch, capsys):
     (_SOLVE + ["--rel-tol", "0", "--abs-tol", "0"], 2,
      "error[DomainError] integrator settings need finite tolerances >= 0 "
      "with abs_tol > 0, a finite r_max and h_max > 0; got rel_tol=0.0, "
-     "abs_tol=0.0, event_tol=1e-12, r_max=1000.0, h_max=None"),
+     "abs_tol=0.0, r_max=1000.0, h_max=None"),
     (["find-critical", "--N", "1", "--p", "2.001",
       "--a-lo", "1.0", "--a-hi", "1.4245"], 4,
      "error[BadBracketError] upper endpoint a = 1.4245 is above "
@@ -393,12 +396,38 @@ def test_solve_forward_compact_support(capsys):
     ["--N", "3", "--p", "1.8", "--b", "1.0", "--u-ceiling", "1.0"],
 ])
 def test_solve_forward_bad_cutoff_exit2(argv, capsys):
-    # a nan cutoff never stops the run, and a ceiling at or under the
-    # center value stops it at once: both are invalid arguments
-    rc, out, err = _run(["solve-forward"] + argv, capsys)
-    assert rc == 2
-    assert err.startswith("error[DomainError]")
-    assert out == ""
+    # the cutoffs are the forward problem's own (u = -1e3 at p = 2, 1e6 at
+    # p < 2): argparse refuses a cutoff flag
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-forward"] + argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --u-" in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-backward", "--N", "2", "--p", "3", "--a", "2", "--event-tol", "1e-12"],
+    ["reconstruct", "--N", "2", "--p", "3", "--a", "2", "--direction", "backward"],
+    ["delta-test", "--N", "3", "--p", "1.8", "--b", "1", "--direction", "forward"],
+])
+def test_removed_run_settings_exit2(argv, capsys):
+    # the event tolerance is the integrator's constant, and --a or --b
+    # names the direction
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
+def test_forward_support_edge_of_a_tiny_support(capsys):
+    # R_0 = 3.5e-8: phi' is sampled at R_0 (1 - 1e-6), inside the grid
+    rc, out, _ = _run(["solve-forward", "--N", "2", "--p", "3", "--b", "1e-12",
+                       "--format", "json"], capsys)
+    assert rc == 0
+    sup = json.loads(out)["results"]["support"]
+    assert sup["R_0"] < 1e-7
+    assert math.isfinite(sup["terminal_phi_slope"])
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +581,7 @@ def test_reconstruct_residual_grade_echoes_its_own_pass(capsys):
                        "--format", "json"], capsys)
     assert rc == 0
     cfg = json.loads(out)["config"]
-    assert cfg["rel_tol"] == cfg["abs_tol"] == cfg["event_tol"] == 1e-12
+    assert cfg["rel_tol"] == cfg["abs_tol"] == 1e-12
     assert cfg["r_max"] == 1e3
     assert 0.0 < cfg["h_max"] < 2.4 / 2000
     rc, out, _ = _run(["reconstruct", "--N", "2", "--p", "3", "--a", "2.126",
@@ -596,11 +625,43 @@ def test_reconstruct_vanished_profile_has_no_finite_mass(capsys):
     assert rep["tolerances_met"]["mass_finite"] is False
 
 
+def test_reconstruct_json_of_a_scipy_tail_moment(capsys):
+    # z = k r_end^2 < 30 takes scipy's incomplete gamma; the mass and its
+    # mass_finite flag must still serialize
+    rc, out, err = _run(["reconstruct", "--N", "1", "--p", "2", "--b", "40",
+                         "--r-max", "20", "--format", "json"], capsys)
+    assert rc == 0, err
+    rep = json.loads(out)
+    assert rep["results"]["mass"] > 0.0
+    assert rep["tolerances_met"]["mass_finite"] is True
+
+
+def test_reconstruct_power_tail_moment_beyond_a_double(capsys):
+    # the run ends at r = 2e-83, where r_end^(kappa + 1) overflows; the
+    # moment, e^2212, is past the largest double, so the mass is refused
+    rc, out, err = _run(["reconstruct", "--N", "1", "--p", "1.78", "--b", "1e-35",
+                         "--chi", "38", "--r-max", "20", "--format", "json"],
+                        capsys)
+    assert rc == 0, err
+    rep = json.loads(out)
+    assert rep["results"]["mass"] is None
+    assert "beyond the largest double" in rep["results"]["mass_note"]
+
+
+def test_equilibrium_height_overflow_exit2(capsys):
+    # u* = (1/(chi m))^(1/q) = 4^1225 at N = 1, p = 1.02, chi = 100
+    rc, out, err = _run(["solve-backward", "--N", "1", "--p", "1.02",
+                         "--chi", "100", "--a", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error[DomainError] equilibrium height u*")
+
+
 # ---------------------------------------------------------------------------
 # delta-test
 
 def test_delta_test_forward_monotone(capsys):
-    rc, out, _ = _run(["delta-test", "--direction", "forward", "--p", "1.8",
+    rc, out, _ = _run(["delta-test", "--p", "1.8",
                        "--N", "3", "--b", "1"], capsys)
     assert rc == 0
     header, rows = _csv_rows(out)
@@ -612,7 +673,7 @@ def test_delta_test_forward_monotone(capsys):
 
 
 def test_delta_test_backward_monotone(capsys):
-    rc, out, _ = _run(["delta-test", "--direction", "backward", "--N", "1",
+    rc, out, _ = _run(["delta-test", "--N", "1",
                        "--p", "3", "--a", "1.106681922", "--format", "json"],
                       capsys)
     assert rc == 0
@@ -625,14 +686,14 @@ def test_delta_test_backward_monotone(capsys):
 
 
 def test_delta_test_backward_needs_a(capsys):
-    rc, _, err = _run(["delta-test", "--direction", "backward", "--N", "1",
+    rc, _, err = _run(["delta-test", "--N", "1",
                        "--p", "3"], capsys)
     assert rc == 2
     assert "error[DomainError]" in err
 
 
 def test_delta_test_bad_ratio_exit2(capsys):
-    rc, _, err = _run(["delta-test", "--direction", "forward", "--p", "1.8",
+    rc, _, err = _run(["delta-test", "--p", "1.8",
                        "--N", "3", "--b", "1", "--ratio", "1.5"], capsys)
     assert rc == 2
     assert "ratio" in err
@@ -747,3 +808,64 @@ def test_module_entry_point():
         cwd=str(Path(__file__).resolve().parents[1]))
     assert proc.returncode == 0
     assert proc.stdout.startswith("r,u,w,E,phi\n")
+
+
+# ---------------------------------------------------------------------------
+# no traceback anywhere: every command line in the admissible domain ends
+# with a documented exit code
+
+
+@st.composite
+def _command_lines(draw):
+    # chi and the heights are log-uniform, from a drawn seed: hypothesis's
+    # own floats favour the exponent 0, that is chi = 1 and a height of 1,
+    # which lies within 1e-13 of u* at p = 2 + 1e-13, where a stiff shot
+    # takes up to 5,000,000 steps (a FOUND line in CHANGES.md)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    N = draw(st.integers(1, 6))
+    p = draw(st.one_of(
+        st.just(2.0),
+        st.integers(1, 15).map(lambda k: 2.0 + 10.0 ** -k),
+        st.floats(2.0 * N / (N + 1.0), 5.0, exclude_min=True)))
+    chi = 10.0 ** rng.uniform(-3.0, 3.0)
+
+    def height():
+        h = 10.0 ** rng.uniform(-300.0, 300.0)
+        return -h if p == 2.0 and draw(st.booleans()) else h
+
+    # heights go in as flag=value: argparse reads a bare -1e+300 as a flag
+    command = draw(st.sampled_from(
+        ["solve-backward", "solve-forward", "sweep", "reconstruct"]))
+    if command == "sweep":
+        lo, hi = sorted([height(), height()])
+        heights = [f"--a-grid=lin:{lo!r}:{hi!r}:2"]
+    else:
+        flag = {"solve-backward": "--a", "solve-forward": "--b"}.get(
+            command, draw(st.sampled_from(["--a", "--b"])))
+        heights = [f"{flag}={height()!r}"]
+    return [command, "--N", str(N), "--p", repr(p), "--chi", repr(chi),
+            *heights, "--r-max", "20", "--format", "json"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["reconstruct", "--N", "1", "--p", "2", "--b", "40",
+               "--r-max", "20", "--format", "json"])
+@example(argv=["solve-backward", "--N", "1", "--p", "1.02", "--chi", "100",
+               "--a", "1", "--r-max", "20", "--format", "json"])
+@example(argv=["reconstruct", "--N", "1", "--p", "1.78", "--b", "1e-35",
+               "--chi", "38", "--r-max", "20", "--format", "json"])
+@example(argv=["solve-forward", "--N", "2", "--p", "3", "--b", "1e-12",
+               "--r-max", "20", "--format", "json"])
+def test_every_command_line_ends_with_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert err.getvalue().startswith("error[")
+        assert err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue())

@@ -1,6 +1,6 @@
 """Tests for the spreading-profile layer: monotonicity, support edge, tails."""
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +9,11 @@ from plks import derive_params
 from plks.errors import (
     DomainError,
     InsufficientRangeError,
+    IntegrationError,
     NoSupportRadiusError,
 )
 from plks.forward import (
     CompactTail,
-    ForwardOptions,
     LogQuadraticTail,
     PowerTail,
     envelope_check,
@@ -22,11 +22,11 @@ from plks.forward import (
     support_radius,
     support_radius_upper_bound,
 )
-from plks.radial_ode import IntegratorOptions, Termination
+from plks.radial_ode import IntegratorOptions, Termination, forward_ode, integrate
 
 
 def _upto(r_max):
-    return ForwardOptions(integrator=IntegratorOptions(r_max=r_max))
+    return IntegratorOptions(r_max=r_max)
 
 
 # ------------------------------------------------------------ dispatch
@@ -69,6 +69,15 @@ def test_slow_regime_hits_compact_support():
     assert np.all(np.diff(fp.sol.u[pos]) <= 0.0)
 
 
+def test_fast_run_that_falls_to_zero_stops_there():
+    # from b = 8e-37, far below abs_tol, the first steps carry u across
+    # the singular source at u = 0; the run ends at the forward floor 0
+    # and fails the monotone check instead of chattering about u = 0
+    P = derive_params(4, 1.6578553064944592, 0.03226344401781748)
+    with pytest.raises(IntegrationError, match="monotonicity violated"):
+        solve_forward(P, 8.274334785025439e-37, _upto(20.0))
+
+
 def test_solve_forward_preconditions():
     with pytest.raises(DomainError):
         solve_forward(derive_params(1, 3.0, 1.0), 0.0)
@@ -77,19 +86,15 @@ def test_solve_forward_preconditions():
     with pytest.raises(DomainError):
         solve_forward(derive_params(2, 2.0, 1.0), float("inf"))
     with pytest.raises(DomainError):
-        # center already at the cutoff level
-        solve_forward(derive_params(2, 2.0, 1.0), -1e3,
-                      ForwardOptions(u_floor=-1e3))
+        # center already at the p = 2 floor
+        solve_forward(derive_params(2, 2.0, 1.0), -1e3)
     with pytest.raises(DomainError):
         # p < 2 center already at the ceiling
-        solve_forward(derive_params(3, 1.8, 1.0), 5.0,
-                      ForwardOptions(u_ceiling=5.0))
+        solve_forward(derive_params(3, 1.8, 1.0), 1e6)
     with pytest.raises(DomainError):
-        solve_forward(derive_params(2, 2.0, 1.0), -0.6,
-                      ForwardOptions(u_floor=-0.5))
+        solve_forward(derive_params(2, 2.0, 1.0), -2e3)
     with pytest.raises(DomainError):
-        solve_forward(derive_params(3, 1.8, 1.0), 6.0,
-                      ForwardOptions(u_ceiling=5.0))
+        solve_forward(derive_params(3, 1.8, 1.0), 2e6)
 
 
 @pytest.mark.parametrize("N,p,b,cutoff", [
@@ -98,24 +103,17 @@ def test_solve_forward_preconditions():
     (3, 1.8, 1.0, {"u_ceiling": 5.0}), (3, 1.8, 1.0, {"u_ceiling": 100.0}),
 ])
 def test_forward_cutoffs_hold(N, p, b, cutoff):
-    # the cutoff bounds the problem's range: the run ends at the first
-    # step past it, whatever the center height
-    fp = solve_forward(derive_params(N, p, 1.0), b, ForwardOptions(**cutoff))
-    u = fp.sol.u
-    assert fp.sol.termination is Termination.DIVERGED
+    # the cutoff bounds the forward problem's range: the run ends at the
+    # first step past it, whatever the center height; u_floor = -1e3 is
+    # the p = 2 problem's own
+    ode = replace(forward_ode(derive_params(N, p, 1.0)), **cutoff)
+    sol = integrate(ode, b, IntegratorOptions(stop_at_u_zero=False))
+    u = sol.u
+    assert sol.termination is Termination.DIVERGED
     if "u_floor" in cutoff:
         assert u[-1] <= cutoff["u_floor"] < u[-2]
     else:
         assert u[-2] < cutoff["u_ceiling"] <= u[-1]
-
-
-@pytest.mark.parametrize("cutoffs", [
-    {"u_ceiling": math.nan}, {"u_ceiling": math.inf}, {"u_ceiling": 0.0},
-    {"u_ceiling": -5.0}, {"u_floor": math.nan}, {"u_floor": -math.inf},
-])
-def test_forward_options_reject_bad_cutoffs(cutoffs):
-    with pytest.raises(DomainError):
-        ForwardOptions(**cutoffs)
 
 
 @pytest.mark.parametrize("p", [1.8, 2.0, 3.0])

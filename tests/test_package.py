@@ -12,7 +12,7 @@ _PUBLIC = {
     "ClassifyOptions", "CompactTail", "CriticalResult", "DecayFit",
     "DeltaTestError", "Direction", "DomainError", "EnergyCheck",
     "EnergyLawError", "EnvelopeReport", "Event", "EventKind",
-    "ForwardOptions", "ForwardProfile", "IllPosedPotentialError",
+    "ForwardProfile", "IllPosedPotentialError",
     "InfiniteMassError", "InsufficientRangeError", "IntegrationError",
     "IntegratorOptions", "LocalResidualReport", "LogQuadraticTail",
     "ModelParams", "NegativeBaseError", "NoSupportRadiusError",
@@ -36,7 +36,7 @@ _PUBLIC = {
 
 # the integrator's settings: a new option shows up as a change to this tuple
 _INTEGRATOR_OPTIONS = (
-    "rel_tol", "abs_tol", "event_tol", "r_max", "r0",
+    "rel_tol", "abs_tol", "r_max", "r0",
     "stop_at_u_zero", "stop_at_first_minimum", "h_max",
 )
 

@@ -85,9 +85,15 @@ def test_problem_shape_per_regime(N, p, problem):
     if problem == "backward":
         equilibrium = P.u_star_log if p == 2.0 else P.u_star
     assert ode.equilibrium_u == equilibrium
-    assert ode.u_floor == (1e-8 if problem == "backward" and p < 2.0
-                           else -1e12)
-    assert ode.u_ceiling == 1e12
+    # the problem's own cutoffs: the fast floors at the singular source,
+    # the forward floor (p = 2) and ceiling (p < 2) of the runs that grow
+    # without bound
+    assert ode.u_floor == ({("backward", "fast"): 1e-8,
+                            ("forward", "fast"): 0.0,
+                            ("forward", "linear"): -1e3}
+                           .get((problem, P.regime.value), -1e12))
+    assert ode.u_ceiling == (1e6 if (problem, P.regime.value)
+                             == ("forward", "fast") else 1e12)
     assert (ode.G is not None) == (ode.solve_G is not None) == (p > 2.0)
 
 
@@ -514,7 +520,7 @@ def test_amplitude_samples_recorded():
 
 @pytest.mark.parametrize("bad", [
     dict(rel_tol=0.0, abs_tol=0.0), dict(rel_tol=-1e-10, abs_tol=-1e-10),
-    dict(rel_tol=math.nan), dict(abs_tol=math.inf), dict(event_tol=-1.0),
+    dict(rel_tol=math.nan), dict(abs_tol=math.inf), dict(abs_tol=math.nan),
     dict(r_max=math.nan), dict(r_max=math.inf), dict(h_max=0.0),
     dict(h_max=-1.0), dict(h_max=math.nan)])
 def test_bad_integrator_settings_raise_domain_error(bad):

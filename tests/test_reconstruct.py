@@ -19,7 +19,7 @@ from plks.errors import (
     NegativeBaseError,
     OutOfTimeDomainError,
 )
-from plks.forward import CompactTail, ForwardOptions, PowerTail, solve_forward
+from plks.forward import CompactTail, PowerTail, solve_forward
 from plks.radial_ode import IntegratorOptions
 from plks.reconstruct import (
     _angular_averages,
@@ -224,15 +224,15 @@ def test_well_posed_threshold_and_gate():
 
 
 @pytest.mark.parametrize("N, p, b, opts", [
-    # power tails above psi_well_posed_threshold, cut early so that the
-    # tail pieces stand well above the grid part's roundoff
-    (1, 1.6, 1.0, ForwardOptions(u_ceiling=100.0)),
-    (2, 1.8, 1.0, ForwardOptions(u_ceiling=100.0)),
-    (3, 1.85, 1.0, ForwardOptions(u_ceiling=100.0)),
-    # log-quadratic tails, from a shallow floor where phi_end > 0
-    (1, 2.0, 0.0, ForwardOptions(u_floor=-6.0)),
-    (2, 2.0, 0.0, ForwardOptions(u_floor=-6.0)),
-    (3, 2.0, 0.0, ForwardOptions(u_floor=-6.0)),
+    # power tails above psi_well_posed_threshold, cut early (u near 100)
+    # so that the tail pieces stand well above the grid part's roundoff
+    (1, 1.6, 1.0, IntegratorOptions(r_max=10.0)),
+    (2, 1.8, 1.0, IntegratorOptions(r_max=25.0)),
+    (3, 1.85, 1.0, IntegratorOptions(r_max=30.0)),
+    # log-quadratic tails, cut at r = 3.8 (u from -4.7 to -6.2), phi_end > 0
+    (1, 2.0, 0.0, IntegratorOptions(r_max=3.8)),
+    (2, 2.0, 0.0, IntegratorOptions(r_max=3.8)),
+    (3, 2.0, 0.0, IntegratorOptions(r_max=3.8)),
 ])
 def test_potential_tail_pieces_match_quadrature(N, p, b, opts):
     # i1_total and psi at the grid end against quad over the tail model
@@ -312,7 +312,7 @@ def test_mass_power_tail_matches_quadrature():
 
 def test_mass_log_quadratic_tail_matches_quadrature():
     P = derive_params(2, 2.0, 1.0)
-    phi = phi_from_forward(solve_forward(P, 0.0, ForwardOptions(u_floor=-50.0)))
+    phi = phi_from_forward(solve_forward(P, 0.0, IntegratorOptions(r_max=14.0)))
     M = mass(phi, P)
     r_end, p_end = float(phi.r[-1]), float(phi.phi[-1])
     assert p_end > 0.0
@@ -767,8 +767,7 @@ def test_residual_grade_span_does_not_depend_on_the_grid():
     P = derive_params(1, 2.0, 1.0)
     spans = []
     for tol in (1e-10, 1e-12):
-        fp = solve_forward(P, 0.5, ForwardOptions(
-            integrator=IntegratorOptions(rel_tol=tol, abs_tol=tol)))
+        fp = solve_forward(P, 0.5, IntegratorOptions(rel_tol=tol, abs_tol=tol))
         phi = phi_from_forward(fp)
         assert phi.span < 0.9 * _positive_span(fp.sol, phi, P)
         spans.append(_positive_span(fp.sol, phi, P))
