@@ -2,7 +2,8 @@
 
 For p > 2 (slow regime) each initial height a > 0 falls into one of three
 sets: P (the profile stays positive over the scan radius), N (it vanishes
-transversally at a finite radius), or N0 (it vanishes tangentially).  The
+transversally at a finite radius), or N0 (it vanishes tangentially: a touch,
+a turn of u where u lies within 1e-12 of zero, whose slope is 0).  The
 critical height a_c separating P from N is found by Brent's method on the
 signed first minimum of u, smooth across a_c; the profile at a_c has a zero
 with vanishing slope and generates the compactly supported blow-up solution.
@@ -55,7 +56,6 @@ from .radial_ode import (
 __all__ = [
     "ProfileClass",
     "Classification",
-    "ClassifyOptions",
     "solve_backward",
     "classify",
     "SweepResult",
@@ -93,12 +93,6 @@ class Classification:
         return self.set.value
 
 
-@dataclass(frozen=True)
-class ClassifyOptions:
-    slope_tol: float = 1e-6
-    integrator: Optional[IntegratorOptions] = None
-
-
 def solve_backward(params: ModelParams, a: float,
                    opts: Optional[IntegratorOptions] = None) -> ProfileSolution:
     """Integrate the blow-up profile problem from center height a."""
@@ -125,16 +119,21 @@ def _backward_profile(params: ModelParams, a: float,
 
 
 def _check_heights(params: ModelParams, heights) -> None:
+    """Refuse, before any shot, a height outside (0, u_ceiling)."""
     if params.regime is not Regime.SLOW:
         raise DomainError(
             f"classification applies to the slow regime (p > 2), got p = {params.p}")
+    ode = backward_ode(params)
     for a in heights:
         if not (math.isfinite(a) and a > 0.0):
             raise DomainError(f"initial height must be positive, got {a}")
+        if not ode.u_floor < a < ode.u_ceiling:
+            raise DomainError(f"{ode.kind}: initial height {a} lies outside "
+                              f"({ode.u_floor:g}, {ode.u_ceiling:g})")
 
 
 def classify(params: ModelParams, a: float,
-             opts: Optional[ClassifyOptions] = None) -> Classification:
+             opts: Optional[IntegratorOptions] = None) -> Classification:
     """Assign a to P, N, or N0 as _shoot does, but a height below (1 - 1e-12) h0,
     h0 the zero-energy height, is P with no run ("centre energy below G(0)");
     the margin covers rounding in h0's closed form."""
@@ -146,34 +145,31 @@ def classify(params: ModelParams, a: float,
 
 
 def _shoot(params: ModelParams, a: float,
-           opts: Optional[ClassifyOptions] = None,
+           opts: Optional[IntegratorOptions] = None,
            past_zero: bool = False) -> Classification:
     """Classify a by integrating until a decisive event.
 
-    Decisive outcomes: a zero of u (transversal -> N, tangential within
-    slope_tol -> N0); a first interior minimum or equilibrium capture
+    Decisive outcomes: a zero of u (a touch, a turn where u lies within
+    1e-12 of zero, which integrate records with w = 0.0 -> N0 with slope
+    0; any other -> N); a first interior minimum or equilibrium capture
     (-> P, certified by energy descent); survival to the scan radius
     (-> P).  Step underflow before any of these yields Inconclusive.
     The run starts at the origin series' reach (r0 = inf), short of events.
     past_zero runs on past a zero to the first minimum of either sign,
     whose u is then the run's last; the label is the same.
     """
-    if opts is None:
-        opts = ClassifyOptions()
-    base = opts.integrator if opts.integrator is not None else IntegratorOptions()
     sol = integrate(backward_ode(params), a, replace(
-        base, r0=math.inf, stop_at_u_zero=not past_zero,
+        opts or IntegratorOptions(), r0=math.inf, stop_at_u_zero=not past_zero,
         stop_at_first_minimum=True))
     term = sol.termination
     zeros = sol.events_of(EventKind.U_ZERO)
     if zeros:
         ev = zeros[0]
-        slope = uprime_from_w(sol.ode, ev.w)
-        if abs(slope) <= opts.slope_tol:
-            return Classification(a, ProfileClass.N0, ev.r, slope,
+        if ev.w == 0.0:
+            return Classification(a, ProfileClass.N0, ev.r, 0.0,
                                   "tangential zero", sol)
-        return Classification(a, ProfileClass.N, ev.r, slope,
-                              "transversal zero", sol)
+        return Classification(a, ProfileClass.N, ev.r,
+                              uprime_from_w(sol.ode, ev.w), "transversal zero", sol)
     if term is Termination.U_PRIME_VANISHED:
         hits = sol.events_of(EventKind.EQUILIBRIUM_HIT)
         reason = "equilibrium capture" if hits else "interior minimum"
@@ -204,7 +200,7 @@ class SweepResult:
 
 
 def sweep_a(params: ModelParams, grid,
-            opts: Optional[ClassifyOptions] = None) -> SweepResult:
+            opts: Optional[IntegratorOptions] = None) -> SweepResult:
     """Classify every height in the (increasing) grid, as classify does
     (below h0: "centre energy below G(0)"), once all of them are checked."""
     heights = [float(a) for a in grid]
@@ -302,7 +298,7 @@ class CriticalResult:
 
 def find_critical_a(params: ModelParams,
                     bracket: Optional[tuple[float, float]] = None,
-                    opts: Optional[ClassifyOptions] = None,
+                    opts: Optional[IntegratorOptions] = None,
                     a_tol: float = 1e-10) -> CriticalResult:
     """Find a_c by Brent's method on the signed first minimum of u.
 
@@ -345,9 +341,6 @@ def find_critical_a(params: ModelParams,
             f"critical-height search needs an admissible slow exponent: "
             f"p = {params.p:g} is not above the ground-state admissibility "
             f"threshold {admissible_p_threshold(params.N):.6g} for N = {params.N}")
-    if opts is None:
-        opts = ClassifyOptions()
-
     # Upper ends stay below a_cap, where chi a^q is 2^-20 of the largest
     # double: the stepper's stage sums of g (coefficients up to ~25) must
     # not overflow.  Only steep forcings (p near 2) come near it.

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .backward import (
-    ClassifyOptions,
     ProfileClass,
     _backward_profile,
     find_critical_a,
@@ -137,11 +136,6 @@ def _columns(header: Sequence[str], rows: Sequence[Sequence]) -> dict:
 def _integrator(args) -> IntegratorOptions:
     return IntegratorOptions(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
                              r_max=args.r_max)
-
-
-def _classify_opts(args) -> ClassifyOptions:
-    return ClassifyOptions(slope_tol=args.slope_tol,
-                           integrator=_integrator(args))
 
 
 def _derived_block(params: ModelParams) -> dict:
@@ -259,7 +253,7 @@ def cmd_find_critical(params: ModelParams, args):
     if (args.a_lo is None) != (args.a_hi is None):
         raise DomainError("--a-lo and --a-hi must be given together")
     bracket = None if args.a_lo is None else (args.a_lo, args.a_hi)
-    res = find_critical_a(params, bracket, _classify_opts(args),
+    res = find_critical_a(params, bracket, _integrator(args),
                           a_tol=args.a_tol)
 
     header = ["role", "a", "class", "R", "terminal_slope"]
@@ -325,7 +319,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_sweep(params: ModelParams, args):
     grid = _parse_grid(args.a_grid)
-    res = sweep_a(params, grid, _classify_opts(args))
+    res = sweep_a(params, grid, _integrator(args))
     header = ["index", "a", "class", "R", "terminal_slope"]
     rows = [_class_row(i, c) for i, c in enumerate(res.classifications)]
     counts: dict = {}
@@ -502,14 +496,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a-hi", type=float, default=None, dest="a_hi")
     sp.add_argument("--a-tol", type=float, default=1e-10, dest="a_tol",
                     help="relative bracket width target")
-    sp.add_argument("--slope-tol", type=float, default=1e-6, dest="slope_tol")
     sp.set_defaults(handler=cmd_find_critical)
 
     sp = sub.add_parser("sweep", help="classify a grid of backward heights")
     _add_common(sp)
     sp.add_argument("--a-grid", required=True, dest="a_grid",
                     help="lin:lo:hi:n or log:lo:hi:n")
-    sp.add_argument("--slope-tol", type=float, default=1e-6, dest="slope_tol")
     sp.set_defaults(handler=cmd_sweep)
 
     sp = sub.add_parser("reconstruct",

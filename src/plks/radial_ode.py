@@ -54,8 +54,6 @@ __all__ = [
     "IntegratorOptions",
     "ProfileSolution",
     "StepStats",
-    "startup_state",
-    "effective_startup_radius",
     "integrate",
     "uprime_from_w",
     "energy",
@@ -480,10 +478,6 @@ def _origin_series(ode: RadialODE, u0: float) -> tuple[list, list, float, float]
     that comes first, which keeps steep heights' terms in range.  The series
     stops before a non-finite term and after a_1 where g has no expansion
     at u0; g(u0) = 0 leaves u = u0, w = 0."""
-    if ode.params.p < 2.0 and u0 <= 0.0:
-        raise DomainError(
-            f"{ode.kind}: initial height must be positive "
-            f"(singular source at u = 0), got {u0}")
     g0 = ode.g(u0)
     if not math.isfinite(g0):
         raise DomainError(f"source term not finite at u0 = {u0}")
@@ -555,19 +549,6 @@ def _series_state(ode: RadialODE, series: tuple, r: float) -> tuple[float, float
     a, y, y0, rho = series
     x = r ** (ode.params.p / (ode.params.p - 1.0)) / rho
     return _horner(a, x), r * y0 * _horner(y, x)
-
-
-def effective_startup_radius(ode: RadialODE, u0: float, opts: IntegratorOptions) -> float:
-    """min(opts.r0, the origin series' reach (_series_reach)); opts.r0 = inf
-    starts a run at the reach."""
-    return min(opts.r0, _series_reach(ode, _origin_series(ode, u0), opts))
-
-
-def startup_state(ode: RadialODE, u0: float, r0: float) -> tuple[float, float]:
-    """The origin series' state (u(r0), w(r0))."""
-    if r0 <= 0.0:
-        raise DomainError(f"startup radius must be positive, got {r0}")
-    return _series_state(ode, _origin_series(ode, u0), r0)
 
 
 def _dense_coefficients(k1: float, k3: float, k4: float, k5: float, k6: float,
@@ -649,7 +630,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     tolerance.  A (u, w) trial that crosses a zero of w is retaken in
     (E, w) where E resolves u; an (E, w) step ends just past the turn its
     start predicts; and a turn of an (E, w) step where u lies within
-    _EVENT_TOL of zero, or beyond it, is a zero of u.
+    _EVENT_TOL of zero, or beyond it, is a zero of u: within it, a touch,
+    whose zero is recorded with w = 0.0, the slope of a tangential zero.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -971,7 +953,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                     if not u_cross and (ue <= 0.0 if u > 0.0 else ue >= 0.0):
                         if abs(ue) <= _EVENT_TOL:
                             # u touches zero at the turn: a zero of slope 0
-                            located.append((th, 0, r + th * h, ue, we))
+                            located.append((th, 0, r + th * h, ue, 0.0))
                         else:
                             # u passes zero and turns back within the step
                             spans = [(0.0, th), (th, 1.0)]
@@ -1067,6 +1049,10 @@ def energy(ode: RadialODE, u, w):
     return float(val) if scalar else val
 
 
+# the energy audit's allowed rise (N >= 2) and drift (N = 1), times its scale
+_ENERGY_INCREASE_TOL, _ENERGY_DRIFT_TOL = 1e-8, 1e-6
+
+
 @dataclass(frozen=True)
 class EnergyCheck:
     """Outcome of the discrete energy-law audit for one trajectory."""
@@ -1080,16 +1066,14 @@ class EnergyCheck:
 
 
 def energy_derivative_check(sol: ProfileSolution, *,
-                            increase_tol: float = 1e-8,
-                            drift_tol: float = 1e-6,
                             raise_on_violation: bool = True) -> EnergyCheck:
     """Audit dE/dr = -B (N-1)/r |u'|^p against the sampled energy.
 
     Returns the maximal mismatch between energy increments and the
     Simpson-integrated predicted derivative, whose midpoint w comes from
     each step's own interpolant, and judges the regime law:
-    E non-increasing for N >= 2 (tolerance increase_tol * scale), E constant
-    for N = 1 (tolerance drift_tol * scale).  scale is |E(r0)| with the
+    E non-increasing for N >= 2 (tolerance 1e-8 scale), E constant for
+    N = 1 (tolerance 1e-6 scale).  scale is |E(r0)| with the
     equilibrium well depth as a floor.  The verdict is `passed`; a violation
     raises EnergyLawError unless raise_on_violation is False.
     """
@@ -1126,13 +1110,13 @@ def energy_derivative_check(sol: ProfileSolution, *,
     scale = max(scale, 1e-12)
     max_drift = float(np.max(np.abs(E - e0))) if len(E) else 0.0
     if ode.params.N >= 2:
-        passed = max_increase <= increase_tol * scale
-        violation = (f"energy increased by {max_increase:g} "
-                     f"(allowed {increase_tol * scale:g})")
+        allowed = _ENERGY_INCREASE_TOL * scale
+        passed = max_increase <= allowed
+        violation = f"energy increased by {max_increase:g} (allowed {allowed:g})"
     else:
-        passed = max_drift <= drift_tol * scale
-        violation = (f"energy drifted by {max_drift:g} "
-                     f"(allowed {drift_tol * scale:g})")
+        allowed = _ENERGY_DRIFT_TOL * scale
+        passed = max_drift <= allowed
+        violation = f"energy drifted by {max_drift:g} (allowed {allowed:g})"
     if raise_on_violation and not passed:
         raise EnergyLawError(f"{violation} for {ode.kind}")
     return EnergyCheck(max_defect=max_defect, max_increase=max_increase,

@@ -216,8 +216,7 @@ def dense_coefficients_loop(ks) -> tuple:
     return tuple(q)
 
 
-def energy_audit_by_sample(sol, increase_tol: float = 1e-8,
-                           drift_tol: float = 1e-6) -> tuple:
+def energy_audit_by_sample(sol) -> tuple:
     """The energy audit's fields, with every midpoint w from sol.sample().
 
     Returns (max_defect, max_increase, max_drift, e0, scale, passed) in
@@ -247,7 +246,7 @@ def energy_audit_by_sample(sol, increase_tol: float = 1e-8,
     scale = max(scale, 1e-12)
     max_drift = float(np.max(np.abs(E - e0)))
     if ode.params.N >= 2:
-        passed = max_increase <= increase_tol * scale
+        passed = max_increase <= 1e-8 * scale
     else:
-        passed = max_drift <= drift_tol * scale
+        passed = max_drift <= 1e-6 * scale
     return max_defect, max_increase, max_drift, e0, scale, passed

@@ -13,7 +13,6 @@ from plks import (
     AmbiguousBracketError,
     BadBracketError,
     Classification,
-    ClassifyOptions,
     DomainError,
     EventKind,
     IntegratorOptions,
@@ -418,21 +417,39 @@ def test_find_critical_a_rejects_fast_and_linear():
     assert time.process_time() - t0 < 0.1
 
 
-def test_tangential_exit_meets_slope_band():
-    # with slope_tol matched to the integration accuracy the search ends
-    # with a tangential zero above a_c whose slope sits inside its own
-    # tolerance band; the terminal slope scales like (integration
-    # error)^(1/p), so the default slope_tol = 1e-6 cannot fire at
-    # rel_tol = 1e-10
+def test_tangential_exit_is_a_touch():
+    # at tight tolerances the a_tol = 0 search ends with a tangential zero
+    # above a_c: a touch, where u lies within 1e-12 of zero at a turn of
+    # the same radius, recorded with slope 0 exactly
     for (N, p) in [(1, 2.5), (2, 3.0)]:
         P = derive_params(N, p, 1.0)
-        copts = ClassifyOptions(
-            slope_tol=1e-3,
-            integrator=IntegratorOptions(rel_tol=1e-12, abs_tol=1e-12))
-        res = find_critical_a(P, opts=copts, a_tol=0.0)
+        res = find_critical_a(P, opts=IntegratorOptions(rel_tol=1e-12,
+                                                        abs_tol=1e-12), a_tol=0.0)
         c = res.upper
-        assert c.set is ProfileClass.N0
-        assert abs(c.terminal_slope) <= 10.0 * copts.slope_tol
+        assert c.set is ProfileClass.N0 and c.terminal_slope == 0.0
+        zero = c.solution.events_of(EventKind.U_ZERO)[0]
+        turn = c.solution.events_of(EventKind.U_PRIME_ZERO)[-1]
+        assert zero.r == turn.r == c.R_of_a and abs(zero.u) <= 1e-12
+        assert zero.w == 0.0
+
+
+# The a_tol = 0 searches' upper ends at (N, p) = (1, 4), (2, 5) and (2, 3):
+# each stops at a touch, u = -6.7e-16, -2.4e-16 and -1.7e-17.  A slope
+# band of 1e-6 labelled the first two N, with slopes -1.1e-5 and +4.4e-4:
+# the flux map (|w|/B)^(1/(p-1)) lifts a located w of 1e-15 to 1e-13 above
+# the band once p exceeds about 3.2.
+@pytest.mark.parametrize("N,p,a", [(1, 4.0, 1.0584000728412677),
+                                   (2, 5.0, 1.3660530502910013),
+                                   (2, 3.0, 1.689293179680241)])
+def test_touch_is_n0_whatever_p(N, p, a):
+    P = derive_params(N, p)
+    c = classify(P, a)
+    assert c.set is ProfileClass.N0 and c.terminal_slope == 0.0
+    assert c.R_of_a == c.solution.r_end and abs(c.solution.u[-1]) <= 1e-12
+    res = find_critical_a(P, a_tol=0.0)
+    assert res.upper.a == a
+    assert res.upper.set is ProfileClass.N0 and res.upper.terminal_slope == 0.0
+    assert res.upper.R_of_a == c.R_of_a
 
 
 def test_touch_is_a_zero_in_both_shots():
@@ -578,8 +595,8 @@ def test_critical_radius_from_the_final_p_end():
     # no P label certifies a lower end and the search stops; it used to
     # report a_c = 2.4065 (1.6893 at the default r_max)
     with pytest.raises(BadBracketError, match="interior minimum by r_max = 2"):
-        find_critical_a(derive_params(2, 3.0, 1.0), opts=ClassifyOptions(
-            integrator=IntegratorOptions(r_max=2.0)))
+        find_critical_a(derive_params(2, 3.0, 1.0),
+                        opts=IntegratorOptions(r_max=2.0))
 
 
 def _bisection_rounds(res, a_tol=1e-10):

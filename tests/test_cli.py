@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -410,10 +411,14 @@ def test_solve_forward_bad_cutoff_exit2(argv, capsys):
     ["solve-backward", "--N", "2", "--p", "3", "--a", "2", "--event-tol", "1e-12"],
     ["reconstruct", "--N", "2", "--p", "3", "--a", "2", "--direction", "backward"],
     ["delta-test", "--N", "3", "--p", "1.8", "--b", "1", "--direction", "forward"],
+    ["find-critical", "--N", "2", "--p", "3", "--slope-tol", "1e-3"],
+    ["sweep", "--N", "2", "--p", "3", "--a-grid", "log:0.5:4:4",
+     "--slope-tol", "1e-3"],
 ])
 def test_removed_run_settings_exit2(argv, capsys):
-    # the event tolerance is the integrator's constant, and --a or --b
-    # names the direction
+    # the event tolerance is the integrator's constant, --a or --b names
+    # the direction, and N0 is the touch the stepper finds, with no slope
+    # band to set
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -459,6 +464,20 @@ def test_sweep_report_edges(capsys):
     assert res["a_1"] < res["a_2"]
     assert res["counts"]["P"] + res["counts"]["N"] == res["n_points"] == 12
     assert rep["tolerances_met"]["all_classified"] is True
+
+
+def test_sweep_out_of_range_height_exit2_before_any_shot(capsys, monkeypatch):
+    # 1e299 lies above the backward u_ceiling 1e12; the stiff first height
+    # (u* within 1e-13 of 1) used to take 25 s before integrate refused it
+    shots = []
+    monkeypatch.setattr(plks.backward, "integrate",
+                        lambda *a: shots.append(a) or pytest.fail("shot"))
+    t0 = time.process_time()
+    rc, out, err = _run(["sweep", "--N", "6", "--p", "2.00000000000001",
+                         "--a-grid", "lin:1.0:1e+299:2", "--r-max", "20"], capsys)
+    assert time.process_time() - t0 < 1.0
+    assert rc == 2 and out == "" and not shots
+    assert "error[DomainError]" in err and "1e+299 lies outside" in err
 
 
 def test_sweep_bad_grid_exit2(capsys):

@@ -31,11 +31,11 @@ GOLDEN = {
     "find-critical": (
         "find-critical --N 1 --p 3",
         "108d7a3501446a5fa35baa6ee13c20c03468bf26d099a8a3e6bace3757637f74",
-        "5323d65691137eb049382400ed72727ada45ba462aea199792e747566e0f2ba9"),
+        "e19a410683384455db7bf8aede79e9c1ca2c705421575f79961ed43020dae39f"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
         "9d04b80661fcac86494a8c57361bc2f7f665a8e4b53c3aba2f97415a2d92161e",
-        "b97a10cdf6f848b19769e1c2052b5296b9afd2c4dee472cfc6e869f1791744c8"),
+        "c1cb48b8b89165ab7d1c26a24faffab2eccc47802a031c3138112ef98a1cd506"),
     "reconstruct": (
         "reconstruct --N 2 --p 3 --a 2.126 --residual-grade",
         "603d06947e45fd00a16b646a7ac271287b286188837e5fe83f52e435a7520475",

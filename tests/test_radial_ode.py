@@ -20,7 +20,6 @@ from plks import (
     admissible_p_threshold,
     backward_ode,
     derive_params,
-    effective_startup_radius,
     energy,
     energy_derivative_check,
     forward_ode,
@@ -29,7 +28,6 @@ from plks import (
     local_residual_check,
     solve_backward,
     solve_forward,
-    startup_state,
     uprime_from_w,
     zero_energy_height,
 )
@@ -192,9 +190,12 @@ def test_flux_inversion_round_trip():
 # ---------------------------------------------------------------- startup
 
 def test_startup_matches_oracle():
+    # a run's first node is the origin series' state at r0
     for N, p, chi, problem in FORCING_CASES:
         ode = _ode(N, p, chi, problem)
-        u, w = startup_state(ode, 1.3, 1e-6)
+        sol = integrate(ode, 1.3, IntegratorOptions(r0=1e-6, r_max=1e-4))
+        assert sol.r[0] == 1e-6
+        u, w = float(sol.u[0]), float(sol.w[0])
         uo, wo = oracle_startup(N, p, chi, problem, 1.3, 1e-6)
         assert abs(u - uo) < 1e-18 + 1e-14 * abs(uo)
         assert abs(w - wo) < 1e-18 + 1e-14 * abs(wo)
@@ -207,8 +208,8 @@ def test_startup_series_consistency():
     vals = []
     for r0 in (1e-7, 1e-9, 1e-11):
         opts = IntegratorOptions(r0=r0, r_max=1.0)
-        assert effective_startup_radius(ode, 2.0, opts) == r0
         sol = integrate(ode, 2.0, opts)
+        assert sol.r[0] == r0
         assert sol.termination is Termination.U_CROSSED_ZERO or sol.r_end == 1.0
         u1, _ = sol.sample(min(0.5, sol.r_end))
         vals.append(u1)
@@ -221,27 +222,27 @@ def test_startup_radius_shrinks_to_the_series_cap():
     # which steeper heights pull in (the series' terms grow with g(u0)),
     # where u and w/r keep at least half their value at the origin, and
     # which a short scan radius caps at r_max / 2; a requested r0 below
-    # the reach stays as requested
+    # the reach stays as requested.  The runs stop at their first minimum,
+    # which leaves the reach as it is
     ode = _ode(1, 3.0, 1.0, "backward")
-    opts = IntegratorOptions(r0=math.inf)
+    opts = IntegratorOptions(r0=math.inf, stop_at_first_minimum=True)
     reaches = []
     for u0 in (1.0, 1.5, 2.0, 10.0, 100.0):
-        r0 = effective_startup_radius(ode, u0, opts)
+        sol = integrate(ode, u0, opts)
+        r0, u, w = float(sol.r[0]), float(sol.u[0]), float(sol.w[0])
         reaches.append(r0)
-        assert integrate(ode, u0, opts).r[0] == r0
-        u, w = startup_state(ode, u0, r0)
         assert 0.5 * u0 <= u < u0
         assert 0.5 <= (w / r0) / (-ode.g(u0)) <= 1.5   # w/r = -g(u0)/N at 0
         for r_req in (1e-6, 0.5 * r0):
-            assert effective_startup_radius(ode, u0, replace(opts, r0=r_req)) == r_req
+            assert integrate(ode, u0, replace(opts, r0=r_req)).r[0] == r_req
     assert reaches == sorted(reaches, reverse=True) and reaches[-1] < 1e-4
     short = replace(opts, r_max=1e-3)
-    assert effective_startup_radius(ode, 1.5, short) == 0.5 * short.r_max
+    assert integrate(ode, 1.5, short).r[0] == 0.5 * short.r_max
     # at u0 = 0 the power source has no expansion: the two-term startup,
     # whose next term is unknown, so its correction |a_1| r^(3/2) stops at
     # 1e-3 abs_tol
-    r0 = effective_startup_radius(ode, 0.0, opts)
-    u, w = startup_state(ode, 0.0, r0)
+    sol = integrate(ode, 0.0, opts)
+    r0, u, w = float(sol.r[0]), float(sol.u[0]), float(sol.w[0])
     assert u == pytest.approx(1e-3 * opts.abs_tol, rel=1e-12)
     assert (u, w) == pytest.approx(oracle_startup(1, 3.0, 1.0, "backward", 0.0, r0),
                                    rel=1e-14)
@@ -262,10 +263,11 @@ def _series_against_tight_run(ode, u0, r_max=1e3):
     (1 + |y|).  The bound is the sum of the two, at most the step
     tolerance abs_tol + rel_tol |y| for n <= 1000, which is asserted.
     """
-    opts = IntegratorOptions(r0=math.inf, r_max=r_max)
-    reach = effective_startup_radius(ode, u0, opts)
+    opts = IntegratorOptions(r0=math.inf, r_max=r_max,
+                             stop_at_first_minimum=True)   # a short run
+    sol = integrate(ode, u0, opts)
+    reach, u, w = float(sol.r[0]), float(sol.u[0]), float(sol.w[0])
     assert 0.0 < reach <= 0.5 * r_max
-    u, w = startup_state(ode, u0, reach)
     ref = integrate(ode, u0, IntegratorOptions(
         rel_tol=1e-13, abs_tol=1e-13, r0=min(1e-9, 1e-3 * reach), r_max=reach))
     # no event in the layer: no zero of u, no turn, no capture
@@ -280,7 +282,7 @@ def _series_against_tight_run(ode, u0, r_max=1e3):
     assert abs(w - ref.w[-1]) <= 1e-3 * (opts.abs_tol + opts.rel_tol * w_max) \
         + 0.5 * n * 1e-13 * (1.0 + w_max)
     # find-critical --r-max 2 keeps the reach below its scan radius too
-    assert effective_startup_radius(ode, u0, replace(opts, r_max=2.0)) <= 1.0
+    assert integrate(ode, u0, replace(opts, r_max=2.0)).r[0] <= 1.0
     return reach
 
 
@@ -317,11 +319,11 @@ def test_origin_series_matches_a_tight_run_under_exp_forcing(problem, u0):
 
 def test_startup_rejects_bad_input():
     ode = _ode(1, 3.0, 1.0, "backward")
-    with pytest.raises(DomainError):
-        startup_state(ode, 1.0, 0.0)
+    with pytest.raises(DomainError, match="startup radius"):
+        integrate(ode, 1.0, IntegratorOptions(r0=0.0))
     fast = _ode(3, 1.8, 1.0, "backward")
-    with pytest.raises(DomainError):
-        startup_state(fast, -1.0, 1e-6)  # singular source needs u0 > 0
+    with pytest.raises(DomainError, match="lies outside"):
+        integrate(fast, -1.0)  # singular source needs u0 > 0
 
 
 # ------------------------------------------------------- oracle equivalence
@@ -339,9 +341,8 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("N,p,chi,problem,u0", ORACLE_CASES)
 def test_adaptive_agrees_with_rk4(N, p, chi, problem, u0):
     ode = _ode(N, p, chi, problem)
-    opts = IntegratorOptions(r_max=1.0, stop_at_u_zero=False)
-    r0 = effective_startup_radius(ode, u0, opts)
-    sol = integrate(ode, u0, opts)
+    sol = integrate(ode, u0, IntegratorOptions(r_max=1.0, stop_at_u_zero=False))
+    r0 = float(sol.r[0])
     assert sol.termination is Termination.REACHED_RMAX
     u_ref, w_ref = rk4_trajectory(N, p, chi, problem, u0, r0, 1.0, 100_000)
     u_end = float(sol.u[-1])
@@ -361,9 +362,8 @@ def test_energy_potential_overflows_to_infinity():
 def test_dense_output_against_oracle():
     # dense samples between nodes must agree with a refined fixed-step run
     ode = _ode(1, 3.0, 1.0, "backward")
-    opts = IntegratorOptions(r_max=0.6, stop_at_u_zero=False)
-    r0 = effective_startup_radius(ode, 2.0, opts)
-    sol = integrate(ode, 2.0, opts)
+    sol = integrate(ode, 2.0, IntegratorOptions(r_max=0.6, stop_at_u_zero=False))
+    r0 = float(sol.r[0])
     radii = np.linspace(0.05, 0.55, 41)
     u_d, w_d = sol.sample(radii)
     for r_t, u_t, w_t in zip(radii[::8], u_d[::8], w_d[::8]):
@@ -677,7 +677,7 @@ def test_energy_drift_stays_small_on_long_continuations():
     # step count but must stay a few digits above the per-step tolerance
     ode = _ode(1, 3.0, 1.0, "backward")
     sol = integrate(ode, 2.0, IntegratorOptions(r_max=30.0, stop_at_u_zero=False))
-    chk = energy_derivative_check(sol, drift_tol=1e-5)
+    chk = energy_derivative_check(sol, raise_on_violation=False)
     assert chk.max_drift <= 1e-5 * abs(chk.e0)
 
 
@@ -786,14 +786,16 @@ def test_energy_verdict_matches_raising():
     for N, p, u0 in [(1, 3.0, 0.85), (2, 2.5, 1.5)]:
         sol = integrate(_ode(N, p, 1.0, "backward"), u0,
                         IntegratorOptions(r_max=20.0, stop_at_u_zero=False))
-        assert energy_derivative_check(sol).passed
-        # a negative tolerance fails every trajectory: the verdict says so,
-        # and only the raising mode raises
-        tight = dict(increase_tol=-1.0, drift_tol=-1.0)
-        assert not energy_derivative_check(
-            sol, raise_on_violation=False, **tight).passed
+        chk = energy_derivative_check(sol)
+        assert chk.passed
+        # an energy that jumps by its scale at the last node breaks both
+        # laws: the verdict says so, and only the raising mode raises
+        bumped = sol.energy.copy()
+        bumped[-1] += chk.scale
+        bad = replace(sol, energy=bumped)
+        assert not energy_derivative_check(bad, raise_on_violation=False).passed
         with pytest.raises(EnergyLawError):
-            energy_derivative_check(sol, **tight)
+            energy_derivative_check(bad)
 
 
 def test_energy_dissipation_identity_random_points():
