@@ -136,11 +136,17 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
     def g_np(u):
         return coef * _odd_pow_np(np.asarray(u, dtype=float), q) + const
 
+    # G_np works in place in its result and const * u, in the operand
+    # order of coef / qp1 * |u|^qp1 + const * u
     if qp1 != 0.0:
         def G_np(u):
             u = np.asarray(u, dtype=float)
             with np.errstate(over="ignore"):
-                return coef / qp1 * np.abs(u) ** qp1 + const * u
+                t = np.abs(u)
+                t **= qp1
+                t *= coef / qp1
+                t += const * u
+            return t
     else:
         # q = -1: the power antiderivative degenerates to a logarithm,
         # defined for u > 0 only.
@@ -149,7 +155,10 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
             if np.any(u <= 0.0):
                 raise DomainError(
                     "logarithmic energy potential needs u > 0 (q = -1)")
-            return coef * np.log(u) + const * u
+            t = np.log(u)
+            t *= coef
+            t += const * u
+            return t
 
     def G(u: float) -> float:
         try:
@@ -202,9 +211,13 @@ def _exp_ode(params: ModelParams, kind: str, const: float,
             return chi * np.exp(m * u) + const
 
     def G_np(u):
+        # in place, as chi / m * e^(m u) + const * u
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):
-            return chi / m * np.exp(m * u) + const * u
+            t = np.exp(m * u)
+            t *= chi / m
+            t += const * u
+        return t
 
     def g_taylor(a: list, e: list) -> float:
         # e: e^(m (u - u(0))), e_n = (m/n) sum_(j=1..n) j a_j e_(n-j)
@@ -276,7 +289,7 @@ class Termination(Enum):
     DIVERGED = "diverged"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     kind: EventKind
     r: float
@@ -397,7 +410,10 @@ class ProfileSolution:
     (nan on (u, w) steps), and u is recovered from G(u) = E - K(w).
     r, u, w, _h and _q are float64 views over the stepper's buffers, made
     without a copy; integrate forms _q from the stage slopes, every
-    _DENSE_BLOCK steps and at the end of the run (_dense_block).
+    _DENSE_BLOCK steps and at the end of the run (_dense_block).  It
+    records the (E, w) steps by an int64 index (an array('q')) with E at
+    their start, which fill _e, and computes energy in place, in two
+    buffers of the grid's length.
     """
 
     ode: RadialODE
@@ -510,21 +526,22 @@ def _origin_series(ode: RadialODE, u0: float) -> tuple[list, list, float, float]
     return a, y, y0, rho
 
 
-def _series_reach(ode: RadialODE, series: tuple, opts: IntegratorOptions) -> float:
+def _series_reach(ode: RadialODE, series: tuple, rtol: float, atol: float,
+                  r_max: float) -> float:
     """Largest radius below r_max / 2 where the tail (the last two terms) is
     below _SERIES_TOL of the step tolerance, u's at the origin and w's for
     |w| >= r |y0| / 2, and u (u0 != 0) and w/r keep half their value there."""
     a, y, y0, rho = series
-    r = 0.5 * opts.r_max
+    r = 0.5 * r_max
     if not y:
         return r
     ib = 1.0 - 1.0 / ode.params.p                 # 1 / beta
-    tol_u = _SERIES_TOL * (opts.abs_tol + opts.rel_tol * abs(a[0]))
+    tol_u = _SERIES_TOL * (atol + rtol * abs(a[0]))
     xs = [(tol_u / abs(a[k])) ** (1.0 / k)
           for k in range(max(1, len(a) - 2), len(a)) if a[k]]
-    tol_a = _SERIES_TOL * opts.abs_tol / (abs(y0) * rho ** ib)
+    tol_a = _SERIES_TOL * atol / (abs(y0) * rho ** ib)
     xs += [max((tol_a / abs(y[k])) ** (1.0 / (k + ib)),
-               (0.5 * _SERIES_TOL * opts.rel_tol / abs(y[k])) ** (1.0 / k))
+               (0.5 * _SERIES_TOL * rtol / abs(y[k])) ** (1.0 / k))
            for k in range(max(1, len(y) - 2), len(y)) if y[k]]
     x = min(xs, default=math.inf)
     if (rho * x) ** ib > r:
@@ -635,6 +652,11 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     """
     if opts is None:
         opts = IntegratorOptions()
+    # Python floats throughout: numpy scalars take twice the CPU per step,
+    # and warn where floats overflow to inf silently
+    u0 = float(u0)
+    rtol, atol, r_max = float(opts.rel_tol), float(opts.abs_tol), float(opts.r_max)
+    h_max = math.inf if opts.h_max is None else float(opts.h_max)
     g, p = ode.g, ode.params.p
     neg_nm1 = -(ode.params.N - 1.0)    # w' = neg_nm1 / r * w - g(u)
     lin = p == 2.0                     # u' = w; otherwise the Hoelder flux map
@@ -644,9 +666,6 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
      _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
      _C2, _C3, _C4, _C5) = _DP54
     copysign, isfinite, sqrt = math.copysign, math.isfinite, math.sqrt
-    rtol, atol = opts.rel_tol, opts.abs_tol
-    r_max = opts.r_max
-    h_max = math.inf if opts.h_max is None else opts.h_max
     u_floor, u_ceiling = ode.u_floor, ode.u_ceiling
     if not u_floor < u0 < u_ceiling:
         raise DomainError(f"{ode.kind}: initial height {u0} lies outside "
@@ -660,7 +679,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         c_K = (p - 1.0) / p     # K(w) = c_K w u'
 
     series = _origin_series(ode, u0)
-    r0 = min(opts.r0, _series_reach(ode, series, opts))
+    r0 = min(float(opts.r0), _series_reach(ode, series, rtol, atol, r_max))
     if not 0.0 < r0 < r_max:
         raise DomainError(f"startup radius {r0:g} must lie in (0, r_max = {r_max:g})")
     u_c, w_c = _series_state(ode, series, r0)
@@ -675,7 +694,7 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     hs = array('d')
     qs = array('d')
     ks = array('d')
-    e_steps: list[int] = []      # indices of (E, w) steps
+    e_steps = array('q')         # int64 indices of (E, w) steps
     e_starts = array('d')        # and E at their start
     events: list[Event] = []
     termination: Optional[Termination] = None
@@ -1035,17 +1054,31 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
 
 
 def kinetic_energy(ode: RadialODE, w):
-    """B (p-1)/p |u'|^p expressed through the flux, (|w|/B)^(p/(p-1))."""
+    """B (p-1)/p |u'|^p expressed through the flux, (|w|/B)^(p/(p-1)).
+
+    Computed in place in its result, in the operand order of
+    B (p-1)/p * (|w| / B)^(p/(p-1)).
+    """
     w = np.asarray(w, dtype=float)
     pe, Be = ode.params.p, ode.B_eff
+    t = np.abs(w)
     with np.errstate(over="ignore"):
-        return Be * (pe - 1.0) / pe * (np.abs(w) / Be) ** (pe / (pe - 1.0))
+        t /= Be
+        t **= pe / (pe - 1.0)
+        t *= Be * (pe - 1.0) / pe
+    return t
 
 
 def energy(ode: RadialODE, u, w):
-    """E = B (p-1)/p |u'|^p + G(u); non-increasing in r, constant for N = 1."""
+    """E = B (p-1)/p |u'|^p + G(u); non-increasing in r, constant for N = 1.
+
+    Works in place: arrays take two buffers of their length, the result
+    included, and give the doubles of K(w) + G(u) evaluated unfused.
+    """
     scalar = np.isscalar(u) or np.ndim(u) == 0
-    val = kinetic_energy(ode, w) + ode.G_np(np.asarray(u, dtype=float))
+    G = ode.G_np(np.asarray(u, dtype=float))
+    val = kinetic_energy(ode, w)
+    val += G
     return float(val) if scalar else val
 
 
@@ -1076,39 +1109,70 @@ def energy_derivative_check(sol: ProfileSolution, *,
     N = 1 (tolerance 1e-6 scale).  scale is |E(r0)| with the
     equilibrium well depth as a floor.  The verdict is `passed`; a violation
     raises EnergyLawError unless raise_on_violation is False.
+
+    The audit works in place in three buffers of the grid's length, each
+    operation in the operand order and association of the unfused
+    expressions, so every field is theirs bit for bit.
     """
     ode = sol.ode
-    E = sol.energy
-    r = sol.r
+    E, r, w, h_step = sol.energy, sol.r, sol.w, sol._h
     pe, Be = ode.params.p, ode.B_eff
     ex = pe / (pe - 1.0)
+    c = -Be * (ode.params.N - 1.0)
+    n = len(r) - 1                      # steps
+
+    def midpoints(out):
+        # r_mid = r[:-1] + 0.5 * h, h = r[1:] - r[:-1]
+        np.subtract(r[1:], r[:-1], out=out)
+        out *= 0.5
+        out += r[:-1]
+        return out
+
+    def dissipation(flux, radii, out, tmp):
+        # E' = c / radii * (|flux| / Be)^ex into out; tmp gets c / radii
+        np.abs(flux, out=out)
+        out /= Be
+        out **= ex
+        out *= np.divide(c, radii, out=tmp)
+        return out
+
+    D, b, acc = np.empty(n + 1), np.empty(n + 1), np.empty(n)
+    max_defect = max_increase = 0.0
     with np.errstate(over="ignore"):
-        D = -Be * (ode.params.N - 1.0) / r * (np.abs(sol.w) / Be) ** ex
-    dE = np.diff(E)
-    if len(dE):
-        h = np.diff(r)
-        r_mid = r[:-1] + 0.5 * h
-        # each midpoint lies in its own step: w from that step's
-        # interpolant, with sample()'s arithmetic (a cut-short last step
-        # keeps its full length in _h)
-        theta = (r_mid - r[:-1]) / sol._h
-        q = sol._q[:, 1]
-        w_mid = sol.w[:-1] + sol._h * (theta * (q[:, 0] + theta * (
-            q[:, 1] + theta * (q[:, 2] + theta * q[:, 3]))))
-        with np.errstate(over="ignore"):
-            D_mid = -Be * (ode.params.N - 1.0) / r_mid * (np.abs(w_mid) / Be) ** ex
-        simpson = h / 6.0 * (D[:-1] + 4.0 * D_mid + D[1:])
-        max_defect = float(np.max(np.abs(dE - simpson)))
-    else:
-        max_defect = 0.0
-    max_increase = float(max(np.max(dE), 0.0)) if len(dE) else 0.0
+        dissipation(w, r, D, b)
+        if n:
+            # each midpoint lies in its own step: w from that step's
+            # interpolant, with sample()'s arithmetic (a cut-short last step
+            # keeps its full length in _h)
+            theta = midpoints(b[:n])
+            theta -= r[:-1]
+            theta /= h_step
+            q = sol._q[:, 1]
+            np.multiply(theta, q[:, 3], out=acc)
+            for k in (2, 1, 0):
+                acc += q[:, k]
+                acc *= theta
+            acc *= h_step
+            acc += w[:-1]
+            # Simpson's rule, h / 6 (D[:-1] + 4 D_mid + D[1:])
+            dissipation(acc, midpoints(b[:n]), acc, b[:n])
+            acc *= 4.0
+            acc += D[:-1]
+            acc += D[1:]
+            h6 = np.subtract(r[1:], r[:-1], out=b[:n])
+            h6 /= 6.0
+            acc *= h6
+            dE = np.subtract(E[1:], E[:-1], out=D[:n])
+            max_increase = float(max(np.max(dE), 0.0))
+            np.subtract(dE, acc, out=acc)
+            max_defect = float(np.max(np.abs(acc, out=acc)))
     e0 = float(E[0])
     scale = abs(e0)
     eq = ode.equilibrium_u
     if eq is not None:
         scale = max(scale, abs(float(ode.G_np(eq))))
     scale = max(scale, 1e-12)
-    max_drift = float(np.max(np.abs(E - e0))) if len(E) else 0.0
+    max_drift = float(np.max(np.abs(np.subtract(E, e0, out=D), out=D)))
     if ode.params.N >= 2:
         allowed = _ENERGY_INCREASE_TOL * scale
         passed = max_increase <= allowed

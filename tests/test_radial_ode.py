@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import warnings
 from array import array
 from dataclasses import astuple, replace
 
@@ -24,6 +25,7 @@ from plks import (
     energy_derivative_check,
     forward_ode,
     integrate,
+    kinetic_energy,
     limit_ode,
     local_residual_check,
     solve_backward,
@@ -32,7 +34,9 @@ from plks import (
     zero_energy_height,
 )
 from oracles import (dense_coefficients_loop, energy_audit_by_sample,
-                     oracle_g, oracle_startup, rk4_trajectory)
+                     energy_audit_reference, energy_reference,
+                     kinetic_energy_reference, oracle_g, oracle_startup,
+                     potential_reference, rk4_trajectory)
 from plks import radial_ode
 from plks.radial_ode import _dense_block, _dense_coefficients
 
@@ -694,17 +698,21 @@ def test_energy_audit_passes_at_zero_energy_height(N):
 
 def test_energy_audit_matches_sampled_midpoints():
     # the audit evaluates w at each step's midpoint from that step's own
-    # interpolant; sample() at the same radii is the reference, bit for bit
+    # interpolant, in place: sample() at the same radii, and the unfused
+    # numpy expressions, are the references, bit for bit
     P2 = derive_params(2, 3.0)
     P1 = derive_params(1, 3.0)
     short = IntegratorOptions(r_max=100.0)
     sols = {
         # the P trajectory: (E, w) steps, whose first interpolant is E's
         "P N2 p3": solve_backward(P2, 0.845, short),
-        # an N height: the event at the zero of u cuts the last step short
+        # an N height: the event at the zero of u cuts the last step short,
+        # which keeps its full length in _h
         "N N2 p3": solve_backward(P2, 2.0),
+        # its last step cut short by r_max
         "backward N2 p2": solve_backward(derive_params(2, 2.0), 1.5,
                                          IntegratorOptions(r_max=50.0)),
+        "forward N2 p2": solve_forward(derive_params(2, 2.0), 0.0).sol,
         "forward N3 p1.8": solve_forward(derive_params(3, 1.8), 1.0).sol,
         "zero energy N1 p3": solve_backward(P1, zero_energy_height(P1), short),
     }
@@ -712,20 +720,77 @@ def test_energy_audit_matches_sampled_midpoints():
     cut = sols["N N2 p3"]
     assert cut.termination is Termination.U_CROSSED_ZERO
     assert cut.r[-1] - cut.r[-2] < cut._h[-1]
+    assert sols["backward N2 p2"].r_end == 50.0
     for name, sol in sols.items():
         r_mid = sol.r[:-1] + 0.5 * np.diff(sol.r)
         n = len(sol.r) - 1
         assert np.array_equal(
             np.searchsorted(sol.r, r_mid, "right") - 1, np.arange(n)), name
         chk = energy_derivative_check(sol, raise_on_violation=False)
+        assert all(math.isfinite(x) for x in astuple(chk)), name
         assert astuple(chk) == energy_audit_by_sample(sol), name
+        assert astuple(chk) == energy_audit_reference(sol), name
+        assert np.array_equal(sol.energy, energy_reference(sol.ode, sol.u, sol.w))
+
+
+@pytest.mark.parametrize("N,p,chi,problem", FORCING_CASES + [
+    (2, 3.0, 1.0, "backward"), (1, 2.00001, 1.0, "forward")])
+def test_energy_matches_unfused_reference(N, p, chi, problem):
+    # in place on arrays, and on Python and numpy scalars, with the
+    # reference's doubles and types; overflowing powers give inf
+    ode = _ode(N, p, chi, problem)
+    rng = np.random.default_rng(7)
+    u = rng.uniform(0.05, 4.0, 400)
+    if p >= 2.0:            # G is defined for u of either sign, and at 0
+        u[::2] *= -1.0
+        u[-1] = 0.0
+    w = rng.uniform(-4.0, 4.0, 400)
+    w[-1], w[-2] = 0.0, 1e300
+    for uu, ww in ((u, w), (float(u[1]), float(w[1])),
+                   (np.float64(u[2]), np.float64(w[2]))):
+        pairs = [(ode.G_np(uu), potential_reference(ode, uu)),
+                 (kinetic_energy(ode, ww), kinetic_energy_reference(ode, ww)),
+                 (energy(ode, uu, ww), energy_reference(ode, uu, ww))]
+        for got, want in pairs:
+            assert type(got) is type(want)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_energy_and_audit_memory_budget():
+    # integrated untraced (tracemalloc slows the stepper many-fold); the
+    # audit works in three buffers of the grid's length, the energy in
+    # two, its result included, and the solution keeps its raw doubles and
+    # slotted events: under 130 B per accepted step
+    P = derive_params(2, 3.0)
+    sol = solve_backward(P, 0.845, IntegratorOptions(r_max=50.0))
+    n = len(sol.r)
+    assert sol.n_steps == 2845
+    assert _traced_peak(lambda: energy_derivative_check(sol)) <= 3 * 8 * n + 65536
+    assert _traced_peak(lambda: energy(sol.ode, sol.u, sol.w)) <= 2 * 8 * n + 65536
+    assert not hasattr(sol.events[0], "__dict__")
+    kept = sum(a.nbytes for a in (sol.r, sol.u, sol.w, sol._h, sol._q,
+                                  sol.energy, sol._e))
+    kept += sys.getsizeof(sol.events) + sum(
+        sys.getsizeof(e) + sum(sys.getsizeof(x) for x in (e.r, e.u, e.w))
+        for e in sol.events)
+    assert kept <= 130 * sol.n_steps
 
 
 def test_trajectory_and_audit_memory_per_step():
     # the grid, step lengths and interpolants are raw doubles with no
-    # copy at the end: about 170 B per accepted step, and about 210 B
-    # with the audit.  A grid of boxed floats copied at the end, or an
-    # audit that gathers every step's interpolant, reads about 325 B
+    # copy at the end: about 150 B per accepted step at the stepper's
+    # peak and at the audit's, both working in place.  Unfused energy and
+    # audit expressions read about 210 B; a grid of boxed floats copied at
+    # the end, or an audit that gathers every step's interpolant, about 325 B
     P = derive_params(2, 3.0)
     tracemalloc.start()
     try:
@@ -735,7 +800,44 @@ def test_trajectory_and_audit_memory_per_step():
     finally:
         tracemalloc.stop()
     assert sol.n_steps == 1677
-    assert peak <= 250 * sol.n_steps
+    assert peak <= 175 * sol.n_steps
+
+
+def test_numpy_scalar_inputs_step_in_floats():
+    # a numpy height or setting is taken as a float at entry: the same
+    # run bit for bit, events of Python floats (numpy scalars doubled the
+    # stepper's CPU); an h_max of 1e3 never binds below r_max = 50
+    P = derive_params(2, 3.0)
+    opts = IntegratorOptions(r_max=50.0)
+    np_opts = IntegratorOptions(
+        rel_tol=np.float64(1e-10), abs_tol=np.float64(1e-10),
+        r_max=np.float64(50.0), r0=np.float64(1e-6), h_max=np.float64(1e3))
+    ref = solve_backward(P, 0.845, opts)
+    for sol in (solve_backward(P, np.float64(0.845), opts),
+                solve_backward(P, 0.845, np_opts)):
+        for f in ("r", "u", "w", "_h", "_q", "_e", "energy"):
+            assert np.array_equal(getattr(sol, f), getattr(ref, f),
+                                  equal_nan=True), f
+        assert (sol.n_steps, sol.n_rejected, sol.stats, sol.termination) == (
+            ref.n_steps, ref.n_rejected, ref.stats, ref.termination)
+        assert sol.events == ref.events
+        assert all(type(x) is float for e in sol.events for x in (e.r, e.u, e.w))
+
+
+def test_numpy_scalar_settings_run_silent():
+    # the steep N = 1 height whose tight run, given a numpy startup radius
+    # and r_max (a reach read off a grid), warned "overflow encountered in
+    # scalar multiply" where floats overflow to inf silently
+    ode = backward_ode(derive_params(1, 2.00390625))
+    reach = integrate(ode, 2.7477, IntegratorOptions(
+        r0=math.inf, stop_at_first_minimum=True)).r[0]
+    assert type(reach) is np.float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = integrate(ode, 2.7477, IntegratorOptions(
+            rel_tol=1e-13, abs_tol=1e-13, r0=min(1e-9, 1e-3 * reach),
+            r_max=reach))
+    assert sol.termination is Termination.REACHED_RMAX
 
 
 @pytest.mark.parametrize("problem,N,p,u0", [
