@@ -49,7 +49,6 @@ from .radial_ode import (
     Termination,
     backward_ode,
     integrate,
-    limit_ode,
     uprime_from_w,
 )
 
@@ -63,10 +62,7 @@ __all__ = [
     "CriticalResult",
     "find_critical_a",
     "zero_energy_height",
-    "rescaled_limit_check",
 ]
-
-_N_LIMIT_SAMPLES = 2000   # points on which rescaled_limit_check compares
 
 
 class ProfileClass(Enum):
@@ -454,40 +450,3 @@ def find_critical_a(params: ModelParams,
     R_c = c_lo.solution.events_of(EventKind.U_PRIME_ZERO)[-1].r
     return CriticalResult(b, hi - lo, R_c, best.solution, n_iter, best,
                           c_lo, c_hi, tuple(trace))
-
-
-def rescaled_limit_check(params: ModelParams, a: float,
-                         rel_tol: float = 1e-10, abs_tol: float = 1e-10
-                         ) -> float:
-    """Compare the height-a profile, rescaled, against the limit problem.
-
-    The substitution u_tilde(s) = u(s a^(-lambda))/a turns the profile
-    equation into the pure-power limit problem up to an O(a^(-q)) term; this
-    integrates both and returns sup |u_tilde - u_limit| over
-    s in [0, min(0.9 z_1, a^lambda R(a))], z_1 the limit profile's zero.
-    """
-    if params.regime is not Regime.SLOW:
-        raise DomainError("rescaling limit needs the slow regime (p > 2)")
-    if a < 100.0:
-        raise DomainError(f"rescaling limit needs a >= 100, got a = {a:g}")
-    lam = params.lam
-    scale = a ** (-lam)
-
-    lim = integrate(limit_ode(params), 1.0, IntegratorOptions(
-        rel_tol=rel_tol, abs_tol=abs_tol, r_max=1e3,
-        r0=1e-6, stop_at_u_zero=True))
-    if lim.termination is not Termination.U_CROSSED_ZERO:
-        raise DomainError("limit profile did not vanish within the scan radius")
-    z1 = lim.r_end
-
-    full = integrate(backward_ode(params), a, IntegratorOptions(
-        rel_tol=rel_tol, abs_tol=abs_tol,
-        r0=1e-6 * scale, r_max=1.2 * z1 * scale, stop_at_u_zero=True))
-
-    s_hi = min(0.9 * z1, full.r_end / scale)
-    s_lo = max(lim.r[0], full.r[0] / scale)
-    s = np.linspace(s_lo, s_hi, _N_LIMIT_SAMPLES)
-    u_lim, _ = lim.sample(s)
-    u_full, _ = full.sample(s * scale)
-    return float(np.max(np.abs(u_full / a - u_lim)))
-

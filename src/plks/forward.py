@@ -47,12 +47,9 @@ __all__ = [
     "support_radius_upper_bound",
     "DecayFit",
     "fit_decay_rate",
-    "EnvelopeReport",
-    "envelope_check",
 ]
 
 _N_FIT = 200              # fit_decay_rate's samples over the last decade of r
-_ENVELOPE_SLACK = 1e-9    # envelope_check's roundoff slack, scaled like u
 
 
 @dataclass(frozen=True)
@@ -239,55 +236,3 @@ def fit_decay_rate(fp: ForwardProfile) -> DecayFit:
     u_target = (p - 1.0) / p * (1.0 / (m * B * N)) ** (1.0 / (p - 1.0))
     return DecayFit(_richardson(x, phi_level), target, float(phi_level[-1]),
                     r_last, _richardson(x, u_level), u_target)
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    """Worst signed violations of the growth envelopes (positive = broken)."""
-
-    max_lower_violation: float
-    max_upper_violation: float
-    max_slope_violation: Optional[float] = None
-
-    @property
-    def ok(self) -> bool:
-        worst = max(self.max_lower_violation, self.max_upper_violation)
-        if self.max_slope_violation is not None:
-            worst = max(worst, self.max_slope_violation)
-        return worst <= 0.0
-
-
-def envelope_check(fp: ForwardProfile) -> EnvelopeReport:
-    """Check the two-sided growth envelopes on the stored grid.
-
-    p < 2:  a + c_lo r^(p/(p-1)) <= u <= a + c_hi r^(p/(p-1)) with
-            c_lo = (p-1)/p (1/(mBN))^(1/(p-1)) and c_hi the same with
-            1/(mBN) replaced by 1/(mBN) + chi a^q / (BN).
-    p = 2:  b - (chi e^(bm) + 1/m) r^2/(2N) <= u <= b, plus the slope
-            bound u'(r) <= -r/(mN) (the source never drops under 1/m).
-
-    Violations are scaled by max(1, |u|), less a roundoff slack of 1e-9.
-    """
-    P = fp.params
-    r, u = fp.sol.r, fp.sol.u
-    scale = np.maximum(1.0, np.abs(u))
-    if fp.regime is Regime.FAST:
-        p, B, N, m, chi, a = P.p, P.B, P.N, P.m, P.chi, fp.a
-        c_lo = (p - 1.0) / p * (1.0 / (m * B * N)) ** (1.0 / (p - 1.0))
-        c_hi = (p - 1.0) / p * (1.0 / (m * B * N)
-                                + chi * a ** P.q / (B * N)) ** (1.0 / (p - 1.0))
-        grow = r ** (p / (p - 1.0))
-        low = (a + c_lo * grow - u) / scale
-        high = (u - (a + c_hi * grow)) / scale
-        return EnvelopeReport(float(np.max(low)) - _ENVELOPE_SLACK,
-                              float(np.max(high)) - _ENVELOPE_SLACK)
-    if fp.regime is Regime.LINEAR:
-        b, m, N, chi = fp.a, P.m, P.N, P.chi
-        low = (b - (chi * math.exp(b * m) + 1.0 / m) * r ** 2 / (2.0 * N) - u) / scale
-        high = (u - b) / scale
-        up = np.array([uprime_from_w(fp.sol.ode, w) for w in fp.sol.w])
-        slope = (up + r / (m * N)) / scale
-        return EnvelopeReport(float(np.max(low)) - _ENVELOPE_SLACK,
-                              float(np.max(high)) - _ENVELOPE_SLACK,
-                              float(np.max(slope)) - _ENVELOPE_SLACK)
-    raise DomainError("envelopes apply to the unbounded regimes (p <= 2)")

@@ -60,8 +60,6 @@ __all__ = [
     "kinetic_energy",
     "EnergyCheck",
     "energy_derivative_check",
-    "LocalResidualReport",
-    "local_residual_check",
 ]
 
 
@@ -1185,79 +1183,3 @@ def energy_derivative_check(sol: ProfileSolution, *,
         raise EnergyLawError(f"{violation} for {ode.kind}")
     return EnergyCheck(max_defect=max_defect, max_increase=max_increase,
                        max_drift=max_drift, e0=e0, scale=scale, passed=passed)
-
-
-@dataclass(frozen=True)
-class LocalResidualReport:
-    """Scaled midpoint-defect maxima of one trajectory.
-
-    max_w covers every accepted step.  max_u_regular covers steps away
-    from zeros of the flux; for p != 2 the inversion u' ~ |w|^(1/(p-1)) is
-    only Hoelder there, u picks up a fractional-power kink, and no
-    tolerance-proportional defect bound exists on such steps (those appear
-    in max_u_all / n_degenerate instead).  Steps taken in (E, w), which
-    recover u from E rather than integrate it, count as degenerate too.
-    """
-
-    max_w: float
-    max_u_regular: float
-    max_u_all: float
-    n_degenerate: int
-
-
-def local_residual_check(sol: ProfileSolution) -> LocalResidualReport:
-    """Audit each accepted step against a Hermite-Simpson midpoint quadrature.
-
-    The defect |y1 - y0 - (h/6)(f0 + 4 f_mid + f1)|, with the midpoint state
-    from cubic Hermite interpolation, is scaled by the integrator tolerance
-    (abs_tol + rel_tol |y|); regular steps must come in below 10.  On a
-    step taken in (E, w) the midpoint u of the w equation is recovered
-    from E's Hermite midpoint.
-    """
-    ode = sol.ode
-    if len(sol.r) < 2:
-        return LocalResidualReport(0.0, 0.0, 0.0, 0)
-    r, u, w = sol.r, sol.u, sol.w
-    h = np.diff(r)
-
-    def rhs_np(rv, uv, wv):
-        du = uprime_from_w(ode, wv)
-        dw = -(ode.params.N - 1.0) / rv * wv - ode.g_np(uv)
-        return du, dw
-
-    du0, dw0 = rhs_np(r[:-1], u[:-1], w[:-1])
-    du1, dw1 = rhs_np(r[1:], u[1:], w[1:])
-    um = 0.5 * (u[:-1] + u[1:]) + h * (du0 - du1) / 8.0
-    wm = 0.5 * (w[:-1] + w[1:]) + h * (dw0 - dw1) / 8.0
-    on_E = np.isfinite(sol._e)
-    if np.any(on_E):
-        # a step taken in (E, w) gets its midpoint u from E, as the
-        # stepper's defect control does, not from u's Hermite cubic
-        dE = -(ode.params.N - 1.0) / r * w * uprime_from_w(ode, w)
-        E = sol.energy
-        Em = 0.5 * (E[:-1] + E[1:]) + h * (dE[:-1] - dE[1:]) / 8.0
-        um[on_E] = _u_of_energy(ode, Em[on_E] - kinetic_energy(
-            ode, wm[on_E]), um[on_E])
-    dum, dwm = rhs_np(r[:-1] + 0.5 * h, um, wm)
-    res_u = np.abs(np.diff(u) - h / 6.0 * (du0 + 4.0 * dum + du1))
-    res_w = np.abs(np.diff(w) - h / 6.0 * (dw0 + 4.0 * dwm + dw1))
-    rtol, atol = sol.opts.rel_tol, sol.opts.abs_tol
-    su = atol + rtol * np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
-    sw = atol + rtol * np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
-    sc_u = res_u / su
-    sc_w = res_w / sw
-    if ode.params.p == 2.0:
-        degenerate = np.zeros(len(h), dtype=bool)
-    else:
-        # within a few steps of a flux zero: |w| below ~4 h |w'|; matches
-        # the exemption the stepper's defect control applies
-        band = h * np.maximum(np.abs(dw0), np.abs(dw1))
-        degenerate = (w[:-1] * w[1:] <= 0.0) \
-            | (np.minimum(np.abs(w[:-1]), np.abs(w[1:])) <= 4.0 * band) | on_E
-    regular = ~degenerate
-    max_u_reg = float(np.max(sc_u[regular])) if np.any(regular) else 0.0
-    return LocalResidualReport(
-        max_w=float(np.max(sc_w)),
-        max_u_regular=max_u_reg,
-        max_u_all=float(np.max(sc_u)),
-        n_degenerate=int(np.count_nonzero(degenerate)))

@@ -549,7 +549,7 @@ def radial_delta_test(ss: SelfSimilarSolution, F: Callable,
                             + float(_cumulative_simpson(weighted * fbar, r)[-1]))
         # the tail mass sits at the last node, whose average is fbar[-1]
         integral += tail_mass * fbar[-1]
-        out.append((t, abs(integral - ss.M * f0)))
+        out.append((t, float(abs(integral - ss.M * f0))))
     if assert_decreasing:
         for (t_a, d_a), (t_b, d_b) in zip(out, out[1:]):
             if not d_b < d_a:

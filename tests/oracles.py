@@ -1,10 +1,11 @@
-"""Independent fixed-step reference integrator for cross-checking.
+"""Reference computations the package's results are checked against.
 
-Everything here is written directly from the model definition, not imported
-from the package: exponents, source terms, flux inversion, a three-term
-startup expansion, and a classical fourth-order Runge-Kutta sweep.  Oracle trajectories are the
-ground truth the adaptive integrator is compared against.  The spherical
-average at the end is the point-by-point rule the delta test's vectorized
+Independent references.  Everything above the last section is written
+directly from the model definition and imports nothing from plks:
+exponents, source terms, flux inversion, a three-term startup expansion,
+and a classical fourth-order Runge-Kutta sweep.  Oracle trajectories are
+the ground truth the adaptive integrator is compared against.  The
+spherical average is the point-by-point rule the delta test's vectorized
 quadrature must reproduce bit for bit, the off-centre Gaussian's average is
 the closed form that rule approximates, and the dense-output loop over the
 Dormand-Prince matrix is the sum the stepper's unrolled coefficients must
@@ -12,14 +13,33 @@ reproduce bit for bit.  The energy audit by sample() is the reference the
 audit's per-step midpoint evaluation must reproduce bit for bit, and the
 unfused numpy expressions of the energy and the audit are the references
 their in-place evaluation must reproduce bit for bit.
+
+Audits of library trajectories.  The last section holds three checks that
+read trajectories the package computes, with its integrator and helpers:
+the local midpoint residual of each accepted step, the growth envelopes of
+forward p <= 2 profiles, and the rescaled approach of large backward
+heights to the limit problem.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gamma, ive
+
+from plks.params import Regime
+from plks.radial_ode import (
+    IntegratorOptions,
+    Termination,
+    _u_of_energy,
+    backward_ode,
+    integrate,
+    kinetic_energy,
+    limit_ode,
+    uprime_from_w,
+)
 
 
 def oracle_exponents(N: int, p: float) -> dict:
@@ -310,3 +330,156 @@ def energy_audit_by_sample(sol) -> tuple:
     r = sol.r
     r_mid = r[:-1] + 0.5 * np.diff(r)
     return _audit(sol, r_mid, sol.sample(r_mid)[1] if len(r_mid) else r_mid)
+
+
+# ------------------------------------------------- audits of library runs
+
+
+class LocalResidualReport(NamedTuple):
+    """Scaled midpoint-defect maxima of one trajectory.
+
+    max_w covers every accepted step.  max_u_regular covers steps away
+    from zeros of the flux; for p != 2 the inversion u' ~ |w|^(1/(p-1)) is
+    only Hoelder there, u picks up a fractional-power kink, and no
+    tolerance-proportional defect bound exists on such steps (those appear
+    in max_u_all / n_degenerate instead).  Steps taken in (E, w), which
+    recover u from E rather than integrate it, count as degenerate too.
+    """
+
+    max_w: float
+    max_u_regular: float
+    max_u_all: float
+    n_degenerate: int
+
+
+def local_residual_check(sol) -> LocalResidualReport:
+    """Audit each accepted step against a Hermite-Simpson midpoint quadrature.
+
+    The defect |y1 - y0 - (h/6)(f0 + 4 f_mid + f1)|, with the midpoint state
+    from cubic Hermite interpolation, is scaled by the integrator tolerance
+    (abs_tol + rel_tol |y|); regular steps must come in below 10.  On a
+    step taken in (E, w) the midpoint u of the w equation is recovered
+    from E's Hermite midpoint.
+    """
+    ode = sol.ode
+    if len(sol.r) < 2:
+        return LocalResidualReport(0.0, 0.0, 0.0, 0)
+    r, u, w = sol.r, sol.u, sol.w
+    h = np.diff(r)
+
+    def rhs_np(rv, uv, wv):
+        du = uprime_from_w(ode, wv)
+        dw = -(ode.params.N - 1.0) / rv * wv - ode.g_np(uv)
+        return du, dw
+
+    du0, dw0 = rhs_np(r[:-1], u[:-1], w[:-1])
+    du1, dw1 = rhs_np(r[1:], u[1:], w[1:])
+    um = 0.5 * (u[:-1] + u[1:]) + h * (du0 - du1) / 8.0
+    wm = 0.5 * (w[:-1] + w[1:]) + h * (dw0 - dw1) / 8.0
+    on_E = np.isfinite(sol._e)
+    if np.any(on_E):
+        # a step taken in (E, w) gets its midpoint u from E, as the
+        # stepper's defect control does, not from u's Hermite cubic
+        dE = -(ode.params.N - 1.0) / r * w * uprime_from_w(ode, w)
+        E = sol.energy
+        Em = 0.5 * (E[:-1] + E[1:]) + h * (dE[:-1] - dE[1:]) / 8.0
+        um[on_E] = _u_of_energy(ode, Em[on_E] - kinetic_energy(
+            ode, wm[on_E]), um[on_E])
+    dum, dwm = rhs_np(r[:-1] + 0.5 * h, um, wm)
+    res_u = np.abs(np.diff(u) - h / 6.0 * (du0 + 4.0 * dum + du1))
+    res_w = np.abs(np.diff(w) - h / 6.0 * (dw0 + 4.0 * dwm + dw1))
+    rtol, atol = sol.opts.rel_tol, sol.opts.abs_tol
+    su = atol + rtol * np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
+    sw = atol + rtol * np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
+    sc_u = res_u / su
+    sc_w = res_w / sw
+    if ode.params.p == 2.0:
+        degenerate = np.zeros(len(h), dtype=bool)
+    else:
+        # within a few steps of a flux zero: |w| below ~4 h |w'|; matches
+        # the exemption the stepper's defect control applies
+        band = h * np.maximum(np.abs(dw0), np.abs(dw1))
+        degenerate = (w[:-1] * w[1:] <= 0.0) \
+            | (np.minimum(np.abs(w[:-1]), np.abs(w[1:])) <= 4.0 * band) | on_E
+    regular = ~degenerate
+    max_u_reg = float(np.max(sc_u[regular])) if np.any(regular) else 0.0
+    return LocalResidualReport(
+        max_w=float(np.max(sc_w)),
+        max_u_regular=max_u_reg,
+        max_u_all=float(np.max(sc_u)),
+        n_degenerate=int(np.count_nonzero(degenerate)))
+
+
+class EnvelopeReport(NamedTuple):
+    """Worst signed violations of the growth envelopes (positive = broken)."""
+
+    max_lower_violation: float
+    max_upper_violation: float
+    max_slope_violation: Optional[float] = None
+
+    @property
+    def ok(self) -> bool:
+        return max(v for v in self if v is not None) <= 0.0
+
+
+def envelope_check(fp) -> EnvelopeReport:
+    """Check the two-sided growth envelopes of a forward p <= 2 profile on
+    its stored grid.
+
+    p < 2:  a + c_lo r^(p/(p-1)) <= u <= a + c_hi r^(p/(p-1)) with
+            c_lo = (p-1)/p (1/(mBN))^(1/(p-1)) and c_hi the same with
+            1/(mBN) replaced by 1/(mBN) + chi a^q / (BN).
+    p = 2:  b - (chi e^(bm) + 1/m) r^2/(2N) <= u <= b, plus the slope
+            bound u'(r) <= -r/(mN) (the source never drops under 1/m).
+
+    Violations are scaled by max(1, |u|), less a roundoff slack of 1e-9.
+    """
+    P = fp.params
+    r, u = fp.sol.r, fp.sol.u
+    scale = np.maximum(1.0, np.abs(u))
+    if fp.regime is Regime.FAST:
+        p, B, N, m, chi, a = P.p, P.B, P.N, P.m, P.chi, fp.a
+        c_lo = (p - 1.0) / p * (1.0 / (m * B * N)) ** (1.0 / (p - 1.0))
+        c_hi = (p - 1.0) / p * (1.0 / (m * B * N)
+                                + chi * a ** P.q / (B * N)) ** (1.0 / (p - 1.0))
+        grow = r ** (p / (p - 1.0))
+        bounds = [(a + c_lo * grow - u) / scale,
+                  (u - (a + c_hi * grow)) / scale]
+    else:
+        b, m, N, chi = fp.a, P.m, P.N, P.chi
+        up = np.array([uprime_from_w(fp.sol.ode, w) for w in fp.sol.w])
+        bounds = [(b - (chi * math.exp(b * m) + 1.0 / m) * r ** 2 / (2.0 * N)
+                   - u) / scale,
+                  (u - b) / scale,
+                  (up + r / (m * N)) / scale]
+    return EnvelopeReport(*(float(np.max(v)) - 1e-9 for v in bounds))
+
+
+def rescaled_limit_check(params, a: float, rel_tol: float = 1e-10,
+                         abs_tol: float = 1e-10) -> float:
+    """Compare the height-a backward profile (p > 2, a >= 100), rescaled,
+    against the limit problem.
+
+    The substitution u_tilde(s) = u(s a^(-lambda))/a turns the profile
+    equation into the pure-power limit problem up to an O(a^(-q)) term; this
+    integrates both and returns sup |u_tilde - u_limit| over 2000 points of
+    s in [0, min(0.9 z_1, a^lambda R(a))], z_1 the limit profile's zero.
+    """
+    scale = a ** (-params.lam)
+    lim = integrate(limit_ode(params), 1.0, IntegratorOptions(
+        rel_tol=rel_tol, abs_tol=abs_tol, r_max=1e3,
+        r0=1e-6, stop_at_u_zero=True))
+    assert lim.termination is Termination.U_CROSSED_ZERO, \
+        "limit profile did not vanish within the scan radius"
+    z1 = lim.r_end
+
+    full = integrate(backward_ode(params), a, IntegratorOptions(
+        rel_tol=rel_tol, abs_tol=abs_tol,
+        r0=1e-6 * scale, r_max=1.2 * z1 * scale, stop_at_u_zero=True))
+
+    s_hi = min(0.9 * z1, full.r_end / scale)
+    s_lo = max(lim.r[0], full.r[0] / scale)
+    s = np.linspace(s_lo, s_hi, 2000)
+    u_lim, _ = lim.sample(s)
+    u_full, _ = full.sample(s * scale)
+    return float(np.max(np.abs(u_full / a - u_lim)))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from conftest import record_criterion
-from oracles import oracle_u_at_one
+from oracles import oracle_u_at_one, rescaled_limit_check
 
 from plks import (
     Direction,
@@ -29,7 +29,6 @@ from plks import (
     phi_from_forward,
     phi_from_u,
     psi_from_phi,
-    rescaled_limit_check,
     residual_grade,
     solve_backward,
     solve_forward,

@@ -25,11 +25,12 @@ from plks import (
     energy_derivative_check,
     find_critical_a,
     integrate,
-    rescaled_limit_check,
     solve_backward,
     sweep_a,
     zero_energy_height,
 )
+
+from oracles import rescaled_limit_check
 
 # Closed-form critical heights for N = 1, frozen from the conserved-energy
 # identity G(a_c) = 0 with the exponents written out by hand:
@@ -723,12 +724,4 @@ def test_rescaled_limit_small_deviation():
     P = derive_params(2, 3.0, 1.0)
     dev = rescaled_limit_check(P, 1e3)
     assert dev < 0.05
-
-
-def test_rescaled_limit_preconditions():
-    P = derive_params(2, 3.0, 1.0)
-    with pytest.raises(DomainError):
-        rescaled_limit_check(P, 50.0)
-    with pytest.raises(DomainError):
-        rescaled_limit_check(derive_params(2, 2.0, 0.5), 1e3)
 

@@ -27,7 +27,6 @@ from plks import (
     integrate,
     kinetic_energy,
     limit_ode,
-    local_residual_check,
     solve_backward,
     solve_forward,
     uprime_from_w,
@@ -35,8 +34,8 @@ from plks import (
 )
 from oracles import (dense_coefficients_loop, energy_audit_by_sample,
                      energy_audit_reference, energy_reference,
-                     kinetic_energy_reference, oracle_g, oracle_startup,
-                     potential_reference, rk4_trajectory)
+                     kinetic_energy_reference, local_residual_check, oracle_g,
+                     oracle_startup, potential_reference, rk4_trajectory)
 from plks import radial_ode
 from plks.radial_ode import _dense_block, _dense_coefficients
 

@@ -632,6 +632,7 @@ def test_radial_delta_test_constant_function_exact_at_N4():
     out = radial_delta_test(ss, lambda s: np.ones_like(s), [0.3, 0.6, 0.9],
                             assert_decreasing=False)
     for _, dev in out:
+        assert type(dev) is float
         assert dev <= 1e-13 * ss.M
 
 
