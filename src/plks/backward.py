@@ -46,6 +46,7 @@ from .radial_ode import (
     EventKind,
     IntegratorOptions,
     ProfileSolution,
+    RadialODE,
     Termination,
     backward_ode,
     integrate,
@@ -92,15 +93,12 @@ class Classification:
 def solve_backward(params: ModelParams, a: float,
                    opts: Optional[IntegratorOptions] = None) -> ProfileSolution:
     """Integrate the blow-up profile problem from center height a."""
-    if not math.isfinite(a):
-        raise DomainError(f"initial height must be finite, got {a}")
-    if params.p != 2.0 and a <= 0.0:
-        raise DomainError(
-            f"initial height must be positive for p != 2, got {a}")
+    ode = backward_ode(params)
+    ode.check_height(a)
     if params.p == 2.0:
         # u = ln phi is 0 where phi = 1, inside the profile: go on past it
         opts = replace(opts or IntegratorOptions(), stop_at_u_zero=False)
-    return integrate(backward_ode(params), a, opts)
+    return integrate(ode, a, opts)
 
 
 def _backward_profile(params: ModelParams, a: float,
@@ -114,49 +112,48 @@ def _backward_profile(params: ModelParams, a: float,
     return sol
 
 
-def _check_heights(params: ModelParams, heights) -> None:
-    """Refuse, before any shot, a height outside (0, u_ceiling)."""
+def _shots(params: ModelParams, opts: Optional[IntegratorOptions],
+           past_zero: bool) -> tuple[RadialODE, IntegratorOptions]:
+    """The backward problem, which P/N labels need in the slow regime, and
+    a shot's settings: it starts at the origin series' reach (r0 = inf) and
+    stops at its first minimum, past a zero of u where past_zero."""
     if params.regime is not Regime.SLOW:
-        raise DomainError(
-            f"classification applies to the slow regime (p > 2), got p = {params.p}")
-    ode = backward_ode(params)
-    for a in heights:
-        if not (math.isfinite(a) and a > 0.0):
-            raise DomainError(f"initial height must be positive, got {a}")
-        if not ode.u_floor < a < ode.u_ceiling:
-            raise DomainError(f"{ode.kind}: initial height {a} lies outside "
-                              f"({ode.u_floor:g}, {ode.u_ceiling:g})")
+        raise DomainError("P/N classification and a_c exist in the slow regime "
+                          f"(p > 2), got p = {params.p}")
+    return backward_ode(params), replace(
+        opts or IntegratorOptions(), r0=math.inf, stop_at_u_zero=not past_zero,
+        stop_at_first_minimum=True)
 
 
 def classify(params: ModelParams, a: float,
-             opts: Optional[IntegratorOptions] = None) -> Classification:
-    """Assign a to P, N, or N0 as _shoot does, but a height below (1 - 1e-12) h0,
+             opts: Optional[IntegratorOptions] = None, *, _problem=None) -> Classification:
+    """Assign a to P, N, or N0 as _label does, but a height below (1 - 1e-12) h0,
     h0 the zero-energy height, is P with no run ("centre energy below G(0)");
-    the margin covers rounding in h0's closed form."""
-    _check_heights(params, [a])
-    if a < (1.0 - 1e-12) * zero_energy_height(params):
+    the margin covers rounding in h0's closed form.  sweep_a passes _problem,
+    the (problem, shot settings, h0) it builds once and checks its grid with."""
+    if _problem is None:
+        _problem = (*_shots(params, opts, False), zero_energy_height(params))
+        _problem[0].check_height(a)
+    ode, shot_opts, h0 = _problem
+    if a < (1.0 - 1e-12) * h0:
         return Classification(a, ProfileClass.P, None, None,
                               "centre energy below G(0)", None)
-    return _shoot(params, a, opts)
+    return _label(ode, a, shot_opts)
 
 
-def _shoot(params: ModelParams, a: float,
-           opts: Optional[IntegratorOptions] = None,
-           past_zero: bool = False) -> Classification:
-    """Classify a by integrating until a decisive event.
+def _label(ode: RadialODE, a: float, opts: IntegratorOptions) -> Classification:
+    """Classify a by integrating, with the shot's settings opts
+    (_shots), until a decisive event.
 
     Decisive outcomes: a zero of u (a touch, a turn where u lies within
     1e-12 of zero, which integrate records with w = 0.0 -> N0 with slope
     0; any other -> N); a first interior minimum or equilibrium capture
     (-> P, certified by energy descent); survival to the scan radius
     (-> P).  Step underflow before any of these yields Inconclusive.
-    The run starts at the origin series' reach (r0 = inf), short of events.
-    past_zero runs on past a zero to the first minimum of either sign,
-    whose u is then the run's last; the label is the same.
+    A shot that runs on past a zero stops at the first minimum of either
+    sign, whose u is then the run's last; the label is the same.
     """
-    sol = integrate(backward_ode(params), a, replace(
-        opts or IntegratorOptions(), r0=math.inf, stop_at_u_zero=not past_zero,
-        stop_at_first_minimum=True))
+    sol = integrate(ode, a, opts)
     term = sol.termination
     zeros = sol.events_of(EventKind.U_ZERO)
     if zeros:
@@ -165,7 +162,7 @@ def _shoot(params: ModelParams, a: float,
             return Classification(a, ProfileClass.N0, ev.r, 0.0,
                                   "tangential zero", sol)
         return Classification(a, ProfileClass.N, ev.r,
-                              uprime_from_w(sol.ode, ev.w), "transversal zero", sol)
+                              uprime_from_w(ode, ev.w), "transversal zero", sol)
     if term is Termination.U_PRIME_VANISHED:
         hits = sol.events_of(EventKind.EQUILIBRIUM_HIT)
         reason = "equilibrium capture" if hits else "interior minimum"
@@ -199,11 +196,13 @@ def sweep_a(params: ModelParams, grid,
             opts: Optional[IntegratorOptions] = None) -> SweepResult:
     """Classify every height in the (increasing) grid, as classify does
     (below h0: "centre energy below G(0)"), once all of them are checked."""
+    problem = (*_shots(params, opts, False), zero_energy_height(params))
     heights = [float(a) for a in grid]
-    _check_heights(params, heights)
+    for a in heights:
+        problem[0].check_height(a)
     if any(b <= a for a, b in zip(heights, heights[1:])):
         raise DomainError("height grid must be strictly increasing")
-    cls = [classify(params, a, opts) for a in heights]
+    cls = [classify(params, a, _problem=problem) for a in heights]
     a_1 = None
     for c in cls:
         if c.set is not ProfileClass.P:
@@ -329,14 +328,14 @@ def find_critical_a(params: ModelParams,
     Probes are shot, not certified as in classify: the search needs each
     P end's last turn, and its lower end lies below h0.
     """
-    if params.regime is not Regime.SLOW:
-        raise DomainError(
-            f"critical height exists in the slow regime (p > 2), got p = {params.p}")
+    ode, shot_opts = _shots(params, opts, True)
     if not compact_support_admissible(params.N, params.p):
         raise DomainError(
             f"critical-height search needs an admissible slow exponent: "
             f"p = {params.p:g} is not above the ground-state admissibility "
             f"threshold {admissible_p_threshold(params.N):.6g} for N = {params.N}")
+    if not (math.isfinite(a_tol) and a_tol >= 0.0):
+        raise DomainError(f"a_tol must be finite and >= 0, got {a_tol}")
     # Upper ends stay below a_cap, where chi a^q is 2^-20 of the largest
     # double: the stepper's stage sums of g (coefficients up to ~25) must
     # not overflow.  Only steep forcings (p near 2) come near it.
@@ -348,6 +347,7 @@ def find_critical_a(params: ModelParams,
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (0.0 < lo < hi):
             raise BadBracketError(f"need 0 < a_lo < a_hi, got ({lo}, {hi})")
+        ode.check_height(hi)
         if hi > a_cap:
             raise BadBracketError(
                 f"upper endpoint a = {hi:g} is above a = {a_cap:g}, where the "
@@ -361,7 +361,7 @@ def find_critical_a(params: ModelParams,
         return c
 
     def shot(a: float, step: str) -> Classification:
-        c = _shoot(params, a, opts, past_zero=True)
+        c = _label(ode, a, shot_opts)
         trace.append(Probe.of(c, step))
         return c
 

@@ -44,10 +44,9 @@ from .radial_ode import (
 )
 from .reconstruct import (
     Direction,
+    _profile,
     assemble,
     mass,
-    phi_from_forward,
-    phi_from_u,
     psi_from_phi,
     radial_delta_test,
     residual_grade,
@@ -336,21 +335,22 @@ def cmd_sweep(params: ModelParams, args):
     return results, tol, header, rows, {}
 
 
-def _reconstructed(params: ModelParams, args):
-    """Shared profile pipeline: solve, map to phi, quadrature psi."""
+def _height(args) -> tuple[Direction, float]:
     if (args.a is None) == (args.b is None):
         raise DomainError(
             "give one height, --a (backward) or --b (forward), not both or neither")
-    direction, height = ((Direction.BACKWARD, args.a) if args.b is None
-                         else (Direction.FORWARD, args.b))
+    return ((Direction.BACKWARD, args.a) if args.b is None
+            else (Direction.FORWARD, args.b))
+
+
+def _reconstructed(params: ModelParams, args):
+    """Shared profile pipeline: solve, map to phi, quadrature psi."""
+    direction, height = _height(args)
     if getattr(args, "residual_grade", False):
         phi = residual_grade(params, height, direction)
-    elif direction is Direction.BACKWARD:
-        phi = phi_from_u(_backward_profile(params, height, _integrator(args)), params)
     else:
-        phi = phi_from_forward(solve_forward(params, height, _integrator(args)))
-    psi = psi_from_phi(phi, params, strict=False)
-    return direction, height, phi, psi
+        phi = _profile(params, height, direction, _integrator(args))[1]
+    return direction, height, phi, psi_from_phi(phi, params, strict=False)
 
 
 def cmd_reconstruct(params: ModelParams, args):
@@ -398,25 +398,26 @@ def cmd_reconstruct(params: ModelParams, args):
 
 
 def cmd_delta_test(params: ModelParams, args):
-    direction, height, phi, psi = _reconstructed(params, args)
+    # the times, checked before the solve: T - t0 ratio^k backward (t0
+    # defaults to T/4), t0 ratio^k forward (to 1), each inside the time
+    # domain and strictly nearer the singular time (T, or 0) than the last
     if not (0.0 < args.ratio < 1.0):
         raise DomainError(f"--ratio must lie in (0, 1), got {args.ratio}")
     if args.steps < 1:
         raise DomainError(f"--steps must be >= 1, got {args.steps}")
-    if direction is Direction.BACKWARD:
-        T = args.T
-        tau0 = args.t0 if args.t0 is not None else T / 4.0
-        if not (0.0 < tau0 < T):
+    back = _height(args)[0] is Direction.BACKWARD
+    T = args.T if back else math.inf
+    t0 = args.t0 if args.t0 is not None else T / 4.0 if back else 1.0
+    times = [T - t0 * args.ratio ** k if back else t0 * args.ratio ** k
+             for k in range(args.steps + 1)]
+    for k, t in enumerate(times):
+        if not (0.0 < t < T and (k == 0 or (times[k - 1] < t if back
+                                             else t < times[k - 1]))):
             raise DomainError(
-                f"first sample offset must lie in (0, T), got {tau0}")
-        times = [T - tau0 * args.ratio ** k for k in range(args.steps + 1)]
-        ss = assemble(params, phi, psi, direction, T=T)
-    else:
-        t0 = args.t0 if args.t0 is not None else 1.0
-        if t0 <= 0.0:
-            raise DomainError(f"first sample time must be positive, got {t0}")
-        times = [t0 * args.ratio ** k for k in range(args.steps + 1)]
-        ss = assemble(params, phi, psi, direction)
+                f"sample time {k} of 0..{args.steps} is t = {t!r}: the times must "
+                f"lie in (0, {T:g}) and approach the singular time strictly")
+    direction, height, phi, psi = _reconstructed(params, args)
+    ss = assemble(params, phi, psi, direction, T=args.T)
     # exp(-|x|^2) is radial: its spherical average is exp(-s^2)
     pairs = radial_delta_test(ss, lambda s: np.exp(-s * s), times)
     header = ["t", "deviation"]
@@ -511,9 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_reconstruction_flags(sp)
     sp.add_argument("--residual-grade", action="store_true",
                     dest="residual_grade",
-                    help="re-solve at tolerance 1e-12 on about 2,000 nodes "
-                         "for the fourth-order residual check "
-                         "(internal tolerances)")
+                    help="re-solve at tolerance 1e-12, the step capped at "
+                         "span/3000 (about 2,400 nodes in the residual window), "
+                         "for the fourth-order residual check (internal tolerances)")
     sp.set_defaults(handler=cmd_reconstruct)
 
     sp = sub.add_parser("delta-test",

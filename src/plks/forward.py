@@ -13,7 +13,6 @@ the grid is carried by an explicit tail model; the known asymptotic laws are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Optional, Union
 
@@ -117,21 +116,15 @@ def solve_forward(params: ModelParams, a_or_b: float,
 
     p = 2 runs down to u = -1e3, p < 2 up to u = 1e6 (forward_ode's
     cutoffs), p > 2 to the zero of u; a center value at or beyond its
-    regime's cutoff raises DomainError.  The regime's strict monotonicity
-    is verified on every accepted step.
+    regime's cutoff, or not positive for p != 2, raises DomainError.  The
+    regime's strict monotonicity is verified on every accepted step.
     """
     a = float(a_or_b)
-    if not math.isfinite(a):
-        raise DomainError(f"center value must be finite, got {a_or_b}")
-    if params.p != 2.0 and a <= 0.0:
-        raise DomainError(
-            f"center value must be positive for p != 2, got {a}")
-    if opts is None:
-        opts = IntegratorOptions()
-
+    ode = forward_ode(params)
+    ode.check_height(a)
     regime = params.regime
-    sol = integrate(forward_ode(params), a,
-                    replace(opts, stop_at_u_zero=regime is Regime.SLOW))
+    opts = replace(opts or IntegratorOptions(), stop_at_u_zero=regime is Regime.SLOW)
+    sol = integrate(ode, a, opts)
     if regime is Regime.LINEAR:
         _check_monotone(sol.u, -1, regime)
         return ForwardProfile(params, a, sol, LogQuadraticTail(-0.25))

@@ -84,7 +84,7 @@ class RadialODE:
     p < 2, g is singular at u = 0, and the backward problem's floor is 1e-8;
     the forward problems, unbounded, end at u = -1e3 (p = 2) or 1e6 (p < 2).
     g_taylor(a, c) is term n >= 1 of g(u(x)) from u's terms a[:n+1], with
-    its own series in c, given as [1.0]; None where g has no expansion.
+    its own series in c, given as [1.0].
     """
 
     params: ModelParams
@@ -93,12 +93,20 @@ class RadialODE:
     g: Callable[[float], float]
     g_np: Callable[[np.ndarray], np.ndarray]
     G_np: Callable[[np.ndarray], np.ndarray]
+    g_taylor: Callable[[list, list], float]
     equilibrium_u: Optional[float] = None
     G: Optional[Callable[[float], float]] = None
     solve_G: Optional[Callable[[float, float, float], tuple]] = None
     u_floor: float = -1e12
     u_ceiling: float = 1e12
-    g_taylor: Optional[Callable[[list, list], Optional[float]]] = None
+
+    def check_height(self, u0: float) -> None:
+        """Refuse a centre height outside (u_floor, u_ceiling), or, for
+        p != 2, one that is not positive: phi = u^((p-1)/(p-2)) needs u(0) > 0."""
+        lo = self.u_floor if self.params.p == 2.0 else max(self.u_floor, 0.0)
+        if not lo < u0 < self.u_ceiling:
+            raise DomainError(f"{self.kind}: initial height {u0} lies outside "
+                              f"({lo:g}, {self.u_ceiling:g})")
 
 
 def _miller(b: list, c: list, alpha: float) -> float:
@@ -164,7 +172,7 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
         except OverflowError:       # +-inf, as g gives
             return coef / qp1 * math.inf + const * u
 
-    copysign, nan = math.copysign, math.nan
+    nan = math.nan
 
     def solve_G(T: float, u: float, tol: float) -> tuple[float, float, int]:
         # signs by branches: copysign(|u|^q, u) is u itself at u = +-0
@@ -181,17 +189,15 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
                         gu + gp * step, n)
             u -= d
 
-    def g_taylor(a: list, c: list) -> Optional[float]:
-        # c: (u / u(0))^q; at u(0) = 0 there is no expansion
-        if a[0] == 0.0:
-            return None
+    def g_taylor(a: list, c: list) -> float:
+        # c: (u / u(0))^q
         c.append(_miller(a, c, q))
-        return coef * copysign(abs(a[0]) ** q, a[0]) * c[-1]
+        return coef * a[0] ** q * c[-1]
 
     smooth = q > 1.0
-    return RadialODE(params, kind, params.B, g, g_np, G_np, equilibrium,
-                     G if smooth else None, solve_G if smooth else None,
-                     g_taylor=g_taylor)
+    return RadialODE(params, kind, params.B, g, g_np, G_np, g_taylor,
+                     equilibrium, G if smooth else None,
+                     solve_G if smooth else None)
 
 
 def _exp_ode(params: ModelParams, kind: str, const: float,
@@ -223,8 +229,7 @@ def _exp_ode(params: ModelParams, kind: str, const: float,
         e.append(m / n * sum(j * a[j] * e[n - j] for j in range(1, n + 1)))
         return chi * math.exp(m * a[0]) * e[-1]
 
-    return RadialODE(params, kind, 1.0, g, g_np, G_np, equilibrium,
-                     g_taylor=g_taylor)
+    return RadialODE(params, kind, 1.0, g, g_np, G_np, g_taylor, equilibrium)
 
 
 def backward_ode(params: ModelParams) -> RadialODE:
@@ -490,8 +495,7 @@ def _origin_series(ode: RadialODE, u0: float) -> tuple[list, list, float, float]
     (|w|/B)^(1/(p-1)) gives a_k = S v_(k-1) / k, v those of y^(1/(p-1)).
     rho is where the first term moves u by S = max(|u0|, 1), or g by g0 if
     that comes first, which keeps steep heights' terms in range.  The series
-    stops before a non-finite term and after a_1 where g has no expansion
-    at u0; g(u0) = 0 leaves u = u0, w = 0."""
+    stops before a non-finite term; g(u0) = 0 leaves u = u0, w = 0."""
     g0 = ode.g(u0)
     if not math.isfinite(g0):
         raise DomainError(f"source term not finite at u0 = {u0}")
@@ -501,7 +505,7 @@ def _origin_series(ode: RadialODE, u0: float) -> tuple[list, list, float, float]
     beta, y0 = pe / (pe - 1.0), -g0 / N
     S = math.copysign(max(abs(u0), 1.0), y0)
     t = ode.g_taylor([u0, S], [1.0])         # g'(u0) S
-    if t is not None and abs(g0) < abs(t) < math.inf:
+    if abs(g0) < abs(t) < math.inf:
         S *= abs(g0 / t)
     try:
         rho = beta * abs(S) / (abs(y0) / ode.B_eff) ** (1.0 / (pe - 1.0))
@@ -513,10 +517,9 @@ def _origin_series(ode: RadialODE, u0: float) -> tuple[list, list, float, float]
     a, y, v, c = [u0], [1.0], [1.0], [1.0]
     for k in range(1, _SERIES_TERMS + 1):
         a.append(S * v[-1] / k)
-        g_k = ode.g_taylor(a, c) if k < _SERIES_TERMS else None
-        if g_k is None:
+        if k == _SERIES_TERMS:
             break
-        y.append(g_k / g0 * N / (N + k * beta))
+        y.append(ode.g_taylor(a, c) / g0 * N / (N + k * beta))
         v.append(_miller(y, v, 1.0 / (pe - 1.0)))
         if not (math.isfinite(y[-1]) and math.isfinite(v[-1])):
             y.pop()
@@ -664,10 +667,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
      _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
      _C2, _C3, _C4, _C5) = _DP54
     copysign, isfinite, sqrt = math.copysign, math.isfinite, math.sqrt
+    ode.check_height(u0)
     u_floor, u_ceiling = ode.u_floor, ode.u_ceiling
-    if not u_floor < u0 < u_ceiling:
-        raise DomainError(f"{ode.kind}: initial height {u0} lies outside "
-                          f"({u_floor:g}, {u_ceiling:g})")
     eq_u = ode.equilibrium_u if opts.stop_at_first_minimum else None
     # the energy variable: problems whose flux zeros are turns of u
     en = p > 2.0 and ode.equilibrium_u is not None

@@ -31,7 +31,9 @@ from .errors import (
     NegativeBaseError,
     OutOfTimeDomainError,
 )
-from .forward import CompactTail, ForwardProfile, LogQuadraticTail, PowerTail, Tail
+from .backward import _backward_profile
+from .forward import (CompactTail, ForwardProfile, LogQuadraticTail, PowerTail,
+                      Tail, solve_forward)
 from .params import ModelParams, Regime, phi_of_u
 from .radial_ode import (
     IntegratorOptions,
@@ -696,24 +698,26 @@ def residual_grade(params: ModelParams, height: float,
     (_positive_span), then a pass at tolerance 1e-12 with the step capped
     at span/3000 places about 3,000 solution nodes across it; the profile's
     opts are that pass's.  A backward run that stops short has no profile
-    and raises IntegrationError (backward._backward_profile).
+    and raises IntegrationError (_profile).
     Node values sit on the discrete flow to sub-tolerance accuracy, so the
     nested five-point differences of system_residual resolve the equation
     residual instead of grid noise.
     """
-    from .backward import _backward_profile
-    from .forward import solve_forward
+    span = _positive_span(*_profile(params, height, direction), params)
+    return _profile(params, height, direction, IntegratorOptions(
+        rel_tol=_GRADE_TOL, abs_tol=_GRADE_TOL, h_max=span / _GRADE_STEPS))[1]
 
-    def solve(opts: IntegratorOptions) -> tuple[ProfileSolution, PhiProfile]:
-        if direction is Direction.BACKWARD:
-            sol = _backward_profile(params, height, opts)
-            return sol, phi_from_u(sol, params)
-        fp = solve_forward(params, height, opts)
-        return fp.sol, phi_from_forward(fp)
 
-    span = _positive_span(*solve(IntegratorOptions()), params)
-    return solve(IntegratorOptions(rel_tol=_GRADE_TOL, abs_tol=_GRADE_TOL,
-                                   h_max=span / _GRADE_STEPS))[1]
+def _profile(params: ModelParams, height: float, direction: Direction,
+             opts: Optional[IntegratorOptions] = None
+             ) -> tuple[ProfileSolution, PhiProfile]:
+    """The trajectory from a centre height and its phi profile: a backward
+    run that stops short has no profile (backward._backward_profile)."""
+    if direction is Direction.BACKWARD:
+        sol = _backward_profile(params, height, opts)
+        return sol, phi_from_u(sol, params)
+    fp = solve_forward(params, height, opts)
+    return fp.sol, phi_from_forward(fp)
 
 
 def residual_grade_backward(params: ModelParams, a: float) -> PhiProfile:

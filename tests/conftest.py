@@ -1,4 +1,10 @@
-"""Suite plumbing: collects acceptance verdicts for the terminal summary."""
+"""Suite plumbing: collects acceptance verdicts for the terminal summary,
+and records the heights the shooting layers integrate."""
+
+import pytest
+
+import plks.backward
+import plks.forward
 
 _ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 
@@ -20,3 +26,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         ok, detail = _ACCEPTANCE[num]
         terminalreporter.write_line(
             "criterion %2d %s  %s" % (num, "PASS" if ok else "FAIL", detail))
+
+
+@pytest.fixture
+def shot_heights(monkeypatch):
+    """The heights plks.backward and plks.forward pass to integrate, in call
+    order; a call refused before any shot leaves it empty."""
+    heights = []
+    for mod in (plks.backward, plks.forward):
+        def counted(ode, u0, opts=None, integrate=mod.integrate):
+            heights.append(u0)
+            return integrate(ode, u0, opts)
+
+        monkeypatch.setattr(mod, "integrate", counted)
+    return heights

@@ -1,6 +1,7 @@
 """Tests for the blow-up shooting layer: classification, a_c search."""
 
 import math
+import re
 import time
 from collections import Counter
 
@@ -26,6 +27,7 @@ from plks import (
     find_critical_a,
     integrate,
     solve_backward,
+    solve_forward,
     sweep_a,
     zero_energy_height,
 )
@@ -164,17 +166,83 @@ def test_sweep_requires_increasing_grid():
         sweep_a(P, [1.0, 1.0, 2.0])
 
 
-def test_sweep_checks_regime_and_heights_before_any_work(monkeypatch):
-    heights = _counted(monkeypatch)
+def test_sweep_checks_regime_and_heights_before_any_work(shot_heights):
     for P in (derive_params(2, 2.0, 0.5), derive_params(1, 1.5, 1.0)):
         with pytest.raises(DomainError, match="slow regime"):
             sweep_a(P, [])
     P = derive_params(2, 3.0, 1.0)
     for grid in ([0.0, 2.0], [-1.0, 2.0], [2.0, 3.0, float("nan")],
                  [2.0, float("inf")]):
-        with pytest.raises(DomainError, match="must be positive"):
+        with pytest.raises(DomainError, match="lies outside"):
             sweep_a(P, grid)
-    assert heights == []
+    assert shot_heights == []
+
+
+# Heights every entry refuses at p = 3 with its problem's one message, and
+# before any shot: sweep_a's grid holds one of them after two heights it
+# would shoot.  1e-8 is the floor of the backward p < 2 problem.
+_ENTRIES = {
+    "integrate": lambda P, a: integrate(backward_ode(P), a),
+    "solve_backward": solve_backward,
+    "solve_forward": solve_forward,
+    "classify": classify,
+    "sweep_a": lambda P, a: sweep_a(P, [2.0, 2.5, a]),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e12])
+def test_every_entry_refuses_a_bad_height_before_any_shot(entry, a, shot_heights):
+    P = derive_params(2, 3.0, 1.0)
+    kind = "forward-slow" if entry == "solve_forward" else "backward-slow"
+    with pytest.raises(DomainError, match=re.escape(
+            f"{kind}: initial height {a} lies outside (0, 1e+12)")):
+        _ENTRIES[entry](P, a)
+    assert shot_heights == []
+
+
+@pytest.mark.parametrize("entry", ["integrate", "solve_backward"])
+def test_fast_backward_entries_refuse_the_floor(entry, shot_heights):
+    with pytest.raises(DomainError, match=re.escape(
+            "backward-fast: initial height 1e-08 lies outside (1e-08, 1e+12)")):
+        _ENTRIES[entry](derive_params(3, 1.8, 1.0), 1e-8)
+    assert shot_heights == []
+
+
+def test_each_call_sets_up_its_problem_once(monkeypatch, shot_heights):
+    # one backward_ode and one zero_energy_height per classify, sweep_a
+    # and find_critical_a call; the README's 16-height sweep made 23 and 16
+    calls = Counter()
+    for name in ("backward_ode", "zero_energy_height"):
+        def counted(params, name=name, fn=getattr(plks.backward, name)):
+            calls[name] += 1
+            return fn(params)
+
+        monkeypatch.setattr(plks.backward, name, counted)
+    P = derive_params(3, 2.5, 1.0)
+    for run in (lambda: classify(P, 2.0),
+                lambda: sweep_a(P, np.geomspace(0.1, 8.0, 16)),
+                lambda: find_critical_a(P)):
+        calls.clear()
+        shot_heights.clear()
+        run()
+        assert calls == {"backward_ode": 1, "zero_energy_height": 1}
+        assert shot_heights
+
+
+@pytest.mark.parametrize("a_tol", [math.nan, math.inf, -1.0])
+def test_search_refuses_a_bad_a_tol_before_any_shot(a_tol, shot_heights):
+    with pytest.raises(DomainError, match="a_tol must be finite and >= 0"):
+        find_critical_a(derive_params(1, 3.0), a_tol=a_tol)
+    assert shot_heights == []
+
+
+def test_search_refuses_an_upper_end_out_of_range_before_any_shot(shot_heights):
+    # the lower end a = 1 used to be shot first
+    with pytest.raises(DomainError, match=re.escape(
+            "backward-slow: initial height 10000000000000.0 lies outside (0, 1e+12)")):
+        find_critical_a(derive_params(2, 3.0), (1.0, 1e13))
+    assert shot_heights == []
 
 
 # The energy certificate labels heights below the zero-energy height P with
@@ -244,27 +312,25 @@ def test_certificate_agrees_with_shooting(case):
         assert P.p < 2.001, (P, a)
 
 
-def test_sweep_shoots_exactly_the_heights_from_h0(monkeypatch):
-    heights = _counted(monkeypatch)
+def test_sweep_shoots_exactly_the_heights_from_h0(shot_heights):
     P = derive_params(2, 3.0, 1.0)
     h0 = zero_energy_height(P)
     grid = np.geomspace(0.3, 3.0, 12)
     res = sweep_a(P, grid)
-    assert heights == [a for a in grid if a >= (1.0 - 1e-12) * h0]
-    assert 0 < len(heights) < len(grid)
+    assert shot_heights == [a for a in grid if a >= (1.0 - 1e-12) * h0]
+    assert 0 < len(shot_heights) < len(grid)
     assert [c.solution is None for c in res.classifications] == [
         a < (1.0 - 1e-12) * h0 for a in grid]
 
 
-def test_heights_in_the_margin_are_shot(monkeypatch):
-    heights = _counted(monkeypatch)
+def test_heights_in_the_margin_are_shot(shot_heights):
     P = derive_params(2, 3.0, 1.0)
     a = zero_energy_height(P) * (1.0 - 1e-13)
     assert classify(P, a).reason == "interior minimum"
     P1 = derive_params(1, 3.0, 1.0)
     h0 = zero_energy_height(P1)     # a_c itself at N = 1
     assert classify(P1, h0).solution is not None
-    assert heights == [a, h0]
+    assert shot_heights == [a, h0]
 
 
 # ---------------------------------------------------------------- heights
@@ -453,6 +519,12 @@ def test_touch_is_n0_whatever_p(N, p, a):
     assert res.upper.R_of_a == c.R_of_a
 
 
+def _probe(P, a):
+    """The search's probe of a, which runs on past a zero to its first minimum."""
+    ode, opts = plks.backward._shots(P, None, past_zero=True)
+    return plks.backward._label(ode, a, opts)
+
+
 def test_touch_is_a_zero_in_both_shots():
     # the first minimum sits at u = -9.7e-13, within the event tolerance
     # 1e-12 of zero: a touch, which both classify and the search's probe,
@@ -465,7 +537,7 @@ def test_touch_is_a_zero_in_both_shots():
     c = classify(P, a)
     assert c.set is ProfileClass.N0
     assert c.R_of_a == c.solution.r_end
-    probe = plks.backward._shoot(P, a, past_zero=True)
+    probe = _probe(P, a)
     assert probe.set is ProfileClass.N0 and probe.R_of_a == c.R_of_a
     turn = probe.solution.events_of(EventKind.U_PRIME_ZERO)[-1]
     assert turn.r == c.R_of_a == probe.solution.r_end
@@ -501,26 +573,13 @@ def test_critical_radius_at_the_edge_point_against_tight_reference():
     assert abs(res.R_c - ref) <= 1e-9 * ref
 
 
-def _counted(monkeypatch):
-    heights = []
-    integrate = plks.backward.integrate
-
-    def counted(ode, u0, opts):
-        heights.append(u0)
-        return integrate(ode, u0, opts)
-
-    monkeypatch.setattr(plks.backward, "integrate", counted)
-    return heights
-
-
 @pytest.mark.parametrize("N,p", [(1, 3.0), (2, 3.0), (3, 2.17)])
-def test_critical_trace_is_every_integration_in_order(N, p, monkeypatch):
-    heights = _counted(monkeypatch)
+def test_critical_trace_is_every_integration_in_order(N, p, shot_heights):
     res = find_critical_a(derive_params(N, p, 1.0))
     trace = res.trace
-    assert [t.a for t in trace] == heights
+    assert [t.a for t in trace] == shot_heights
     assert len(trace) == res.n_iterations + 2
-    assert len(set(heights)) == len(heights)     # no height is shot twice
+    assert len(set(shot_heights)) == len(shot_heights)    # none is shot twice
     # the lower end lies below h0, yet is shot, not certified
     assert trace[0].a == 0.999 * zero_energy_height(res.lower.solution.ode.params)
     assert trace[0].reason == "interior minimum"
@@ -562,10 +621,9 @@ def test_n0_probe_is_an_upper_end_not_classified_again():
 # search takes more steps than before in fewer integrations.
 @pytest.mark.parametrize("N,p,shots,steps", [
     (1, 3.0, 7, 564), (2, 3.0, 9, 816), (3, 2.5, 9, 1205)])
-def test_critical_search_work_is_pinned(N, p, shots, steps, monkeypatch):
-    heights = _counted(monkeypatch)
+def test_critical_search_work_is_pinned(N, p, shots, steps, shot_heights):
     res = find_critical_a(derive_params(N, p))
-    assert len(heights) <= shots
+    assert len(shot_heights) <= shots
     assert sum(t.n_steps for t in res.trace) <= steps
 
 
@@ -576,10 +634,9 @@ def test_critical_search_work_is_pinned(N, p, shots, steps, monkeypatch):
 @pytest.mark.parametrize("N,p,chi,most", [
     (2, 2.6059, 1.0, 16), (2, 2.425, 1.0, 16), (3, 3.9191, 1.0, 16),
     (3, 2.3014, 1.9, 16), (2, 2.02, 1.0, 16), (3, 2.1714, 1.0, 20)])
-def test_critical_search_keeps_its_slack(N, p, chi, most, monkeypatch):
-    heights = _counted(monkeypatch)
+def test_critical_search_keeps_its_slack(N, p, chi, most, shot_heights):
     res = find_critical_a(derive_params(N, p, chi))
-    assert len(heights) == len(res.trace) <= most
+    assert len(shot_heights) == len(res.trace) <= most
     assert res.bracket_width <= 1e-10 * res.a_c
 
 
@@ -647,8 +704,7 @@ def test_search_probe_and_classify_give_one_verdict(N, t, chi, k, side):
     lo_p = max(2.0, admissible_p_threshold(N)) + 0.15
     P = derive_params(N, lo_p + t * (4.0 - lo_p), chi)
     a = find_critical_a(P).a_c * (1.0 + side * 10.0 ** -k)
-    probe = plks.backward.Probe.of(
-        plks.backward._shoot(P, a, past_zero=True), "end")
+    probe = plks.backward.Probe.of(_probe(P, a), "end")
     assert probe.label == classify(P, a).label
     assert (probe.gap > 0.0) == (probe.label == "P")
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import plks.backward
 import plks.cli
 import plks.errors
 import plks.reconstruct
@@ -264,22 +263,14 @@ def test_find_critical_closed_form(capsys):
 
 
 def test_find_critical_certificates_are_the_bisection_endpoints(
-        capsys, monkeypatch):
-    heights = []
-    integrate = plks.backward.integrate
-
-    def counted(ode, u0, opts):
-        heights.append(u0)
-        return integrate(ode, u0, opts)
-
-    monkeypatch.setattr(plks.backward, "integrate", counted)
+        capsys, shot_heights):
     rc, out, _ = _run(["find-critical", "--N", "1", "--p", "3",
                        "--format", "json"], capsys)
     assert rc == 0
     rep = json.loads(out)["results"]
     # the two initial endpoints, then one height per iteration, a_c among
     # them; the certificates take no integration of their own
-    assert len(heights) == rep["n_iterations"] + 2
+    assert len(shot_heights) == rep["n_iterations"] + 2
     res = find_critical_a(derive_params(1, 3.0))
     assert res.lower.set is ProfileClass.P
     assert res.upper.set is ProfileClass.N
@@ -466,18 +457,40 @@ def test_sweep_report_edges(capsys):
     assert rep["tolerances_met"]["all_classified"] is True
 
 
-def test_sweep_out_of_range_height_exit2_before_any_shot(capsys, monkeypatch):
+def test_sweep_out_of_range_height_exit2_before_any_shot(capsys, shot_heights):
     # 1e299 lies above the backward u_ceiling 1e12; the stiff first height
     # (u* within 1e-13 of 1) used to take 25 s before integrate refused it
-    shots = []
-    monkeypatch.setattr(plks.backward, "integrate",
-                        lambda *a: shots.append(a) or pytest.fail("shot"))
     t0 = time.process_time()
     rc, out, err = _run(["sweep", "--N", "6", "--p", "2.00000000000001",
                          "--a-grid", "lin:1.0:1e+299:2", "--r-max", "20"], capsys)
     assert time.process_time() - t0 < 1.0
-    assert rc == 2 and out == "" and not shots
+    assert rc == 2 and out == "" and not shot_heights
     assert "error[DomainError]" in err and "1e+299 lies outside" in err
+
+
+# Before any shot: --a-tol nan ran 52 probes, inf stopped with a 1.1-wide
+# bracket and -1 ran 7, each exiting 0 with a false verdict
+@pytest.mark.parametrize("a_tol", ["nan", "inf", "-1"])
+def test_find_critical_bad_a_tol_exit2_before_any_shot(a_tol, capsys, shot_heights):
+    rc, out, err = _run(["find-critical", "--N", "1", "--p", "3",
+                         "--a-tol", a_tol], capsys)
+    assert rc == 2 and out == "" and not shot_heights
+    assert "error[DomainError] a_tol must be finite and >= 0" in err
+
+
+# Before any solve: --ratio 2 and --steps 0 exited 2 only after the
+# integration; the last two exited 3 after it, their times reaching T = 1
+# and 0 in floating point
+@pytest.mark.parametrize("argv,reached", [
+    (["--N", "3", "--p", "1.8", "--b", "1.0", "--ratio", "2"], "--ratio"),
+    (["--N", "3", "--p", "1.8", "--b", "1.0", "--steps", "0"], "--steps"),
+    (["--N", "2", "--p", "3", "--a", "2.126", "--steps", "40"], "t = 1.0:"),
+    (["--N", "3", "--p", "1.8", "--b", "1.0", "--steps", "600"], "t = 0.0:")])
+def test_delta_test_bad_times_exit2_before_any_solve(argv, reached, capsys,
+                                                     shot_heights):
+    rc, out, err = _run(["delta-test"] + argv, capsys)
+    assert rc == 2 and out == "" and not shot_heights
+    assert err.startswith("error[DomainError]") and reached in err
 
 
 def test_sweep_bad_grid_exit2(capsys):

@@ -241,14 +241,6 @@ def test_startup_radius_shrinks_to_the_series_cap():
     assert reaches == sorted(reaches, reverse=True) and reaches[-1] < 1e-4
     short = replace(opts, r_max=1e-3)
     assert integrate(ode, 1.5, short).r[0] == 0.5 * short.r_max
-    # at u0 = 0 the power source has no expansion: the two-term startup,
-    # whose next term is unknown, so its correction |a_1| r^(3/2) stops at
-    # 1e-3 abs_tol
-    sol = integrate(ode, 0.0, opts)
-    r0, u, w = float(sol.r[0]), float(sol.u[0]), float(sol.w[0])
-    assert u == pytest.approx(1e-3 * opts.abs_tol, rel=1e-12)
-    assert (u, w) == pytest.approx(oracle_startup(1, 3.0, 1.0, "backward", 0.0, r0),
-                                   rel=1e-14)
 
 
 def _series_against_tight_run(ode, u0, r_max=1e3):
