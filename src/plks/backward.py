@@ -291,6 +291,13 @@ class CriticalResult:
     trace: tuple[Probe, ...] = ()
 
 
+def _narrowed(lo: float, hi: float, a_tol: float) -> bool:
+    """find_critical_a's stopping rule: hi - lo <= a_tol |mid|, or the
+    bracket at the floating-point limit, no double strictly inside."""
+    mid = 0.5 * (lo + hi)
+    return mid <= lo or mid >= hi or hi - lo <= a_tol * abs(mid)
+
+
 def find_critical_a(params: ModelParams,
                     bracket: Optional[tuple[float, float]] = None,
                     opts: Optional[IntegratorOptions] = None,
@@ -406,9 +413,9 @@ def find_critical_a(params: ModelParams,
     while True:
         if not abs(fb) <= abs(fc):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        if _narrowed(lo, hi, a_tol):
+            break
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or hi - lo <= a_tol * abs(mid):
-            break  # the stopping width, or the floating-point limit
         tol = max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid))
         xm = 0.5 * (c - b)
         step = "mid"

@@ -24,6 +24,7 @@ import numpy as np
 from .backward import (
     ProfileClass,
     _backward_profile,
+    _narrowed,
     find_critical_a,
     sweep_a,
     zero_energy_height,
@@ -280,8 +281,9 @@ def cmd_find_critical(params: ModelParams, args):
                   for t in res.trace],
     }
     tol = {
-        "bracket_width_within_tol":
-            res.bracket_width <= args.a_tol * res.a_c * (1.0 + 1e-12),
+        # the search's own stopping rule; an N0 initial end has width 0
+        "bracket_width_within_tol": res.lower is None
+            or _narrowed(res.lower.a, res.upper.a, args.a_tol),
         "straddle_certified": certificates is not None
             and certificates["lower"]["class"] == "P"
             and certificates["upper"]["class"] in ("N", "N0"),

@@ -9,10 +9,13 @@ spherical average is the point-by-point rule the delta test's vectorized
 quadrature must reproduce bit for bit, the off-centre Gaussian's average is
 the closed form that rule approximates, and the dense-output loop over the
 Dormand-Prince matrix is the sum the stepper's unrolled coefficients must
-reproduce bit for bit.  The energy audit by sample() is the reference the
-audit's per-step midpoint evaluation must reproduce bit for bit, and the
-unfused numpy expressions of the energy and the audit are the references
-their in-place evaluation must reproduce bit for bit.
+reproduce bit for bit.  The unfused numpy expressions of the energy and
+the energy audit are the references their in-place evaluation must
+reproduce bit for bit.  The audit's oracle is also the one implementation
+of the dissipation-integral defect, which compares each increment of E
+with Simpson's rule on the predicted E', w at each step's midpoint from
+that step's interpolant; its evaluation by sample() at the midpoints must
+give the same figures bit for bit.
 
 Audits of library trajectories.  The last section holds three checks that
 read trajectories the package computes, with its integrator and helpers:
@@ -278,7 +281,20 @@ def energy_reference(ode, u, w):
     return float(val) if np.ndim(u) == 0 else val
 
 
-def _audit(sol, r_mid, w_mid) -> tuple:
+class EnergyAudit(NamedTuple):
+    """The package's EnergyCheck fields in their order, then the
+    dissipation-integral defect: max |dE - Simpson of the predicted E'| over
+    the steps, which only this oracle computes."""
+
+    max_increase: float
+    max_drift: float
+    e0: float
+    scale: float
+    passed: bool
+    max_defect: float
+
+
+def _audit(sol, r_mid, w_mid) -> EnergyAudit:
     ode = sol.ode
     E, r = sol.energy, sol.r
     pe, Be = ode.params.p, ode.B_eff
@@ -304,17 +320,13 @@ def _audit(sol, r_mid, w_mid) -> tuple:
         passed = max_increase <= 1e-8 * scale
     else:
         passed = max_drift <= 1e-6 * scale
-    return max_defect, max_increase, max_drift, e0, scale, passed
+    return EnergyAudit(max_increase, max_drift, e0, scale, passed, max_defect)
 
 
-def energy_audit_reference(sol) -> tuple:
-    """The energy audit's fields from unfused numpy expressions, each
-    midpoint w from its own step's interpolant (a cut-short last step keeps
-    its full length in _h).
-
-    Returns (max_defect, max_increase, max_drift, e0, scale, passed) in
-    the order of the package's EnergyCheck.
-    """
+def energy_audit_reference(sol) -> EnergyAudit:
+    """The energy audit's fields and the dissipation-integral defect from
+    unfused numpy expressions, each midpoint w from its own step's
+    interpolant (a cut-short last step keeps its full length in _h)."""
     r = sol.r
     r_mid = r[:-1] + 0.5 * np.diff(r)
     theta = (r_mid - r[:-1]) / sol._h
@@ -324,7 +336,7 @@ def energy_audit_reference(sol) -> tuple:
     return _audit(sol, r_mid, w_mid)
 
 
-def energy_audit_by_sample(sol) -> tuple:
+def energy_audit_by_sample(sol) -> EnergyAudit:
     """energy_audit_reference's fields with every midpoint w from
     sol.sample()."""
     r = sol.r

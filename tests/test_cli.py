@@ -478,6 +478,20 @@ def test_find_critical_bad_a_tol_exit2_before_any_shot(a_tol, capsys, shot_heigh
     assert "error[DomainError] a_tol must be finite and >= 0" in err
 
 
+# The verdict is the search's own stopping rule: --a-tol 0 and 1e-17 end
+# one ulp wide at the floating-point limit, which a restated rule,
+# width <= a_tol a_c, judged false
+@pytest.mark.parametrize("a_tol", ["0", "1e-17"])
+def test_find_critical_floating_point_limit_meets_its_tolerance(a_tol, capsys):
+    rc, out, _ = _run(["find-critical", "--N", "1", "--p", "3",
+                       "--a-tol", a_tol, "--format", "json"], capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    res = rep["results"]
+    assert res["bracket_width"] == math.ulp(res["a_c"])
+    assert rep["tolerances_met"]["bracket_width_within_tol"] is True
+
+
 # Before any solve: --ratio 2 and --steps 0 exited 2 only after the
 # integration; the last two exited 3 after it, their times reaching T = 1
 # and 0 in floating point

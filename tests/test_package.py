@@ -1,6 +1,6 @@
 """The package surface: the public names the modules' __all__ export, the
-library callers of its functions, the integrator's settings, the command
-line's flags and the README's quick start."""
+library callers of its functions, the integrator's settings, the energy
+audit's fields, the command line's flags and the README's quick start."""
 
 import argparse
 import ast
@@ -55,6 +55,10 @@ _INTEGRATOR_OPTIONS = (
     "stop_at_u_zero", "stop_at_first_minimum", "h_max",
 )
 
+# the energy audit's figures: a figure added back to EnergyCheck shows up
+# as a change to this tuple
+_ENERGY_CHECK = ("max_increase", "max_drift", "e0", "scale", "passed")
+
 # each subcommand's option strings, in the parser's order: a new flag
 # shows up as a change to this table
 _COMMON_FLAGS = ("-h", "--help", "--N", "--p", "--chi", "--r-max", "--rel-tol",
@@ -104,6 +108,11 @@ def test_public_functions_have_library_callers():
 def test_integrator_options_are_pinned():
     fields = tuple(f.name for f in dataclasses.fields(plks.IntegratorOptions))
     assert fields == _INTEGRATOR_OPTIONS
+
+
+def test_energy_check_fields_are_pinned():
+    fields = tuple(f.name for f in dataclasses.fields(plks.EnergyCheck))
+    assert fields == _ENERGY_CHECK
 
 
 def test_cli_options_are_pinned():
