@@ -245,14 +245,14 @@ class Probe:
     """One classification made by find_critical_a, in the order it ran.
 
     gap is u where the run stopped at its first minimum, of either sign
-    (u* at an equilibrium capture), the value the search roots; None when
+    (u* at an equilibrium capture), the value the search roots; nan when
     the run ended otherwise.  n_steps and n_rejected count its steps.
     """
 
     a: float
     label: str
     reason: str
-    gap: Optional[float]
+    gap: float
     n_steps: int
     n_rejected: int
     r_start: float   # where the run started: the origin series' reach
@@ -263,7 +263,7 @@ class Probe:
     def of(cls, c: Classification, step: str) -> "Probe":
         sol = c.solution
         gap = (float(sol.u[-1]) if sol.termination is Termination.U_PRIME_VANISHED
-               else None)
+               else math.nan)
         return cls(c.a, c.label, c.reason, gap, sol.n_steps, sol.n_rejected,
                    float(sol.r[0]), sol.r_end, step)
 
@@ -274,28 +274,19 @@ class CriticalResult:
 
     lower and upper are the classifications of the final bracket's
     endpoints, P below and N (or N0) above; a_c is one of them, and
-    classification and profile are its own probe's.  They are None when an
-    endpoint of the initial bracket is itself tangential (N0) and
-    bracket_width is 0.  trace holds every classification of the search in
-    order: the initial bracket ends, the doublings and the interior probes.
+    classification is its own probe's, whose solution is the profile.
+    trace holds every classification of the search in order: the initial
+    bracket ends, the doublings and the interior probes.
     """
 
     a_c: float
     bracket_width: float
-    R_c: Optional[float]
-    profile: ProfileSolution
+    R_c: float
     n_iterations: int
     classification: Classification
-    lower: Optional[Classification] = None
-    upper: Optional[Classification] = None
-    trace: tuple[Probe, ...] = ()
-
-
-def _narrowed(lo: float, hi: float, a_tol: float) -> bool:
-    """find_critical_a's stopping rule: hi - lo <= a_tol |mid|, or the
-    bracket at the floating-point limit, no double strictly inside."""
-    mid = 0.5 * (lo + hi)
-    return mid <= lo or mid >= hi or hi - lo <= a_tol * abs(mid)
+    lower: Classification
+    upper: Classification
+    trace: tuple[Probe, ...]
 
 
 def find_critical_a(params: ModelParams,
@@ -313,21 +304,22 @@ def find_critical_a(params: ModelParams,
     BadBracketError; p at or below the admissibility threshold, where no
     height vanishes, raises DomainError.
 
-    The bracket moves on labels alone: P below, N or N0 above.  Brent's
-    zeroin (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4) on u_min picks the next height, and bisects while an end's
-    u_min disagrees in sign with its label.  The search stops once
-    hi - lo <= a_tol mid; a_tol = 0 narrows the bracket to the
-    floating-point limit.  a_c is Brent's best iterate, the end with the
-    smaller |u_min|, so bracket_width bounds its error; its own probe is the
-    result's classification and profile, which runs on to that minimum.
+    The bracket moves on labels alone: P below, N or N0 above, the
+    initial ends included, so an N0 lower end raises BadBracketError.
+    Brent's zeroin (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) on u_min picks the next height, and bisects
+    while an end's u_min disagrees in sign with its label.  The search stops once
+    hi - lo <= a_tol mid, or no double lies strictly inside; a_tol = 0
+    narrows the bracket to that floating-point limit.  a_c is Brent's best
+    iterate, the end with the smaller |u_min|, so bracket_width bounds its
+    error; its own probe, which runs on to that minimum, is the result's
+    classification.
 
     Only a P height that stopped at its first interior minimum moves the
     bracket; any other P label (positive up to r_max, say) raises
     BadBracketError.  R_c is the radius of the final P end's last turn,
     smooth in a, while the zero of an N height moves like
-    (a - a_c)^((p-1)/p).  An initial end that classifies N0 is a_c, with
-    bracket_width 0 and its touch radius as R_c.
+    (a - a_c)^((p-1)/p).
     Each trace entry's step names the rule that chose its height: "end"
     and "double" for the initial bracket; inside it "secant", "quadratic"
     (inverse quadratic), "mid" (bisection), or "tol", a step of the
@@ -372,14 +364,8 @@ def find_critical_a(params: ModelParams,
         trace.append(Probe.of(c, step))
         return c
 
-    def u_min(t: Probe) -> float:    # nan where the run has no minimum
-        return math.nan if t.gap is None else t.gap
-
     trace: list[Probe] = []
     c_lo = shot(lo, "end")
-    if c_lo.set is ProfileClass.N0:
-        return CriticalResult(lo, 0.0, c_lo.R_of_a, c_lo.solution, 0, c_lo,
-                              trace=tuple(trace))
     if c_lo.set is not ProfileClass.P:
         raise BadBracketError(
             f"lower endpoint a = {lo:g} classifies {c_lo.label} ({c_lo.reason} "
@@ -396,26 +382,23 @@ def find_critical_a(params: ModelParams,
         hi = min(2.0 * hi, a_cap)
         c_hi = shot(hi, "double")
         n_iter += 1
-    if c_hi.set is ProfileClass.N0:
-        return CriticalResult(hi, 0.0, c_hi.R_of_a, c_hi.solution, n_iter,
-                              c_hi, trace=tuple(trace))
-    if c_hi.set is not ProfileClass.N:
+    if c_hi.set not in (ProfileClass.N, ProfileClass.N0):
         raise BadBracketError(
             f"upper endpoint a = {hi:g} classifies {c_hi.label} ({c_hi.reason} "
-            f"at r = {c_hi.solution.r_end:g}), need N")
+            f"at r = {c_hi.solution.r_end:g}), need N or N0")
 
     # zeroin's state, f being u_min: b is the end with the smaller |f|, c
     # the other end, a the last b; d is the last step and e the one before
-    f_lo, f_hi = u_min(trace[-2]), u_min(trace[-1])
+    f_lo, f_hi = trace[-2].gap, trace[-1].gap
     a, fa, b, fb = lo, f_lo, hi, f_hi
     c, fc, d = a, fa, b - a
     e = d
     while True:
         if not abs(fb) <= abs(fc):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        if _narrowed(lo, hi, a_tol):
-            break
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi or hi - lo <= a_tol * abs(mid):
+            break
         tol = max(0.5 * a_tol * abs(mid), 2.0 * math.ulp(mid))
         xm = 0.5 * (c - b)
         step = "mid"
@@ -440,7 +423,7 @@ def find_critical_a(params: ModelParams,
             x, step = mid, "mid"
         c_x = shot(x, step)
         n_iter += 1
-        f_x = u_min(trace[-1])
+        f_x = trace[-1].gap
         if c_x.set is ProfileClass.P:
             lo, c_lo, f_lo = x, turned(c_x), f_x
         elif c_x.set is ProfileClass.INCONCLUSIVE:
@@ -455,5 +438,5 @@ def find_critical_a(params: ModelParams,
 
     best = c_lo if b == lo else c_hi
     R_c = c_lo.solution.events_of(EventKind.U_PRIME_ZERO)[-1].r
-    return CriticalResult(b, hi - lo, R_c, best.solution, n_iter, best,
-                          c_lo, c_hi, tuple(trace))
+    return CriticalResult(b, hi - lo, R_c, n_iter, best, c_lo, c_hi,
+                          tuple(trace))

@@ -24,7 +24,6 @@ import numpy as np
 from .backward import (
     ProfileClass,
     _backward_profile,
-    _narrowed,
     find_critical_a,
     sweep_a,
     zero_energy_height,
@@ -258,14 +257,10 @@ def cmd_find_critical(params: ModelParams, args):
 
     header = ["role", "a", "class", "R", "terminal_slope"]
     c_mid = res.classification
-    rows = [("critical", res.a_c, c_mid.label, res.R_c, c_mid.terminal_slope)]
-    certificates = None
-    if res.lower is not None:
-        # the final bracket's endpoints, as the search classified them
-        certificates = {"lower": _class_block(res.lower),
-                        "upper": _class_block(res.upper)}
-        rows = ([_class_row("lower", res.lower)] + rows
-                + [_class_row("upper", res.upper)])
+    # a_c between the final bracket's endpoints, as the search classified them
+    rows = [_class_row("lower", res.lower),
+            ("critical", res.a_c, c_mid.label, res.R_c, c_mid.terminal_slope),
+            _class_row("upper", res.upper)]
 
     results = {
         "a_c": res.a_c,
@@ -273,21 +268,15 @@ def cmd_find_critical(params: ModelParams, args):
         "R_c": res.R_c,
         "n_iterations": res.n_iterations,
         "classification": _class_block(c_mid),
-        "certificates": certificates,
+        "certificates": {"lower": _class_block(res.lower),
+                         "upper": _class_block(res.upper)},
         "trace": [{"a": t.a, "step": t.step, "class": t.label,
                    "reason": t.reason, "gap": t.gap, "n_steps": t.n_steps,
                    "n_rejected": t.n_rejected, "r_start": t.r_start,
                    "r_end": t.r_end}
                   for t in res.trace],
     }
-    tol = {
-        # the search's own stopping rule; an N0 initial end has width 0
-        "bracket_width_within_tol": res.lower is None
-            or _narrowed(res.lower.a, res.upper.a, args.a_tol),
-        "straddle_certified": certificates is not None
-            and certificates["lower"]["class"] == "P"
-            and certificates["upper"]["class"] in ("N", "N0"),
-    }
+    tol = {}
     if params.N == 1:
         exact = zero_energy_height(params)
         rel = abs(res.a_c - exact) / exact
@@ -434,8 +423,7 @@ def cmd_delta_test(params: ModelParams, args):
         "deviation_last": dev_last,
         "decrease_factor": factor,
     }
-    tol = {"monotone_decreasing": True,
-           "decrease_above_1e3": factor >= 1e3}
+    tol = {"decrease_above_1e3": factor >= 1e3}
     return results, tol, header, rows, {}
 
 

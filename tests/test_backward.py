@@ -448,7 +448,7 @@ def test_critical_bracket_straddles():
 def test_critical_result_profile_is_near_critical():
     P = derive_params(2, 3.0, 1.0)
     res = find_critical_a(P)
-    assert res.profile.r_end > 1.0
+    assert res.classification.solution.r_end > 1.0
     assert res.classification.a == pytest.approx(res.a_c)
     # the default lower endpoint (zero-energy height) sits below a_c
     assert zero_energy_height(P) < res.a_c
@@ -505,9 +505,11 @@ def test_tangential_exit_is_a_touch():
 # band of 1e-6 labelled the first two N, with slopes -1.1e-5 and +4.4e-4:
 # the flux map (|w|/B)^(1/(p-1)) lifts a located w of 1e-15 to 1e-13 above
 # the band once p exceeds about 3.2.
-@pytest.mark.parametrize("N,p,a", [(1, 4.0, 1.0584000728412677),
-                                   (2, 5.0, 1.3660530502910013),
-                                   (2, 3.0, 1.689293179680241)])
+_TOUCHES = [(1, 4.0, 1.0584000728412677), (2, 5.0, 1.3660530502910013),
+            (2, 3.0, 1.689293179680241)]
+
+
+@pytest.mark.parametrize("N,p,a", _TOUCHES)
 def test_touch_is_n0_whatever_p(N, p, a):
     P = derive_params(N, p)
     c = classify(P, a)
@@ -517,6 +519,28 @@ def test_touch_is_n0_whatever_p(N, p, a):
     assert res.upper.a == a
     assert res.upper.set is ProfileClass.N0 and res.upper.terminal_slope == 0.0
     assert res.upper.R_of_a == c.R_of_a
+
+
+@pytest.mark.parametrize("N,p,a", _TOUCHES)
+def test_n0_end_is_an_upper_end(N, p, a, shot_heights):
+    # a touch given as the upper end enters Brent's loop with its signed
+    # minimum, below 1e-15 in size, as its value: one tolerance step below
+    # it is P, and a_c is the touch height itself, straddled by a P end and
+    # the N0 end.  As the lower end it certifies no P side.
+    P = derive_params(N, p)
+    res = find_critical_a(P, bracket=(0.9 * a, a))
+    assert res.a_c == a and res.classification is res.upper
+    assert res.upper.set is ProfileClass.N0
+    assert res.lower.set is ProfileClass.P and res.lower.a < a
+    assert 0.0 < res.bracket_width <= 1e-10 * res.a_c
+    assert [t.step for t in res.trace] == ["end", "end", "tol"]
+    turns = res.lower.solution.events_of(EventKind.U_PRIME_ZERO)
+    assert res.R_c == turns[-1].r
+    shot_heights.clear()
+    with pytest.raises(BadBracketError, match=r"lower endpoint .* classifies "
+                       r"N0 \(tangential zero at r = .*\), need P"):
+        find_critical_a(P, bracket=(a, 2.0 * a))
+    assert shot_heights == [a]
 
 
 def _probe(P, a):
@@ -557,7 +581,7 @@ def test_shots_skip_the_origin_layer():
         assert sum(t.n_steps for t in res.trace) <= 0.65 * before
         assert all(0.0 < t.r_start < t.r_end for t in res.trace)
         at_a_c = [t for t in res.trace if t.a == res.a_c]
-        assert [t.r_start for t in at_a_c] == [res.profile.r[0]]
+        assert [t.r_start for t in at_a_c] == [res.classification.solution.r[0]]
     sw = sweep_a(derive_params(3, 2.5), np.geomspace(0.1, 8.0, 16))
     assert sum(c.solution.n_steps for c in sw.classifications
                if c.solution is not None) <= 0.65 * 1184
@@ -593,8 +617,9 @@ def test_critical_trace_is_every_integration_in_order(N, p, shot_heights):
     ends = [t for t in trace if t.a in (res.lower.a, res.upper.a)]
     best = min(ends, key=lambda t: abs(t.gap))
     assert best.a == res.a_c and best.label == res.classification.label
+    sol = res.classification.solution
     assert (best.n_steps, best.n_rejected, best.r_end) == (
-        res.profile.n_steps, res.profile.n_rejected, res.profile.r_end)
+        sol.n_steps, sol.n_rejected, sol.r_end)
     # each entry names the rule that chose its height
     steps = Counter(t.step for t in trace)
     assert sum(steps[s] for s in ("end", "double", "secant", "quadratic",

@@ -202,6 +202,19 @@ def test_error_type_carries_its_exit_code(exc_type, monkeypatch, capsys):
     (["sweep", "--N", "3", "--p", "2.5", "--a-grid", "bad"], 2,
      "error[DomainError] grid spec must be lin:lo:hi:n or log:lo:hi:n, "
      "got 'bad'"),
+    (["sweep", "--N", "3", "--p", "2.5", "--a-grid", "lin:a:2:4"], 2,
+     "error[DomainError] malformed grid spec 'lin:a:2:4'"),
+    (["sweep", "--N", "3", "--p", "2.5", "--a-grid", "lin:2:1:4"], 2,
+     "error[DomainError] grid needs lo < hi and n >= 2, got 'lin:2:1:4'"),
+    (["sweep", "--N", "3", "--p", "2.5", "--a-grid", "lin:1:2:1"], 2,
+     "error[DomainError] grid needs lo < hi and n >= 2, got 'lin:1:2:1'"),
+    (["sweep", "--N", "3", "--p", "2.5", "--a-grid", "log:0:1:4"], 2,
+     "error[DomainError] log grid needs lo > 0, got 'log:0:1:4'"),
+    # a touch is an upper end: as the lower end it certifies no P side
+    (["find-critical", "--N", "2", "--p", "3",
+      "--a-lo", "1.6892931796807709", "--a-hi", "3.4"], 4,
+     "error[BadBracketError] lower endpoint a = 1.68929 classifies N0 "
+     "(tangential zero at r = 3.60996), need P"),
 ])
 def test_failure_line_and_exit_code(argv, code, line, capsys):
     rc, out, err = _run(argv, capsys)
@@ -255,8 +268,7 @@ def test_find_critical_closed_form(capsys):
     exact = (9.0 / 4.0) ** 0.125
     assert abs(res["a_c"] - exact) / exact < 1e-6
     assert res["closed_form_rel_err"] < 1e-6
-    assert rep["tolerances_met"]["closed_form_within_1e-6"] is True
-    assert rep["tolerances_met"]["bracket_width_within_tol"] is True
+    assert rep["tolerances_met"] == {"closed_form_within_1e-6": True}
     certs = res["certificates"]
     assert certs["lower"]["class"] == "P"
     assert certs["upper"]["class"] in ("N", "N0")
@@ -478,9 +490,8 @@ def test_find_critical_bad_a_tol_exit2_before_any_shot(a_tol, capsys, shot_heigh
     assert "error[DomainError] a_tol must be finite and >= 0" in err
 
 
-# The verdict is the search's own stopping rule: --a-tol 0 and 1e-17 end
-# one ulp wide at the floating-point limit, which a restated rule,
-# width <= a_tol a_c, judged false
+# --a-tol 0 and 1e-17 end one ulp wide, at the floating-point limit of
+# the search's stopping rule, below any width a_tol a_c can ask for
 @pytest.mark.parametrize("a_tol", ["0", "1e-17"])
 def test_find_critical_floating_point_limit_meets_its_tolerance(a_tol, capsys):
     rc, out, _ = _run(["find-critical", "--N", "1", "--p", "3",
@@ -489,7 +500,6 @@ def test_find_critical_floating_point_limit_meets_its_tolerance(a_tol, capsys):
     rep = json.loads(out)
     res = rep["results"]
     assert res["bracket_width"] == math.ulp(res["a_c"])
-    assert rep["tolerances_met"]["bracket_width_within_tol"] is True
 
 
 # Before any solve: --ratio 2 and --steps 0 exited 2 only after the

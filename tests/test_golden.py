@@ -31,7 +31,7 @@ GOLDEN = {
     "find-critical": (
         "find-critical --N 1 --p 3",
         "108d7a3501446a5fa35baa6ee13c20c03468bf26d099a8a3e6bace3757637f74",
-        "e19a410683384455db7bf8aede79e9c1ca2c705421575f79961ed43020dae39f"),
+        "e89c36243f8a6376f3602ebe935e63af381c60cf2634dbe7163fe65cfd7bbaf6"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
         "9d04b80661fcac86494a8c57361bc2f7f665a8e4b53c3aba2f97415a2d92161e",
@@ -43,7 +43,7 @@ GOLDEN = {
     "delta-test": (
         "delta-test --N 3 --p 1.8 --b 1.0",
         "e07b837a5417ec1c22376db04d95560238d791310f986fae5145a111a40555ff",
-        "0ecec395e873a9392cd4c5903dc00f647ade0e1e520ed76024f77d726e4bb8ed"),
+        "d65770b76fe306daa2a0d622ee0e7f8f0001805b492cf59da3d4ce39581d5002"),
 }
 
 _RUNNING = {"python": platform.python_version(), "numpy": np.__version__}

@@ -1,6 +1,7 @@
 """The package surface: the public names the modules' __all__ export, the
 library callers of its functions, the integrator's settings, the energy
-audit's fields, the command line's flags and the README's quick start."""
+audit's and the a_c search's fields, the command line's flags and the
+README's quick start."""
 
 import argparse
 import ast
@@ -59,6 +60,11 @@ _INTEGRATOR_OPTIONS = (
 # as a change to this tuple
 _ENERGY_CHECK = ("max_increase", "max_drift", "e0", "scale", "passed")
 
+# the a_c search's result, every field required: a field added back, or
+# one left unset on some path, shows up as a change to this tuple or test
+_CRITICAL_RESULT = ("a_c", "bracket_width", "R_c", "n_iterations",
+                    "classification", "lower", "upper", "trace")
+
 # each subcommand's option strings, in the parser's order: a new flag
 # shows up as a change to this table
 _COMMON_FLAGS = ("-h", "--help", "--N", "--p", "--chi", "--r-max", "--rel-tol",
@@ -113,6 +119,13 @@ def test_integrator_options_are_pinned():
 def test_energy_check_fields_are_pinned():
     fields = tuple(f.name for f in dataclasses.fields(plks.EnergyCheck))
     assert fields == _ENERGY_CHECK
+
+
+def test_critical_result_fields_are_pinned_and_required():
+    fields = dataclasses.fields(plks.CriticalResult)
+    assert tuple(f.name for f in fields) == _CRITICAL_RESULT
+    assert all(f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING for f in fields)
 
 
 def test_cli_options_are_pinned():

@@ -496,6 +496,15 @@ def test_equilibrium_hit_and_stop():
     sol = integrate(ode, P.u_star, IntegratorOptions(r_max=1.0))
     assert sol.termination is Termination.REACHED_RMAX
     assert sol.events == []
+    # in the step loop: from 1e-7 above u*, a step ends within 1e-8 of
+    # (u*, 0) before u turns, and the run stops there
+    P = derive_params(2, 3.0, 1.0)
+    sol = integrate(backward_ode(P), P.u_star + 1e-7,
+                    IntegratorOptions(stop_at_first_minimum=True))
+    assert sol.termination is Termination.U_PRIME_VANISHED
+    assert [(e.kind, e.r) for e in sol.events] == [
+        (EventKind.EQUILIBRIUM_HIT, sol.r_end)]
+    assert sol.n_steps == 14
 
 
 def test_amplitude_samples_recorded():
