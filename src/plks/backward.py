@@ -92,20 +92,15 @@ class Classification:
 
 def solve_backward(params: ModelParams, a: float,
                    opts: Optional[IntegratorOptions] = None) -> ProfileSolution:
-    """Integrate the blow-up profile problem from center height a."""
+    """Integrate the blow-up profile problem from center height a.  A run
+    that stops short, at step underflow or out of the problem's range, has
+    no profile and raises IntegrationError."""
     ode = backward_ode(params)
     ode.check_height(a)
     if params.p == 2.0:
         # u = ln phi is 0 where phi = 1, inside the profile: go on past it
         opts = replace(opts or IntegratorOptions(), stop_at_u_zero=False)
-    return integrate(ode, a, opts)
-
-
-def _backward_profile(params: ModelParams, a: float,
-                      opts: Optional[IntegratorOptions] = None) -> ProfileSolution:
-    """solve_backward's run, which has no profile if it stopped short: at
-    step underflow or out of the problem's range; that raises IntegrationError."""
-    sol = solve_backward(params, a, opts)
+    sol = integrate(ode, a, opts)
     if sol.termination in (Termination.STEP_UNDERFLOW, Termination.DIVERGED):
         raise IntegrationError(
             f"integration failed ({sol.termination.value}) at r = {sol.r_end:g}")

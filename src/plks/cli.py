@@ -23,8 +23,8 @@ import numpy as np
 
 from .backward import (
     ProfileClass,
-    _backward_profile,
     find_critical_a,
+    solve_backward,
     sweep_a,
     zero_energy_height,
 )
@@ -39,7 +39,6 @@ from .params import ModelParams, derive_params, phi_of_u
 from .radial_ode import (
     IntegratorOptions,
     ProfileSolution,
-    Termination,
     energy_derivative_check,
 )
 from .reconstruct import (
@@ -186,7 +185,7 @@ def _class_block(c) -> dict:
 # the overrides replace echoed settings the command resolved or ran at.
 
 def cmd_solve_backward(params: ModelParams, args):
-    sol = _backward_profile(params, args.a, _integrator(args))
+    sol = solve_backward(params, args.a, _integrator(args))
     header, rows = _profile_table(params, sol)
     audit = energy_derivative_check(sol, raise_on_violation=False)
     results = {
@@ -222,7 +221,7 @@ def cmd_solve_forward(params: ModelParams, args):
         "support_radius": fp.support_radius,
         "tail": _tail_block(fp.tail),
     }
-    tol = {"completed": sol.termination is not Termination.STEP_UNDERFLOW}
+    tol = {}
     if fp.support_radius is not None:
         edge = support_radius(fp)
         results["support"] = {
@@ -340,7 +339,7 @@ def _reconstructed(params: ModelParams, args):
     if getattr(args, "residual_grade", False):
         phi = residual_grade(params, height, direction)
     else:
-        phi = _profile(params, height, direction, _integrator(args))[1]
+        phi = _profile(params, height, direction, _integrator(args))
     return direction, height, phi, psi_from_phi(phi, params, strict=False)
 
 
@@ -382,7 +381,7 @@ def cmd_reconstruct(params: ModelParams, args):
             and max(res_block["res1"], res_block["res2"],
                     res_block["identity"]) < 1e-6,
     }
-    o = phi.opts    # a grade pass runs at its own tolerances and step cap
+    o = phi.sol.opts    # a grade pass runs at its own tolerances and step cap
     overrides = ({"r_max": o.r_max, "rel_tol": o.rel_tol, "abs_tol": o.abs_tol,
                   "h_max": o.h_max} if args.residual_grade else {})
     return results, tol, header, rows, overrides

@@ -117,7 +117,8 @@ def solve_forward(params: ModelParams, a_or_b: float,
     p = 2 runs down to u = -1e3, p < 2 up to u = 1e6 (forward_ode's
     cutoffs), p > 2 to the zero of u; a center value at or beyond its
     regime's cutoff, or not positive for p != 2, raises DomainError.  The
-    regime's strict monotonicity is verified on every accepted step.
+    regime's strict monotonicity is verified on every accepted step.  A run
+    that ends in step underflow has no profile and raises IntegrationError.
     """
     a = float(a_or_b)
     ode = forward_ode(params)
@@ -125,6 +126,9 @@ def solve_forward(params: ModelParams, a_or_b: float,
     regime = params.regime
     opts = replace(opts or IntegratorOptions(), stop_at_u_zero=regime is Regime.SLOW)
     sol = integrate(ode, a, opts)
+    if sol.termination is Termination.STEP_UNDERFLOW:
+        raise IntegrationError(
+            f"integration failed ({sol.termination.value}) at r = {sol.r_end:g}")
     if regime is Regime.LINEAR:
         _check_monotone(sol.u, -1, regime)
         return ForwardProfile(params, a, sol, LogQuadraticTail(-0.25))

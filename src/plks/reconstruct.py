@@ -31,7 +31,7 @@ from .errors import (
     NegativeBaseError,
     OutOfTimeDomainError,
 )
-from .backward import _backward_profile
+from .backward import solve_backward
 from .forward import (CompactTail, ForwardProfile, LogQuadraticTail, PowerTail,
                       Tail, solve_forward)
 from .params import ModelParams, Regime, phi_of_u
@@ -142,14 +142,15 @@ def _ball_integral(r: np.ndarray, y: np.ndarray, N: int) -> np.ndarray:
 class PhiProfile:
     """Density profile phi >= 0 on a radial grid with a tail model.
 
-    The support radius is that of a compact tail, else None.  opts are the
-    integrator options of the trajectory it maps, if any.
+    The support radius is that of a compact tail, else None.  sol is the
+    trajectory it maps, whose dense output gives phi between the nodes; it
+    is None for a profile built from arrays.
     """
 
     r: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     tail: Optional[Tail]
-    opts: Optional[IntegratorOptions] = field(default=None, repr=False)
+    sol: Optional[ProfileSolution] = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(self.phi < 0.0):
@@ -186,14 +187,13 @@ def phi_from_u(sol: ProfileSolution, params: ModelParams,
         keep = sol.r < z1
         r = np.append(sol.r[keep], z1)
         phi = phi_of_u(params, np.append(sol.u[keep], 0.0))
-        return PhiProfile(r, phi, tail if tail is not None else CompactTail(z1),
-                          sol.opts)
-    r, u = sol.r.copy(), sol.u
+        return PhiProfile(r, phi, tail or CompactTail(z1), sol)
+    r, u = sol.r, sol.u
     if params.regime is Regime.FAST and np.any(u <= 0.0):
         raise NegativeBaseError(
             "the p < 2 map phi = u^((p-1)/(p-2)) needs u > 0 everywhere")
     phi = phi_of_u(params, u)
-    return PhiProfile(r, phi, tail, sol.opts)
+    return PhiProfile(r, phi, tail, sol)
 
 
 def phi_from_forward(fp: ForwardProfile) -> PhiProfile:
@@ -385,12 +385,18 @@ def assemble(params: ModelParams, phi: PhiProfile, psi: PsiProfile,
 
 
 def _phi_at(ss: SelfSimilarSolution, xi: float) -> float:
+    """phi at xi: its trajectory's dense output between the nodes."""
     phi = ss.phi
     r = phi.r
     if xi <= r[0]:
         return float(phi.phi[0])
-    if xi <= r[-1]:
-        return float(np.interp(xi, r, phi.phi))
+    if xi < r[-1]:
+        if phi.sol is None:
+            raise DomainError(f"phi at xi = {xi:g}, between the nodes, needs the "
+                              f"trajectory, which a profile built from arrays lacks")
+        return float(phi_of_u(ss.params, phi.sol.sample(xi)[0]))
+    if xi == r[-1]:
+        return float(phi.phi[-1])
     tail = phi.tail
     if tail is None or isinstance(tail, CompactTail):
         return 0.0
@@ -399,22 +405,20 @@ def _phi_at(ss: SelfSimilarSolution, xi: float) -> float:
     return float(phi.phi[-1]) * math.exp(tail.coefficient * (xi ** 2 - r[-1] ** 2))
 
 
-def _psi_interp(ss: SelfSimilarSolution):
-    cache = getattr(ss, "_psi_cache", None)
-    if cache is None:
-        from scipy.interpolate import PchipInterpolator
-        cache = PchipInterpolator(ss.psi.r, ss.psi.psi, extrapolate=False)
-        object.__setattr__(ss, "_psi_cache", cache)
-    return cache
-
-
 def _psi_at(ss: SelfSimilarSolution, xi: float) -> float:
+    """psi at xi: the cubic Hermite on (psi, psi') of its two nodes."""
     psi = ss.psi
     r = psi.r
     if xi <= r[0]:
         return float(psi.psi[0])
     if xi <= r[-1]:
-        return float(_psi_interp(ss)(xi))
+        k = int(np.searchsorted(r, xi))    # r[k - 1] < xi <= r[k]
+        h = r[k] - r[k - 1]
+        s = (xi - r[k - 1]) / h
+        y0, dy = psi.psi[k - 1], psi.psi[k] - psi.psi[k - 1]
+        d0, d1 = h * psi.psi_prime[k - 1], h * psi.psi_prime[k]
+        return float(y0 + s * (d0 + s * (3.0 * dy - 2.0 * d0 - d1
+                                         + s * (d0 + d1 - 2.0 * dy))))
     # exterior continuation with the source beyond the grid neglected
     N = psi.N
     if N == 1:
@@ -678,15 +682,16 @@ _GRADE_STEPS = 3000
 _GRADE_TOL = 1e-12
 
 
-def _positive_span(sol: ProfileSolution, phi: PhiProfile, params: ModelParams) -> float:
+def _positive_span(phi: PhiProfile, params: ModelParams) -> float:
     """phi.span, but where phi (e^u) underflows to 0 past its last positive
-    node, the radius where it does on sol's dense output: not the grid's."""
+    node, the radius where it does on the dense output of phi's trajectory:
+    not the grid's."""
     lo = phi.span
     k = int(np.searchsorted(phi.r, lo)) + 1
     hi = float(phi.r[k]) if phi.support_radius is None and k < len(phi.r) else lo
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if phi_of_u(params, sol.sample(mid)[0]) > 0.0 else (lo, mid)
+        lo, hi = (mid, hi) if phi_of_u(params, phi.sol.sample(mid)[0]) > 0.0 else (lo, mid)
     return lo
 
 
@@ -697,27 +702,23 @@ def residual_grade(params: ModelParams, height: float,
     A scouting pass at default settings finds the radial span
     (_positive_span), then a pass at tolerance 1e-12 with the step capped
     at span/3000 places about 3,000 solution nodes across it; the profile's
-    opts are that pass's.  A backward run that stops short has no profile
-    and raises IntegrationError (_profile).
+    trajectory is that pass's.  A run that stops short has no profile and
+    raises IntegrationError.
     Node values sit on the discrete flow to sub-tolerance accuracy, so the
     nested five-point differences of system_residual resolve the equation
     residual instead of grid noise.
     """
-    span = _positive_span(*_profile(params, height, direction), params)
+    span = _positive_span(_profile(params, height, direction), params)
     return _profile(params, height, direction, IntegratorOptions(
-        rel_tol=_GRADE_TOL, abs_tol=_GRADE_TOL, h_max=span / _GRADE_STEPS))[1]
+        rel_tol=_GRADE_TOL, abs_tol=_GRADE_TOL, h_max=span / _GRADE_STEPS))
 
 
 def _profile(params: ModelParams, height: float, direction: Direction,
-             opts: Optional[IntegratorOptions] = None
-             ) -> tuple[ProfileSolution, PhiProfile]:
-    """The trajectory from a centre height and its phi profile: a backward
-    run that stops short has no profile (backward._backward_profile)."""
+             opts: Optional[IntegratorOptions] = None) -> PhiProfile:
+    """The phi profile of the trajectory from a centre height."""
     if direction is Direction.BACKWARD:
-        sol = _backward_profile(params, height, opts)
-        return sol, phi_from_u(sol, params)
-    fp = solve_forward(params, height, opts)
-    return fp.sol, phi_from_forward(fp)
+        return phi_from_u(solve_backward(params, height, opts), params)
+    return phi_from_forward(solve_forward(params, height, opts))
 
 
 def residual_grade_backward(params: ModelParams, a: float) -> PhiProfile:

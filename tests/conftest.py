@@ -1,10 +1,14 @@
 """Suite plumbing: collects acceptance verdicts for the terminal summary,
-and records the heights the shooting layers integrate."""
+records the heights the shooting layers integrate, and makes the runs that
+no measured input gives: an Inconclusive a_c probe, a forward underflow."""
+
+import dataclasses
 
 import pytest
 
 import plks.backward
 import plks.forward
+from plks import ProfileClass, Termination
 
 _ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 
@@ -40,3 +44,37 @@ def shot_heights(monkeypatch):
 
         monkeypatch.setattr(mod, "integrate", counted)
     return heights
+
+
+@pytest.fixture
+def inconclusive_third_label(monkeypatch):
+    """plks.backward._label with its third verdict made Inconclusive: in the
+    default N = 1, p = 3 a_c search, the first probe inside the bracket.
+    Returns the heights it labels, in call order."""
+    label, heights = plks.backward._label, []
+
+    def patched(ode, a, opts):
+        heights.append(a)
+        c = label(ode, a, opts)
+        if len(heights) != 3:
+            return c
+        return dataclasses.replace(c, set=ProfileClass.INCONCLUSIVE,
+                                   reason="terminated by step-underflow")
+
+    monkeypatch.setattr(plks.backward, "_label", patched)
+    return heights
+
+
+@pytest.fixture
+def forward_underflow(monkeypatch):
+    """plks.forward's runs, each made to end in step underflow, which no
+    measured forward run does.  Returns the runs, in call order."""
+    runs = []
+
+    def underflowed(ode, u0, opts=None, integrate=plks.forward.integrate):
+        runs.append(dataclasses.replace(integrate(ode, u0, opts),
+                                        termination=Termination.STEP_UNDERFLOW))
+        return runs[-1]
+
+    monkeypatch.setattr(plks.forward, "integrate", underflowed)
+    return runs

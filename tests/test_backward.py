@@ -136,6 +136,12 @@ def test_positive_certificate_is_energy_descent():
     assert c.set is ProfileClass.P
     assert c.reason == "interior minimum"
     assert c.solution.energy[-1] < 0.0
+    # a run that reaches a scan radius short of its first turn, its energy
+    # still above G(0), is P only as far as it ran, and says so
+    c = classify(P, 1.2 * zero_energy_height(P), IntegratorOptions(r_max=1.0))
+    assert c.set is ProfileClass.P
+    assert c.reason == "positive over scan radius"
+    assert np.min(c.solution.energy) >= 0.0
 
 
 def test_one_dimensional_subcritical_heights_are_positive():
@@ -469,6 +475,15 @@ def test_find_critical_a_bad_brackets():
         find_critical_a(P, bracket=(0.3, 0.6))    # both sides positive
     with pytest.raises(BadBracketError):
         find_critical_a(P, bracket=(-1.0, 2.0))
+
+
+def test_find_critical_a_inconclusive_probe_is_ambiguous(inconclusive_third_label):
+    with pytest.raises(AmbiguousBracketError) as exc:
+        find_critical_a(derive_params(1, 3.0))
+    a = inconclusive_third_label[2]
+    assert str(exc.value) == (f"inconclusive classification at a = {a:g}: "
+                              "terminated by step-underflow")
+    assert len(inconclusive_third_label) == 3
 
 
 def test_find_critical_a_rejects_fast_and_linear():

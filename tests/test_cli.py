@@ -259,6 +259,15 @@ def test_overflowing_density_runs_clean_under_warnings_as_errors(capsys):
 # ---------------------------------------------------------------------------
 # find-critical
 
+def test_find_critical_inconclusive_probe_exits_3(capsys, inconclusive_third_label):
+    # the search's first interior probe comes back Inconclusive
+    rc, out, err = _run(["find-critical", "--N", "1", "--p", "3"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == (f"error[AmbiguousBracketError] inconclusive classification "
+                   f"at a = {inconclusive_third_label[2]:g}: "
+                   "terminated by step-underflow\n")
+
+
 def test_find_critical_closed_form(capsys):
     rc, out, _ = _run(["find-critical", "--N", "1", "--p", "3", "--chi", "1",
                        "--format", "json"], capsys)
@@ -628,6 +637,26 @@ def test_backward_run_stopped_short_has_no_profile(capsys):
     assert "integration failed (diverged)" in errs[0]
 
 
+def test_backward_run_stopped_short_fails_alike_everywhere(capsys):
+    # the library's one rule, solve_backward's, behind every command that
+    # takes a backward height
+    with pytest.raises(plks.errors.IntegrationError) as exc:
+        solve_backward(derive_params(1, 1.5), 50.0)
+    for command in ("solve-backward", "reconstruct", "delta-test"):
+        rc, out, err = _run([command, "--N", "1", "--p", "1.5", "--a", "50"],
+                            capsys)
+        assert (rc, out, err) == (3, "", f"error[IntegrationError] {exc.value}\n")
+
+
+def test_forward_run_ending_in_step_underflow_exits_3(capsys, forward_underflow):
+    # a forward run that stops short fails as a backward one does
+    rc, out, err = _run(["solve-forward", "--N", "3", "--p", "1.8", "--b", "1"],
+                        capsys)
+    assert (rc, out) == (3, "")
+    assert err == ("error[IntegrationError] integration failed (step-underflow) "
+                   f"at r = {forward_underflow[0].r_end:g}\n")
+
+
 def test_reconstruct_residual_grade_echoes_its_own_pass(capsys):
     # the grade pass runs at tolerance 1e-12 with its own step cap and the
     # default r_max, whatever the command line gives; the report says so
@@ -834,8 +863,9 @@ def _child_env():
 
 def test_cli_loads_no_scipy():
     # importing the CLI and running a reconstruction and a delta test load
-    # nothing from scipy; nor does classify or sweep_a at p = 2, which fail
-    # on the regime before they ask for the zero-energy height
+    # nothing from scipy; nor does evaluate between the nodes of a
+    # slow-regime profile, nor classify or sweep_a at p = 2, which fail on
+    # the regime before they ask for the zero-energy height
     code = (
         "import sys, contextlib, io, plks, plks.cli\n"
         "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
@@ -844,6 +874,10 @@ def test_cli_loads_no_scipy():
         "    plks.cli.main(['reconstruct', '--N', '2', '--p', '3', '--a', '2.126'])\n"
         "    plks.cli.main(['delta-test', '--N', '3', '--p', '1.8', '--b', '1.0',\n"
         "                   '--steps', '2'])\n"
+        "P3 = plks.derive_params(2, 3.0)\n"
+        "phi = plks.phi_from_u(plks.solve_backward(P3, 2.126), P3)\n"
+        "ss = plks.assemble(P3, phi, plks.psi_from_phi(phi, P3), plks.Direction.BACKWARD)\n"
+        "plks.evaluate(ss, 0.5 * phi.span * ss.similarity_scale(0.5), 0.5)\n"
         "P2 = plks.derive_params(2, 2.0, 0.5)\n"
         "for call in (lambda: plks.classify(P2, 1.0), lambda: plks.sweep_a(P2, [])):\n"
         "    with contextlib.suppress(plks.DomainError):\n"

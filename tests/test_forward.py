@@ -131,6 +131,15 @@ def test_slow_regime_needs_room_to_vanish():
         solve_forward(P, 1.0, _upto(0.5))
 
 
+@pytest.mark.parametrize("p", [1.8, 2.0, 3.0])
+def test_forward_run_ending_in_step_underflow_has_no_profile(p, forward_underflow):
+    # in each regime: a cut trajectory gets no tail model and no support radius
+    with pytest.raises(IntegrationError) as exc:
+        solve_forward(derive_params(3, p, 1.0), 1.0, _upto(50.0))
+    assert str(exc.value) == (
+        f"integration failed (step-underflow) at r = {forward_underflow[0].r_end:g}")
+
+
 # ------------------------------------------------------------ envelopes
 
 

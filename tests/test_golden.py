@@ -27,7 +27,7 @@ GOLDEN = {
     "solve-forward": (
         "solve-forward --N 3 --p 1.8 --b 1.0 --fit-decay",
         "243741501e50799e9f73f3ea8e9f8b707d9aace12e8727a0e3a08d900813bd91",
-        "15fbb3eea815cfe62fd01ad064bbdba99ab6b895142938f4ef514b2d251444b0"),
+        "7206c042f9bcb5b859824809d2922f9e75160bdd37ceddadce4d50cbfdc5f4df"),
     "find-critical": (
         "find-critical --N 1 --p 3",
         "108d7a3501446a5fa35baa6ee13c20c03468bf26d099a8a3e6bace3757637f74",

@@ -50,6 +50,11 @@ _UNCALLED = {
     "delta_test": "item 1 (only bench/ calls it)",
 }
 
+# the private names one module of src/plks imports from another, as
+# (importer, source, name): a new one shows up as a change to this set
+_PRIVATE_IMPORTS = {("cli", "reconstruct", "_profile"),
+                    ("reconstruct", "radial_ode", "_odd_pow_np")}
+
 # the integrator's settings: a new option shows up as a change to this tuple
 _INTEGRATOR_OPTIONS = (
     "rel_tol", "abs_tol", "r_max", "r0",
@@ -109,6 +114,16 @@ def test_public_functions_have_library_callers():
                  if not n.startswith("_") and isinstance(v, types.FunctionType)}
     refs = _library_references()
     assert functions - refs == set(_UNCALLED)
+
+
+def test_private_cross_imports_are_pinned():
+    found = set()
+    for path in pathlib.Path(plks.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= {(path.stem, node.module, a.name) for a in node.names
+                          if a.name.startswith("_")}
+    assert found == _PRIVATE_IMPORTS
 
 
 def test_integrator_options_are_pinned():

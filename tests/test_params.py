@@ -164,6 +164,10 @@ def test_threshold_is_quadratic_root():
 def test_validation_rejects_bad_input():
     with pytest.raises(DomainError):
         derive_params(0, 3.0, 1.0)
+    with pytest.raises(DomainError, match="N must be >= 1, got 0"):
+        admissible_p_threshold(0)
+    with pytest.raises(DomainError, match="N must be >= 1, got 0"):
+        compact_support_admissible(0, 3.0)
     with pytest.raises(DomainError):
         derive_params(2, 4.0 / 3.0, 1.0)  # p <= 2N/(N+1)
     with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from plks import (
     DomainError,
     EnergyLawError,
     EventKind,
+    IntegrationError,
     IntegratorOptions,
     Termination,
     admissible_p_threshold,
@@ -387,6 +389,14 @@ def test_dense_coefficients_match_matrix_loop():
         got = _dense_coefficients(ks[0], *ks[2:])
         assert [v.hex() for v in got] == [v.hex() for v in want], ks
         assert [v.hex() for v in row] == [v.hex() for v in want], ks
+
+
+def test_step_cap_raises(monkeypatch):
+    # the oscillating N = 1 run to r = 1e3 takes thousands of attempts
+    monkeypatch.setattr(radial_ode, "_MAX_STEPS", 100)
+    with pytest.raises(IntegrationError, match=re.escape(
+            "exceeded 100 steps at r = ")):
+        integrate(backward_ode(derive_params(1, 3.0, 1.0)), 0.5)
 
 
 def test_dense_blocks_over_a_run_ending_at_an_event(monkeypatch):

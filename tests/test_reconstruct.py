@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import cumulative_simpson, quad, simpson
 from scipy.special import gamma, ive
 
-from plks import derive_params
+from plks import derive_params, phi_of_u
 from plks.backward import find_critical_a, solve_backward
 from plks.errors import (
     DeltaTestError,
@@ -365,10 +365,84 @@ def test_evaluate_scaling_identity():
         x = np.array([xi * tau ** P.beta, 0.0])
         rho, c = evaluate(ss, x, t)
         vals.append((rho * tau ** P.alpha, c * tau ** (1.0 - 2.0 * P.beta)))
-    phis = np.interp(xi, ss.phi.r, ss.phi.phi)
+    phis = phi_of_u(P, ss.phi.sol.sample(xi)[0])
     for rv, cv in vals:
         assert rv == pytest.approx(phis, rel=1e-9)
         assert cv == pytest.approx(vals[0][1], rel=1e-9)
+
+
+# evaluate against a re-solve at tolerance 1e-13, at every step midpoint
+# inside 98 % of the span: a crossing backward profile, a fast forward one
+# with a power tail and a compactly supported forward one
+_EVALUATE_POINTS = [(2, 3.0, Direction.BACKWARD, 2.126),
+                    (3, 1.8, Direction.FORWARD, 1.0),
+                    (2, 3.0, Direction.FORWARD, 1.0)]
+
+
+def _assembled_at(P, direction, height, opts=None):
+    """The trajectory and its assembled pair, with tau = 1 at t = 1."""
+    if direction is Direction.BACKWARD:
+        sol = solve_backward(P, height, opts)
+        phi = phi_from_u(sol, P)
+    else:
+        fp = solve_forward(P, height, opts)
+        sol, phi = fp.sol, phi_from_forward(fp)
+    return sol, assemble(P, phi, psi_from_phi(phi, P), direction, T=2.0)
+
+
+def _evaluated_against_tight_resolve(N, p, direction, height):
+    """(rho, c) of evaluate at t = 1, where tau = 1 and the radius is xi,
+    then the tight re-solve's dense-output phi, its (rho, c) and max |psi|."""
+    key = ("evaluate", N, p, direction, height)
+    if key not in _CACHE:
+        P = derive_params(N, p, 1.0)
+        _, ss = _assembled_at(P, direction, height)
+        ref_sol, ref = _assembled_at(
+            P, direction, height, IntegratorOptions(rel_tol=1e-13, abs_tol=1e-13))
+        r = ss.phi.r
+        mid = 0.5 * (r[1:] + r[:-1])
+        mid = mid[mid < 0.98 * ss.phi.span]
+        got = np.array([evaluate(ss, xi, 1.0) for xi in mid])
+        want = np.array([evaluate(ref, xi, 1.0) for xi in mid])
+        phi_ref = phi_of_u(P, ref_sol.sample(mid)[0])
+        _CACHE[key] = got, phi_ref, want, float(np.max(np.abs(ref.psi.psi)))
+    return _CACHE[key]
+
+
+@pytest.mark.parametrize("N, p, direction, height", _EVALUATE_POINTS)
+def test_evaluate_rho_is_the_dense_output(N, p, direction, height):
+    # linear interpolation of the phi nodes is off by up to 24 % here
+    got, phi_ref, _, _ = _evaluated_against_tight_resolve(N, p, direction, height)
+    assert len(got) > 80
+    assert np.max(np.abs(got[:, 0] - phi_ref) / phi_ref) < 1e-8
+
+
+@pytest.mark.parametrize("N, p, direction, height", _EVALUATE_POINTS)
+def test_evaluate_c_is_the_hermite_cubic_on_psi(N, p, direction, height):
+    # the Hermite cubic on (psi, psi') is 2.9e-7, 8.2e-7 and 1.0e-6 of
+    # max |psi| off here, limited by the node values; a monotone cubic on
+    # psi alone (scipy's Pchip) is 8.8e-6 off on the compact forward profile
+    got, _, want, scale = _evaluated_against_tight_resolve(N, p, direction, height)
+    assert np.max(np.abs(got[:, 1] - want[:, 1])) < 2e-6 * scale
+
+
+def test_evaluate_needs_a_trajectory_between_the_nodes():
+    # a profile built from arrays has phi at its nodes only; psi needs none
+    P = derive_params(2, 3.0, 1.0)
+    phi = _constant_profile(2, 0.5, n=5)
+    ss = assemble(P, phi, psi_from_phi(phi, P), Direction.BACKWARD, T=2.0)
+    r = phi.r
+    assert evaluate(ss, r[0], 1.0)[0] == evaluate(ss, r[-1], 1.0)[0] == 0.5
+    assert evaluate(ss, 1.5 * r[-1], 1.0)[0] == 0.0
+    with pytest.raises(DomainError, match="a profile built from arrays lacks"):
+        evaluate(ss, 0.5 * (r[1] + r[2]), 1.0)
+
+
+def test_assemble_needs_a_positive_blow_up_time():
+    ss = _assembled_backward()
+    for T in (0.0, -1.0):
+        with pytest.raises(DomainError, match="blow-up time must be positive"):
+            assemble(ss.params, ss.phi, ss.psi, Direction.BACKWARD, T=T)
 
 
 def test_evaluate_outside_support_is_zero():
@@ -756,7 +830,7 @@ def test_residual_grade_caps_steps_where_phi_is_positive():
     R = float(phi.r[phi.phi > 0.0][-1])
     n_window = int(np.count_nonzero((phi.r >= 0.1 * R) & (phi.r <= 0.9 * R)))
     assert 2000 <= n_window <= 3000
-    assert phi.opts.h_max < R / 2000
+    assert phi.sol.opts.h_max < R / 2000
     res = system_residual(phi, psi_from_phi(phi, P), P, Direction.FORWARD)
     assert res.identity < 1e-8
     assert max(res.res1, res.res2) < 1e-6
@@ -770,8 +844,8 @@ def test_residual_grade_span_does_not_depend_on_the_grid():
     for tol in (1e-10, 1e-12):
         fp = solve_forward(P, 0.5, IntegratorOptions(rel_tol=tol, abs_tol=tol))
         phi = phi_from_forward(fp)
-        assert phi.span < 0.9 * _positive_span(fp.sol, phi, P)
-        spans.append(_positive_span(fp.sol, phi, P))
+        assert phi.span < 0.9 * _positive_span(phi, P)
+        spans.append(_positive_span(phi, P))
     assert abs(spans[0] - spans[1]) < 1e-8 * spans[1]
 
 
