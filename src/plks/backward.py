@@ -28,8 +28,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     AmbiguousBracketError,
     BadBracketError,
@@ -163,7 +161,7 @@ def _label(ode: RadialODE, a: float, opts: IntegratorOptions) -> Classification:
         reason = "equilibrium capture" if hits else "interior minimum"
         return Classification(a, ProfileClass.P, None, None, reason, sol)
     if term is Termination.REACHED_RMAX:
-        reason = "negative energy" if np.min(sol.energy) < 0.0 \
+        reason = "negative energy" if sol.energy.min() < 0.0 \
             else "positive over scan radius"
         return Classification(a, ProfileClass.P, None, None, reason, sol)
     return Classification(a, ProfileClass.INCONCLUSIVE, None, None,
@@ -214,20 +212,10 @@ def sweep_a(params: ModelParams, grid,
 def zero_energy_height(params: ModelParams) -> float:
     """Height at which the center energy equals the barrier level G(0).
 
-    p != 2: G(a) = +-(chi/(q+1) a^(q+1) - a/m) = 0 at ((q+1)/(chi m))^(1/q)
-    if q > -1; for p > 2 and N = 1 it is exactly the critical height.
-    p = 2: the nontrivial root of chi m (e^(m b) - 1) = m b via the secondary
-    real branch of the Lambert W function (requires chi m < 1).
+    G(a) = +-(chi/(q+1) a^(q+1) - a/m) = 0 at ((q+1)/(chi m))^(1/q) if
+    q > -1; for p > 2 and N = 1 it is exactly the critical height.  Every
+    caller works in the slow regime; at p = 2, q is undefined (DomainError).
     """
-    if params.regime is Regime.LINEAR:
-        c = params.chi * params.m
-        if c >= 1.0:
-            raise DomainError(
-                f"no zero-energy height for chi*m = {c:g} >= 1 at p = 2")
-        from scipy.special import lambertw
-        z = -lambertw(-c * math.exp(-c), -1)
-        t = float(z.real) - c
-        return t / params.m
     if params.q <= -1.0:
         raise DomainError(
             "no zero-energy height: the potential barrier at u = 0 is infinite "
@@ -257,10 +245,11 @@ class Probe:
     @classmethod
     def of(cls, c: Classification, step: str) -> "Probe":
         sol = c.solution
-        gap = (float(sol.u[-1]) if sol.termination is Termination.U_PRIME_VANISHED
+        # the run's ends, read from its buffers without forming its arrays
+        gap = (sol._us[-1] if sol.termination is Termination.U_PRIME_VANISHED
                else math.nan)
         return cls(c.a, c.label, c.reason, gap, sol.n_steps, sol.n_rejected,
-                   float(sol.r[0]), sol.r_end, step)
+                   sol._rs[0], sol.r_end, step)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .backward import (
     ProfileClass,
     find_critical_a,
@@ -29,50 +27,28 @@ from .backward import (
     zero_energy_height,
 )
 from .errors import DomainError, InfiniteMassError, PlksError
-from .forward import (
-    fit_decay_rate,
-    solve_forward,
-    support_radius,
-    support_radius_upper_bound,
-)
 from .params import ModelParams, derive_params, phi_of_u
 from .radial_ode import (
     IntegratorOptions,
     ProfileSolution,
     energy_derivative_check,
 )
-from .reconstruct import (
-    Direction,
-    _profile,
-    assemble,
-    mass,
-    psi_from_phi,
-    radial_delta_test,
-    residual_grade,
-    system_residual,
-)
+
+# forward and reconstruct import numpy: the handlers that use them import
+# them, so that find-critical and sweep run without numpy
 
 __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization
-
-def _fmt(x: float) -> str:
-    # fixed 17-significant-digit decimal: round-trips every finite double
-    return "%.17g" % float(x)
-
+# deterministic serialization: cells and values are Python bool, int, float,
+# str or None; a float is written in fixed 17-significant-digit decimal,
+# which round-trips every finite double
 
 def _csv_cell(v) -> str:
-    if type(v) is float:    # the common cell, formatted as _fmt does
+    if isinstance(v, float):
         return "%.17g" % v
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return _fmt(v)
+    return "" if v is None else str(v)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -83,18 +59,16 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def _jval(v, indent: int) -> str:
-    if type(v) is float:    # the common value, formatted as _fmt does
+    if isinstance(v, float):
         return "%.17g" % v if math.isfinite(v) else "null"
     if v is None:
         return "null"
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v) if math.isfinite(v) else "null"
+    if isinstance(v, int):
+        return str(v)
     if isinstance(v, dict):
         if not v:
             return "{}"
@@ -207,6 +181,8 @@ def cmd_solve_backward(params: ModelParams, args):
 
 
 def cmd_solve_forward(params: ModelParams, args):
+    from .forward import (fit_decay_rate, solve_forward, support_radius,
+                          support_radius_upper_bound)
     fp = solve_forward(params, args.b, _integrator(args))
     sol = fp.sol
     header, rows = _profile_table(params, sol)
@@ -285,7 +261,12 @@ def cmd_find_critical(params: ModelParams, args):
     return results, tol, header, rows, {}
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> list[float]:
+    """The heights of lin:lo:hi:n or log:lo:hi:n, formed as np.linspace
+    and np.geomspace form them: i step + lo (for log, y = i step + log10 lo
+    and 10^y), the ends pinned to lo and hi.  A lin grid has numpy's
+    doubles; a log grid's interior may differ from numpy's by a few ulps of
+    its logarithms, where math.log10 and 10.0 ** y round otherwise."""
     parts = spec.split(":")
     if len(parts) != 4:
         raise DomainError(
@@ -298,11 +279,16 @@ def _parse_grid(spec: str) -> np.ndarray:
     if n < 2 or not (lo < hi):
         raise DomainError(f"grid needs lo < hi and n >= 2, got {spec!r}")
     if kind == "lin":
-        return np.linspace(lo, hi, n)
+        d = hi - lo
+        step = d / (n - 1)    # numpy scales i/(n - 1) by d if it underflows
+        return [(i * step if step else i / (n - 1) * d) + lo
+                for i in range(n - 1)] + [hi]
     if kind == "log":
         if lo <= 0.0:
             raise DomainError(f"log grid needs lo > 0, got {spec!r}")
-        return np.geomspace(lo, hi, n)
+        a = math.log10(lo)
+        step = (math.log10(hi) - a) / (n - 1)
+        return [lo] + [10.0 ** (i * step + a) for i in range(1, n - 1)] + [hi]
     raise DomainError(f"grid kind must be lin or log, got {kind!r}")
 
 
@@ -326,6 +312,7 @@ def cmd_sweep(params: ModelParams, args):
 
 
 def _height(args) -> tuple[Direction, float]:
+    from .reconstruct import Direction
     if (args.a is None) == (args.b is None):
         raise DomainError(
             "give one height, --a (backward) or --b (forward), not both or neither")
@@ -335,6 +322,7 @@ def _height(args) -> tuple[Direction, float]:
 
 def _reconstructed(params: ModelParams, args):
     """Shared profile pipeline: solve, map to phi, quadrature psi."""
+    from .reconstruct import _profile, psi_from_phi, residual_grade
     direction, height = _height(args)
     if getattr(args, "residual_grade", False):
         phi = residual_grade(params, height, direction)
@@ -344,6 +332,7 @@ def _reconstructed(params: ModelParams, args):
 
 
 def cmd_reconstruct(params: ModelParams, args):
+    from .reconstruct import mass, system_residual
     direction, height, phi, psi = _reconstructed(params, args)
     try:
         M: Optional[float] = mass(phi, params)
@@ -395,7 +384,8 @@ def cmd_delta_test(params: ModelParams, args):
         raise DomainError(f"--ratio must lie in (0, 1), got {args.ratio}")
     if args.steps < 1:
         raise DomainError(f"--steps must be >= 1, got {args.steps}")
-    back = _height(args)[0] is Direction.BACKWARD
+    _height(args)                 # exactly one of --a and --b
+    back = args.b is None
     T = args.T if back else math.inf
     t0 = args.t0 if args.t0 is not None else T / 4.0 if back else 1.0
     times = [T - t0 * args.ratio ** k if back else t0 * args.ratio ** k
@@ -406,6 +396,8 @@ def cmd_delta_test(params: ModelParams, args):
             raise DomainError(
                 f"sample time {k} of 0..{args.steps} is t = {t!r}: the times must "
                 f"lie in (0, {T:g}) and approach the singular time strictly")
+    import numpy as np
+    from .reconstruct import assemble, radial_delta_test
     direction, height, phi, psi = _reconstructed(params, args)
     ss = assemble(params, phi, psi, direction, T=args.T)
     # exp(-|x|^2) is radial: its spherical average is exp(-s^2)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import enum
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -140,14 +138,6 @@ class ModelParams:
     def __repr__(self) -> str:
         return f"ModelParams(N={self.N}, p={self.p!r}, chi={self.chi!r})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelParams):
-            return NotImplemented
-        return (self.N, self.p, self.chi) == (other.N, other.p, other.chi)
-
-    def __hash__(self) -> int:
-        return hash((self.N, self.p, self.chi))
-
 
 def derive_params(N: int, p: float, chi: float = 1.0) -> ModelParams:
     """Validate (N, p, chi) and compute every derived constant."""
@@ -160,6 +150,7 @@ def phi_of_u(params: ModelParams, u) -> np.ndarray:
     phi = e^u at p = 2; elsewhere phi = u^((p-1)/(p-2)) where u > 0 and
     phi = 0 where u <= 0, the outside of the profile's support.
     """
+    import numpy as np
     u = np.asarray(u, dtype=float)
     if params.p == 2.0:
         return np.exp(u)

@@ -38,8 +38,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import DomainError, IntegrationError, EnergyLawError
 from .params import ModelParams, Regime
 
@@ -64,6 +62,7 @@ __all__ = [
 
 
 def _odd_pow_np(u: np.ndarray, q: float) -> np.ndarray:
+    import numpy as np
     with np.errstate(divide="ignore", over="ignore"):
         return np.sign(u) * np.abs(u) ** q
 
@@ -140,12 +139,14 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
         return coef * -v + const
 
     def g_np(u):
+        import numpy as np
         return coef * _odd_pow_np(np.asarray(u, dtype=float), q) + const
 
     # G_np works in place in its result and const * u, in the operand
     # order of coef / qp1 * |u|^qp1 + const * u
     if qp1 != 0.0:
         def G_np(u):
+            import numpy as np
             u = np.asarray(u, dtype=float)
             with np.errstate(over="ignore"):
                 t = np.abs(u)
@@ -157,6 +158,7 @@ def _power_ode(params: ModelParams, kind: str, coef: float, const: float,
         # q = -1: the power antiderivative degenerates to a logarithm,
         # defined for u > 0 only.
         def G_np(u):
+            import numpy as np
             u = np.asarray(u, dtype=float)
             if np.any(u <= 0.0):
                 raise DomainError(
@@ -210,12 +212,14 @@ def _exp_ode(params: ModelParams, kind: str, const: float,
         return chi * (math.inf if x > 709.0 else math.exp(x)) + const
 
     def g_np(u):
+        import numpy as np
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):
             return chi * np.exp(m * u) + const
 
     def G_np(u):
         # in place, as chi / m * e^(m u) + const * u
+        import numpy as np
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):
             t = np.exp(m * u)
@@ -272,10 +276,12 @@ def uprime_from_w(ode: RadialODE, w):
     if ode.params.p == 2.0:
         return w
     e = 1.0 / (ode.params.p - 1.0)
-    if np.isscalar(w) or isinstance(w, float):
-        return math.copysign((abs(w) / ode.B_eff) ** e, w)
-    w = np.asarray(w, dtype=float)
-    return np.sign(w) * (np.abs(w) / ode.B_eff) ** e
+    if not isinstance(w, float):
+        import numpy as np
+        if not np.isscalar(w):
+            w = np.asarray(w, dtype=float)
+            return np.sign(w) * (np.abs(w) / ode.B_eff) ** e
+    return math.copysign((abs(w) / ode.B_eff) ** e, w)
 
 
 class EventKind(Enum):
@@ -411,32 +417,56 @@ class ProfileSolution:
     [r[0], r[-1]] from the stored step interpolants.  On a step taken in
     (E, w) the first interpolant is E's, _e holds E at the step's start
     (nan on (u, w) steps), and u is recovered from G(u) = E - K(w).
-    r, u, w, _h and _q are float64 views over the stepper's buffers, made
-    without a copy; integrate forms _q from the stage slopes, every
-    _DENSE_BLOCK steps and at the end of the run (_dense_block).  It
-    records the (E, w) steps by an int64 index (an array('q')) with E at
-    their start, which fill _e, and computes energy in place, in two
-    buffers of the grid's length.
+    It keeps the stepper's buffers of raw doubles: the grid, the step
+    lengths, the interpolants of each full _DENSE_BLOCK of steps
+    (_dense_block), the last block's stage slopes, and the (E, w) steps by
+    an int64 index (an array('q')) with E at their start.  r, u, w, _h, _q
+    (n_intervals, 2, 4) and _e are numpy views over them, formed with the
+    last block's interpolants on the first read of any; energy is computed
+    in place on its first read, in two buffers of the grid's length.  Only
+    then is numpy imported: a caller that reads only the events and the
+    ends (r_end) forms none of them.
     """
 
     ode: RadialODE
     opts: IntegratorOptions
-    r: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    energy: np.ndarray
     events: list[Event]
     termination: Termination
     n_steps: int
     n_rejected: int
-    stats: StepStats = field(default_factory=StepStats)
-    _h: np.ndarray = field(repr=False, default=None)
-    _q: np.ndarray = field(repr=False, default=None)  # (n_intervals, 2, 4)
-    _e: np.ndarray = field(repr=False, default=None)  # (n_intervals,)
+    stats: StepStats
+    _rs: array = field(repr=False)
+    _us: array = field(repr=False)
+    _ws: array = field(repr=False)
+    _hs: array = field(repr=False)
+    _qs: array = field(repr=False)
+    _ks: array = field(repr=False)
+    _e_steps: array = field(repr=False)
+    _e_starts: array = field(repr=False)
+
+    def __getattr__(self, name: str):
+        # called only for an attribute not yet set: the views and energy,
+        # each formed once
+        if name == "energy":
+            self.energy = energy(self.ode, self.u, self.w)
+        elif name in ("r", "u", "w", "_h", "_q", "_e"):
+            import numpy as np
+            if self._ks:    # the last block (a replace() shares the buffers)
+                self._qs.frombytes(_dense_block(self._ks).tobytes())
+                del self._ks[:]
+            self.r, self.u, self.w, self._h = (
+                np.frombuffer(b) for b in (self._rs, self._us, self._ws, self._hs))
+            self._q = np.frombuffer(self._qs).reshape(-1, 2, 4)
+            self._e = np.full(len(self._hs), np.nan)
+            self._e[self._e_steps] = self._e_starts
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__[name]
 
     @property
     def r_end(self) -> float:
-        return float(self.r[-1])
+        return self._rs[-1]
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
@@ -446,6 +476,7 @@ class ProfileSolution:
 
     def sample(self, r) -> tuple[np.ndarray, np.ndarray]:
         """Dense-output evaluation of (u, w) at radii inside the grid span."""
+        import numpy as np
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         lo, hi = self.r[0], self.r[-1]
         slack = 1e-9 * max(abs(lo), abs(hi), 1.0)
@@ -476,6 +507,7 @@ class ProfileSolution:
 
 def _u_of_energy(ode: RadialODE, T: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Newton for G(u) = T from u, elementwise, to roundoff."""
+    import numpy as np
     for _ in range(50):
         d = (ode.G_np(u) - T) / ode.g_np(u)
         u = u - d
@@ -585,6 +617,7 @@ def _dense_coefficients(k1: float, k3: float, k4: float, k5: float, k6: float,
 def _dense_block(k) -> np.ndarray:
     """_dense_coefficients of each row (k1, k3, .., k7) of the flat buffer k,
     as rows of an array: the same sums in numpy, so the same doubles."""
+    import numpy as np
     with np.errstate(all="ignore"):
         return np.stack(_dense_coefficients(*np.reshape(k, (-1, 6)).T), axis=1)
 
@@ -685,8 +718,9 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
 
     # The grid, each accepted step's length and its 8 dense-output
     # coefficients, u's (E's on an (E, w) step) then w's, as raw doubles, a
-    # quarter of the memory of lists of floats; the result's arrays are
-    # views over them.  ks holds slopes for _dense_block (_DENSE_BLOCK steps).
+    # quarter of the memory of lists of floats, kept by the result.  ks holds
+    # slopes for _dense_block (_DENSE_BLOCK steps; the last, partial block's
+    # wait until the result's interpolants are read).
     rs = array('d', (r0,))
     us = array('d', (u_c,))
     ws = array('d', (w_c,))
@@ -1034,22 +1068,10 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             qs.frombytes(_dense_block(ks).tobytes())
             del ks[:]
 
-    qs.frombytes(_dense_block(ks).tobytes())
-    r_arr = np.frombuffer(rs)
-    u_arr = np.frombuffer(us)
-    w_arr = np.frombuffer(ws)
-    e_arr = np.full(len(hs), np.nan)
-    e_arr[e_steps] = e_starts
     return ProfileSolution(
-        ode=ode, opts=opts, r=r_arr, u=u_arr, w=w_arr,
-        energy=energy(ode, u_arr, w_arr),
-        events=events, termination=termination,
-        n_steps=n_steps, n_rejected=n_attempts - n_steps,
-        stats=StepStats(n_err, n_def, n_ovf, n_bisect, len(e_steps),
-                        n_newton, n_retake),
-        _h=np.frombuffer(hs),
-        _q=np.frombuffer(qs).reshape(-1, 2, 4),
-        _e=e_arr)
+        ode, opts, events, termination, n_steps, n_attempts - n_steps,
+        StepStats(n_err, n_def, n_ovf, n_bisect, len(e_steps), n_newton, n_retake),
+        rs, us, ws, hs, qs, ks, e_steps, e_starts)
 
 
 def kinetic_energy(ode: RadialODE, w):
@@ -1058,6 +1080,7 @@ def kinetic_energy(ode: RadialODE, w):
     Computed in place in its result, in the operand order of
     B (p-1)/p * (|w| / B)^(p/(p-1)).
     """
+    import numpy as np
     w = np.asarray(w, dtype=float)
     pe, Be = ode.params.p, ode.B_eff
     t = np.abs(w)
@@ -1074,6 +1097,7 @@ def energy(ode: RadialODE, u, w):
     Works in place: arrays take two buffers of their length, the result
     included, and give the doubles of K(w) + G(u) evaluated unfused.
     """
+    import numpy as np
     scalar = np.isscalar(u) or np.ndim(u) == 0
     G = ode.G_np(np.asarray(u, dtype=float))
     val = kinetic_energy(ode, w)
@@ -1108,6 +1132,7 @@ def energy_derivative_check(sol: ProfileSolution, *,
     the grid's length; the dissipation-integral defect, which no verdict
     reads, is a test oracle (tests/oracles.py).
     """
+    import numpy as np
     ode, E = sol.ode, sol.energy
     n = len(E) - 1                      # steps
     buf = np.empty(n + 1)

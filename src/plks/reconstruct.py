@@ -81,10 +81,11 @@ _GAMMA_HALF = (1.7724538509055159, 1.0, 0.8862269254527579, 1.0,
 
 
 def _gamma_half(N: int) -> float:
-    if 1 <= N <= len(_GAMMA_HALF):
+    """Gamma(N/2), N >= 1: the table, then Gamma(x + 1) = x Gamma(x) from
+    it, each step rounding once (N = 11 is an ulp from scipy's)."""
+    if N <= len(_GAMMA_HALF):
         return _GAMMA_HALF[N - 1]
-    from scipy.special import gamma
-    return float(gamma(N / 2.0))
+    return (N / 2.0 - 1.0) * _gamma_half(N - 2)
 
 
 def surface_area_unit_ball(N: int) -> float:

@@ -350,20 +350,6 @@ def test_zero_energy_height_kills_potential():
         assert abs(G) < 1e-12 * h / P.m
 
 
-def test_zero_energy_height_p2_lambert_branch():
-    P = derive_params(2, 2.0, 0.5)
-    b = zero_energy_height(P)
-    c = P.chi * P.m
-    # root of chi m (e^(m b) - 1) = m b away from b = 0
-    assert abs(c * (math.exp(P.m * b) - 1.0) - P.m * b) < 1e-12
-    assert b > 0.0
-
-
-def test_zero_energy_height_p2_needs_small_chi():
-    with pytest.raises(DomainError):
-        zero_energy_height(derive_params(2, 2.0, 1.5))
-
-
 def test_zero_energy_height_fast_infinite_barrier():
     # q <= -1: the potential diverges at u = 0, no crossing height exists
     P = derive_params(1, 1.5, 1.0)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import plks.cli
 import plks.errors
@@ -28,7 +28,7 @@ from plks import (
     find_critical_a,
     solve_backward,
 )
-from plks.cli import _json_text, main
+from plks.cli import _json_text, _parse_grid, main
 
 
 def _run(argv, capsys):
@@ -838,6 +838,53 @@ def test_report_round_trips(capsys):
     assert json.loads(_json_text(rep)) == rep
 
 
+def test_report_writer_refuses_other_types():
+    # the writers take Python bool, int, float, str and None, in dicts,
+    # lists and tuples; any other value is a fault in the report
+    for v in (np.float32(1.0), np.int64(1), np.bool_(True), {1, 2}, object()):
+        with pytest.raises(TypeError, match="cannot serialize report value"):
+            _json_text({"results": [v]})
+
+
+def test_lin_grid_is_numpy_linspace_bit_for_bit():
+    for spec, args in (("lin:0.5:4:12", (0.5, 4.0, 12)),
+                       ("lin:0:1e-323:6", (0.0, 1e-323, 6))):   # step underflows
+        assert _parse_grid(spec) == np.linspace(*args).tolist()
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=st.floats(-1e300, 1e300), hi=st.floats(-1e300, 1e300),
+       n=st.integers(2, 400))
+def test_lin_grid_matches_numpy(lo, hi, n):
+    assume(lo < hi)
+    want = [x.hex() for x in np.linspace(lo, hi, n).tolist()]
+    assert [x.hex() for x in _parse_grid(f"lin:{lo!r}:{hi!r}:{n}")] == want
+
+
+def test_readme_log_grid_is_numpy_geomspace_bit_for_bit():
+    assert _parse_grid("log:0.1:8:16") == np.geomspace(0.1, 8.0, 16).tolist()
+
+
+# A log grid's y = i step + a, with a = log10 lo and step = (log10 hi - a)
+# / (n - 1), moves where math.log10 and np.log10 round a or log10 hi to
+# different doubles, an ulp of M = max(|a|, |log10 hi|, 1) apart.  Through
+# the difference, the division, the product and the sum, each rounding at
+# its worst, y moves by at most about 11 ulp(M), allowed 16; 10^y turns
+# that into ln(10) 16 ulp(M) relative, and the two pows (numpy's may be a
+# vectorised one) may round apart by a few eps, allowed 8.
+@settings(max_examples=500, deadline=None)
+@given(lo=st.floats(1e-300, 1e300), hi=st.floats(1e-300, 1e300),
+       n=st.integers(2, 400))
+def test_log_grid_matches_numpy_to_a_few_ulps_of_its_logarithms(lo, hi, n):
+    assume(lo < hi)
+    grid = _parse_grid(f"log:{lo!r}:{hi!r}:{n}")
+    want = np.geomspace(lo, hi, n).tolist()
+    assert grid[0] == want[0] == lo and grid[-1] == want[-1] == hi
+    M = max(abs(math.log10(lo)), abs(math.log10(hi)), 1.0)
+    bound = 16.0 * math.log(10.0) * math.ulp(M) + 8.0 * sys.float_info.epsilon
+    assert all(abs(x - y) <= bound * y for x, y in zip(grid, want))
+
+
 def test_timing_flag(capsys):
     argv = ["solve-backward", "--N", "1", "--p", "3", "--a", "0.5",
             "--r-max", "5", "--format", "json"]
@@ -888,6 +935,28 @@ def test_cli_loads_no_scipy():
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_shooting_commands_load_no_numpy():
+    # import plks and plks.cli, and find-critical and sweep with their
+    # README arguments, shoot on the stepper's buffers: no numpy is loaded
+    code = (
+        "import sys, contextlib, io\n"
+        "def numpy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "import plks\n"
+        "print(numpy())\n"
+        "import plks.cli\n"
+        "print(numpy())\n"
+        "for argv in (['find-critical', '--N', '1', '--p', '3'],\n"
+        "             ['sweep', '--N', '3', '--p', '2.5', '--a-grid', 'log:0.1:8:16']):\n"
+        "    for fmt in ('csv', 'json'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert plks.cli.main(argv + ['--format', fmt]) == 0\n"
+        "        print(numpy())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:6] == ["[]"] * 6
 
 
 def test_module_entry_point():

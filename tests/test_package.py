@@ -85,10 +85,25 @@ _CLI_OPTIONS = {
 }
 
 
+def _public() -> dict:
+    """The package's public names and their values; forward's and
+    reconstruct's load on the first read of any of them."""
+    plks.solve_forward
+    return {n: v for n, v in vars(plks).items()
+            if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+
+
 def test_public_names_are_pinned():
-    names = {n for n, v in vars(plks).items()
-             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
-    assert names == _PUBLIC
+    assert set(_public()) == _PUBLIC
+
+
+def test_lazy_names_are_the_modules_own():
+    import plks.forward
+    import plks.reconstruct
+    for module in (plks.forward, plks.reconstruct):
+        assert all(getattr(plks, n) is getattr(module, n) for n in module.__all__)
+    for name in ("no_such_name", "_profile"):
+        assert not hasattr(plks, name)
 
 
 def _library_references() -> set:
@@ -110,8 +125,8 @@ def _library_references() -> set:
 
 
 def test_public_functions_have_library_callers():
-    functions = {n for n, v in vars(plks).items()
-                 if not n.startswith("_") and isinstance(v, types.FunctionType)}
+    functions = {n for n, v in _public().items()
+                 if isinstance(v, types.FunctionType)}
     refs = _library_references()
     assert functions - refs == set(_UNCALLED)
 
