@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .backward import (
     ProfileClass,
@@ -36,6 +36,8 @@ from .radial_ode import (
 
 # forward and reconstruct import numpy: the handlers that use them import
 # them, so that find-critical and sweep run without numpy
+if TYPE_CHECKING:
+    from .reconstruct import Direction
 
 __all__ = ["main"]
 

@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:     # annotations; numpy is imported where an array is read
+    import numpy as np
 
 __all__ = [
     "Regime",

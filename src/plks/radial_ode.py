@@ -36,10 +36,13 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import DomainError, IntegrationError, EnergyLawError
 from .params import ModelParams, Regime
+
+if TYPE_CHECKING:     # annotations; numpy is imported where an array is read
+    import numpy as np
 
 __all__ = [
     "RadialODE",
