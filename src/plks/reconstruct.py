@@ -32,8 +32,7 @@ from .errors import (
     OutOfTimeDomainError,
 )
 from .backward import solve_backward
-from .forward import (CompactTail, ForwardProfile, LogQuadraticTail, PowerTail,
-                      Tail, solve_forward)
+from .forward import CompactTail, ForwardProfile, PowerTail, Tail, solve_forward
 from .params import ModelParams, Regime, phi_of_u
 from .radial_ode import (
     IntegratorOptions,
@@ -72,20 +71,13 @@ class Direction(Enum):
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _RESIDUAL_WINDOW = (0.1, 0.9)   # span fractions that system_residual tests
 
-# Gamma(N/2) for N = 1..10 as scipy.special.gamma returns it.  At odd N it
-# is an ulp away from math.gamma, and every mass and potential carries it,
-# so the table keeps results bitwise stable without importing scipy.
-_GAMMA_HALF = (1.7724538509055159, 1.0, 0.8862269254527579, 1.0,
-               1.329340388179137, 2.0, 3.323350970447843, 6.0,
-               11.63172839656745, 24.0)
-
-
 def _gamma_half(N: int) -> float:
-    """Gamma(N/2), N >= 1: the table, then Gamma(x + 1) = x Gamma(x) from
-    it, each step rounding once (N = 11 is an ulp from scipy's)."""
-    if N <= len(_GAMMA_HALF):
-        return _GAMMA_HALF[N - 1]
-    return (N / 2.0 - 1.0) * _gamma_half(N - 2)
+    """Gamma(N/2), N >= 1: Gamma(x + 1) = x Gamma(x) from Gamma(1/2) =
+    sqrt(pi) or Gamma(1) = 1, each step rounding once."""
+    g = math.sqrt(math.pi) if N % 2 else 1.0
+    for k in range(2 - N % 2, N - 1, 2):    # x = k/2
+        g *= k / 2.0
+    return g
 
 
 def surface_area_unit_ball(N: int) -> float:
@@ -120,8 +112,6 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     if len(y) < 3:
         res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
     else:
-        if np.any(dx <= 0):
-            raise ValueError("Input x must be strictly increasing.")
         h1 = _simpson_pieces(y, dx)
         h2 = _simpson_pieces(y[::-1], dx[::-1])[::-1]
         pieces = np.empty(len(dx))
@@ -154,6 +144,10 @@ class PhiProfile:
     sol: Optional[ProfileSolution] = field(default=None, repr=False)
 
     def __post_init__(self):
+        r = self.r
+        if not (r.ndim == 1 and r.shape == self.phi.shape and r.size and r[0] > 0.0
+                and np.all(np.diff(r) > 0.0)):
+            raise DomainError("phi needs positive, strictly increasing radii, one per value")
         if np.any(self.phi < 0.0):
             raise DomainError("phi must be nonnegative")
 
@@ -226,22 +220,29 @@ def psi_well_posed_threshold(N: int) -> float:
 
 
 def _scaled_upper_gamma(s: float, z: float) -> float:
-    """e^z Gamma(s, z), stable for large z where e^z alone overflows."""
-    if z < 30.0:
-        from scipy.special import exp1, gamma, gammaincc
-        if s == 0.0:    # Gamma(0, z) = E1(z)
-            return float(math.exp(z) * exp1(z))
-        return float(math.exp(z) * gamma(s) * gammaincc(s, z))
-    # asymptotic expansion Gamma(s,z) e^z = z^(s-1) sum_k (s-1)...(s-k)/z^k,
-    # truncated at the smallest term; remainder is below the last term kept
-    acc = term = 1.0
-    for k in range(1, 60):
-        nxt = term * (s - k) / z
-        if abs(nxt) >= abs(term) or abs(nxt) < 1e-18 * abs(acc):
-            break
-        acc += nxt
-        term = nxt
-    return z ** (s - 1.0) * acc
+    """e^z Gamma(s, z) for s in {0, 1/2, 1, 3/2, ...} and z > 0, finite
+    where e^z alone overflows.  At x = s mod 1: for z >= 1 Legendre's
+    continued fraction z^x / (z + 1 - x - 1 (1 - x) / (z + 3 - x - ...)),
+    summed up from 120 terms (110 reach the last bit at z = 1, where it
+    converges slowest; Numerical Recipes, 3rd ed., 6.2); below, sqrt(pi)
+    e^z erfc(sqrt z) at x = 1/2 and E1's series at x = 0.  Then
+    e^z Gamma(x + 1, z) = x e^z Gamma(x, z) + z^x, all terms positive.
+    """
+    x = s % 1.0
+    if z >= 1.0:
+        t = 0.0
+        for i in range(120, 0, -1):
+            t = -i * (i - x) / (z + 1.0 - x + 2.0 * i + t)
+        g = z ** x / (z + 1.0 - x + t)
+    elif x:
+        g = math.sqrt(math.pi) * math.exp(z) * math.erfc(math.sqrt(z))
+    else:    # E1(z) = -(Euler's gamma) - ln z - sum_k (-z)^k / (k k!)
+        g = math.exp(z) * (-0.5772156649015329 - math.log(z) - math.fsum(
+            (-z) ** k / (k * math.factorial(k)) for k in range(1, 25)))
+    while x < s:
+        g = x * g + z ** x
+        x += 1.0
+    return g
 
 
 def _tail_moment(phi: PhiProfile, j: int, m: float = 1.0) -> float:
@@ -271,14 +272,28 @@ def _tail_moment(phi: PhiProfile, j: int, m: float = 1.0) -> float:
             * _scaled_upper_gamma(j / 2.0, k * r_end ** 2))
 
 
+def _log_tail_moment(phi: PhiProfile, m: float, t1: float) -> float:
+    """int_rend^inf s ln s phi^m ds under phi's tail model, given its
+    moment t1 = _tail_moment(phi, 2, m): t1 (ln r_end + e^z E1(z) / 2),
+    z = -m c r_end^2, under a log-quadratic tail ln phi ~ c r^2."""
+    tail, r_end = phi.tail, float(phi.r[-1])
+    if isinstance(tail, CompactTail):
+        return 0.0
+    if isinstance(tail, PowerTail):
+        a = m * tail.exponent + 2.0    # kappa + 2 of the j = 2 moment
+        return tail.coefficient ** m * (math.log(r_end) * r_end ** a / (-a)
+                                        + r_end ** a / a ** 2)
+    z = -m * tail.coefficient * r_end ** 2
+    return t1 * (math.log(r_end) + _scaled_upper_gamma(0.0, z) / 2.0)
+
+
 def psi_from_phi(phi: PhiProfile, params: ModelParams,
                  strict: bool = True) -> PsiProfile:
     """Radial potential quadrature: -(psi'' + (N-1)/r psi') = phi^m.
 
     Composite Simpson on the solution grid plus the tail model's moments of
     s and s^(N-1) against phi^m beyond it (_tail_moment), and at N = 2 that
-    of s ln s, t1 (ln r_end + e^z E1(z) / 2) with z = -m c r_end^2 under a
-    log-quadratic tail ln phi ~ c r^2.  A diverging source moment leaves
+    of s ln s (_log_tail_moment).  A diverging source moment leaves
     i1_total at its grid value.  Below the well-posedness threshold a power
     tail makes the potential infinite: strict mode raises, otherwise the
     grid-truncated integrals are returned with well_posed = False.
@@ -300,14 +315,7 @@ def psi_from_phi(phi: PhiProfile, params: ModelParams,
         if math.isinf(i1_tail):
             i1_tail = 0.0
         if N == 2:
-            r_end = float(phi.r[-1])
-            if isinstance(tail, PowerTail):
-                a = m * tail.exponent + 2.0    # kappa + 2 of the j = 2 moment
-                tlog = tail.coefficient ** m * (math.log(r_end) * r_end ** a / (-a)
-                                                + r_end ** a / a ** 2)
-            elif isinstance(tail, LogQuadraticTail):
-                z = -m * tail.coefficient * r_end ** 2
-                tlog = t1 * (math.log(r_end) + _scaled_upper_gamma(0.0, z) / 2.0)
+            tlog = _log_tail_moment(phi, m, t1)
 
     r = phi.r
     src = phi.phi ** m

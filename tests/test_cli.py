@@ -710,9 +710,10 @@ def test_reconstruct_vanished_profile_has_no_finite_mass(capsys):
     assert rep["tolerances_met"]["mass_finite"] is False
 
 
-def test_reconstruct_json_of_a_scipy_tail_moment(capsys):
-    # z = k r_end^2 < 30 takes scipy's incomplete gamma; the mass and its
-    # mass_finite flag must still serialize
+def test_reconstruct_json_of_a_run_that_ends_at_the_floor(capsys):
+    # the run leaves u's range at r = 1e-14, so phi_end = 0 and the
+    # log-quadratic tail adds nothing: the grid's mass and its mass_finite
+    # flag must still serialize
     rc, out, err = _run(["reconstruct", "--N", "1", "--p", "2", "--b", "40",
                          "--r-max", "20", "--format", "json"], capsys)
     assert rc == 0, err
@@ -904,18 +905,26 @@ def _child_env():
 
 
 def test_cli_loads_no_scipy():
-    # importing the CLI and running a reconstruction and a delta test load
-    # nothing from scipy; nor does evaluate between the nodes of a
-    # slow-regime profile, nor classify or sweep_a at p = 2, which fail on
-    # the regime before they ask for the zero-energy height
+    # with scipy's import blocked, the six README commands, reconstruct and
+    # delta-test on the log-quadratic tails of p = 2 forward profiles at
+    # N = 1-4, evaluate between the nodes of a slow-regime profile, and
+    # classify and sweep_a at p = 2, which fail on the regime before they
+    # ask for the zero-energy height, all run
     code = (
-        "import sys, contextlib, io, plks, plks.cli\n"
-        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    plks.cli.main(['reconstruct', '--N', '2', '--p', '3', '--a', '2.126'])\n"
-        "    plks.cli.main(['delta-test', '--N', '3', '--p', '1.8', '--b', '1.0',\n"
-        "                   '--steps', '2'])\n"
+        "import sys, contextlib, io\n"
+        "sys.modules['scipy'] = None\n"
+        "import plks, plks.cli\n"
+        "readme = ['solve-backward --N 2 --p 3 --a 2.0',\n"
+        "          'solve-forward --N 3 --p 1.8 --b 1.0 --fit-decay',\n"
+        "          'find-critical --N 1 --p 3',\n"
+        "          'sweep --N 3 --p 2.5 --a-grid log:0.1:8:16',\n"
+        "          'reconstruct --N 2 --p 3 --a 2.126 --residual-grade',\n"
+        "          'delta-test --N 3 --p 1.8 --b 1.0']\n"
+        "p2 = [f'{cmd} --N {N} --p 2 --b 1 --r-max 5'\n"
+        "      for N in (1, 2, 3, 4) for cmd in ('reconstruct', 'delta-test')]\n"
+        "for argv in readme + p2:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert plks.cli.main(argv.split() + ['--format', 'json']) == 0, argv\n"
         "P3 = plks.derive_params(2, 3.0)\n"
         "phi = plks.phi_from_u(plks.solve_backward(P3, 2.126), P3)\n"
         "ss = plks.assemble(P3, phi, plks.psi_from_phi(phi, P3), plks.Direction.BACKWARD)\n"
@@ -925,11 +934,11 @@ def test_cli_loads_no_scipy():
         "    with contextlib.suppress(plks.DomainError):\n"
         "        call()\n"
         "        raise SystemExit('no DomainError at p = 2')\n"
-        "print(scipy())\n")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert proc.stdout == "['scipy']\n"    # the blocking entry alone
 
 
 def test_shooting_commands_load_no_numpy():

@@ -141,6 +141,19 @@ def test_private_cross_imports_are_pinned():
     assert found == _PRIVATE_IMPORTS
 
 
+def test_library_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    for path in pathlib.Path(plks.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(n.split(".")[0] != "scipy" for n in names), path.name
+
+
 def test_integrator_options_are_pinned():
     fields = tuple(f.name for f in dataclasses.fields(plks.IntegratorOptions))
     assert fields == _INTEGRATOR_OPTIONS

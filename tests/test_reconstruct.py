@@ -6,6 +6,7 @@ import math
 import sys
 from array import array
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, quad, simpson
@@ -28,7 +29,10 @@ from plks.reconstruct import (
     _cumulative_simpson,
     _first_derivative,
     _gamma_half,
+    _log_tail_moment,
     _positive_span,
+    _scaled_upper_gamma,
+    _tail_moment,
     Direction,
     PhiProfile,
     SelfSimilarSolution,
@@ -127,6 +131,22 @@ def test_phi_rejects_negative_values():
     r = np.linspace(0.1, 1.0, 5)
     with pytest.raises(DomainError):
         PhiProfile(r, np.array([1.0, 0.5, -0.1, 0.2, 0.0]), None)
+
+
+@pytest.mark.parametrize("r, phi", [
+    (np.array([0.1, 0.3, 0.2, 0.4, 0.5]), np.ones(5)),      # not increasing
+    (np.array([0.1, 0.2, 0.2, 0.4, 0.5]), np.ones(5)),      # a repeated radius
+    (np.array([0.1, 0.2, np.nan, 0.4, 0.5]), np.ones(5)),
+    (np.linspace(0.0, 1.0, 5), np.ones(5)),                 # the origin
+    (np.linspace(-1.0, 1.0, 5), np.ones(5)),
+    (np.linspace(0.1, 1.0, 5), np.ones(4)),                 # lengths differ
+    (np.linspace(0.1, 1.0, 6).reshape(2, 3), np.ones((2, 3))),
+    (np.array([]), np.array([])),
+])
+def test_phi_rejects_a_bad_grid(r, phi):
+    # every quadrature of mass and psi would meet it; DomainError is exit 2
+    with pytest.raises(DomainError, match="strictly increasing radii"):
+        PhiProfile(r, phi, CompactTail(1.0))
 
 
 # ------------------------------------------------ potential kernels
@@ -270,6 +290,37 @@ def test_potential_tail_pieces_match_quadrature(N, p, b, opts):
         piece = (N - 2.0) * psi.psi[-1] - r_end ** (2 - N) * i1_end
         exact = moment(lambda s: s)
     assert piece == pytest.approx(exact, rel=1e-8)
+
+
+def _log_quadratic_forward(N):
+    """The p = 2 forward profile from b = 1 cut at r = 5, assembled."""
+    key = ("logq", N)
+    if key not in _CACHE:
+        P = derive_params(N, 2.0, 1.0)
+        phi = phi_from_forward(solve_forward(P, 1.0, IntegratorOptions(r_max=5.0)))
+        _CACHE[key] = assemble(P, phi, psi_from_phi(phi, P), Direction.FORWARD)
+    return _CACHE[key]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_log_quadratic_tail_moments_match_quadrature_of_evaluate(N):
+    # the tail part of mass, and at N = 2 psi's moment of s ln s, against
+    # quad over the density evaluate reads past the grid end at t = 1
+    ss = _log_quadratic_forward(N)
+    phi, m = ss.phi, ss.params.m
+    r_end = float(phi.r[-1])
+    assert phi.phi[-1] > 0.0
+
+    def moment(k, power):
+        # the tail is below e^-1000 of phi_end 60 past the grid end
+        return quad(lambda s: k(s) * evaluate(ss, s, 1.0)[0] ** power, r_end,
+                    r_end + 60.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    assert _tail_moment(phi, N) == pytest.approx(
+        moment(lambda s: s ** (N - 1), 1.0), rel=1e-12, abs=0.0)
+    if N == 2:
+        assert _log_tail_moment(phi, m, _tail_moment(phi, 2, m)) == pytest.approx(
+            moment(lambda s: s * math.log(s), m), rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------- mass
@@ -454,6 +505,16 @@ def test_evaluate_outside_support_is_zero():
     R = ss.phi.support_radius
     rho, _ = evaluate(ss, np.array([1.5 * theta * R, 0.0]), t)
     assert rho == 0.0
+
+
+def test_evaluate_log_quadratic_tail_past_the_grid_end():
+    ss = _log_quadratic_forward(2)
+    r_end, phi_end = float(ss.phi.r[-1]), float(ss.phi.phi[-1])
+    t = 2.0
+    for xi in (1.01 * r_end, 6.0, 9.0):
+        rho, _ = evaluate(ss, np.array([0.0, xi * t ** ss.params.beta]), t)
+        want = t ** -ss.params.alpha * phi_end * math.exp(-(xi * xi - r_end * r_end) / 4.0)
+        assert rho == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_evaluate_time_domain_errors():
@@ -759,16 +820,42 @@ def test_cumulative_simpson_bitwise_matches_scipy():
         assert _cumulative_simpson(y, x).tobytes() == want.tobytes()
 
 
-def test_gamma_table_matches_scipy():
-    for N in range(1, 11):
+def test_gamma_half_is_the_recurrence_against_mpmath():
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(40):
+        # Gamma(x + 1) = x Gamma(x) from sqrt(pi) or 1: sqrt(pi) and each of
+        # the k steps round by at most eps/2, up to the last N whose
+        # Gamma(N/2) is finite (343)
+        for N in range(1, 344):
+            exact = mpmath.gamma(mpmath.mpf(N) / 2)
+            k = (N - 1) // 2
+            assert abs(_gamma_half(N) - exact) <= (k / 2 + 1) * eps * exact
+        # it is the correctly rounded Gamma(7/2), where scipy's is an ulp
+        # high, and scipy's double at every other N <= 10
+        assert _gamma_half(7) == float(mpmath.gamma(mpmath.mpf(7) / 2))
+    assert math.nextafter(_gamma_half(7), math.inf) == float(gamma(3.5))
+    for N in (1, 2, 3, 4, 5, 6, 8, 9, 10):
         assert _gamma_half(N) == float(gamma(N / 2.0))
-    # above the table, Gamma(x + 1) = x Gamma(x): each of its k steps rounds
-    # by at most eps/2, and scipy's own value is allowed 4 eps, up to the
-    # last N whose Gamma(N/2) is finite (343)
-    for N in range(11, 344):
-        k = (N - 9) // 2
-        want = float(gamma(N / 2.0))
-        assert abs(_gamma_half(N) - want) <= (k / 2 + 4) * sys.float_info.epsilon * want
+
+
+def _scaled_upper_gamma_mpmath(s, z):
+    s, z = mpmath.mpf(s), mpmath.mpf(z)
+    return mpmath.exp(z) * (mpmath.e1(z) if s == 0 else mpmath.gammainc(s, z))
+
+
+def test_scaled_upper_gamma_matches_mpmath():
+    # log-uniform z over [1e-30, 1e4], the switch at z = 1 from both sides,
+    # and z in [1, 3], where the continued fraction converges slowest
+    rng = np.random.default_rng(11)
+    zs = np.concatenate((10.0 ** rng.uniform(-30.0, 4.0, 120),
+                         rng.uniform(1.0, 3.0, 20),
+                         [1e-30, math.nextafter(1.0, 0.0), 1.0, 1e4]))
+    with mpmath.workdps(40):
+        for s in np.arange(0.0, 5.5, 0.5):
+            for z in zs:
+                want = _scaled_upper_gamma_mpmath(s, z)
+                got = _scaled_upper_gamma(float(s), float(z))
+                assert abs(got - want) <= 1e-14 * want, (s, z)
 
 
 # ------------------------------------------------- system residuals
