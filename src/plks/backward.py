@@ -225,11 +225,12 @@ def zero_energy_height(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class Probe:
-    """One classification made by find_critical_a, in the order it ran.
+    """One integration made by find_critical_a, in the order it ran.
 
     gap is u where the run stopped at its first minimum, of either sign
     (u* at an equilibrium capture), the value the search roots; nan when
-    the run ended otherwise.  n_steps and n_rejected count its steps.
+    the run ended otherwise.  n_steps and n_rejected count its steps, and
+    tol is its tolerance, the larger of its rel_tol and abs_tol.
     """
 
     a: float
@@ -241,6 +242,7 @@ class Probe:
     r_start: float   # where the run started: the origin series' reach
     r_end: float
     step: str     # why this height: see find_critical_a
+    tol: float
 
     @classmethod
     def of(cls, c: Classification, step: str) -> "Probe":
@@ -249,7 +251,21 @@ class Probe:
         gap = (sol._us[-1] if sol.termination is Termination.U_PRIME_VANISHED
                else math.nan)
         return cls(c.a, c.label, c.reason, gap, sol.n_steps, sol.n_rejected,
-                   sol._rs[0], sol.r_end, step)
+                   sol._rs[0], sol.r_end, step, _tol(sol.opts))
+
+
+def _tol(opts: IntegratorOptions) -> float:
+    return max(opts.rel_tol, opts.abs_tol)
+
+
+# find_critical_a's tolerance ladder.  Shot at 1e-6, a height near a_c at
+# (N, p) = (2, 3), (1, 3) and (3, 2.5) takes 20-31 attempts where one at
+# 1e-10 takes 67-143; at heights a_c (1 +- 10^-k), k = 1..6, for six
+# (N, p) with N <= 3, u_min's error at tolerances 1e-8 to 1e-6 stayed
+# below 1.9 times the tolerance (N = 1: 0, u_min solves G(u) = E).
+_LOOSE_TOL = 1e-6
+_LADDER = 1e-2
+_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -259,8 +275,9 @@ class CriticalResult:
     lower and upper are the classifications of the final bracket's
     endpoints, P below and N (or N0) above; a_c is one of them, and
     classification is its own probe's, whose solution is the profile.
-    trace holds every classification of the search in order: the initial
-    bracket ends, the doublings and the interior probes.
+    trace holds every integration of the search in order: the initial
+    bracket ends, the doublings, the interior probes and their re-shots;
+    n_iterations counts the doublings and the interior probes.
     """
 
     a_c: float
@@ -307,9 +324,24 @@ def find_critical_a(params: ModelParams,
     Each trace entry's step names the rule that chose its height: "end"
     and "double" for the initial bracket; inside it "secant", "quadratic"
     (inverse quadratic), "mid" (bisection), or "tol", a step of the
-    stopping tolerance past the best end when the estimate lies closer.
+    stopping tolerance past the best end when the estimate lies closer;
+    "reshot" for a height shot again at the search's tolerance.
     Probes are shot, not certified as in classify: the search needs each
     P end's last turn, and its lower end lies below h0.
+
+    Only the last few probes need the search's own tolerance tol, the
+    larger of opts' rel_tol and abs_tol.  A tolerance ladder shoots each
+    probe at tau = clamp(1e-2 |u_min of the best end|, tol, 1e-6), both
+    tolerances scaled by tau / tol, and the ends and doublings, with no
+    best end yet, at 1e-6 (a search at or above 1e-6 shoots every probe
+    at tol).  A loose probe's label and u_min count only at a turn or a
+    transversal zero with |u_min| > 100 (abs_tol' + rel_tol' a), in its
+    own tolerances; any other loose probe (a touch, a nan u_min) is shot
+    again at tol.  Once the search stops, each final end shot loose is
+    shot again at tol, so lower, upper, classification, a_c and R_c come
+    from runs at tol; a label that changes there raises
+    AmbiguousBracketError.  Every integration, a discarded loose one
+    included, is a trace entry, with its tolerance.
     """
     ode, shot_opts = _shots(params, opts, True)
     if not compact_support_admissible(params.N, params.p):
@@ -343,28 +375,57 @@ def find_critical_a(params: ModelParams,
                 f"interior minimum by r_max = {c.solution.opts.r_max:g}")
         return c
 
-    def shot(a: float, step: str) -> Classification:
-        c = _label(ode, a, shot_opts)
+    tol_full = _tol(shot_opts)
+    tol_loose = max(tol_full, _LOOSE_TOL)
+
+    def shot(a: float, step: str, tau: float) -> tuple[Classification, float]:
+        scaled = shot_opts if tau == tol_full else replace(
+            shot_opts, rel_tol=shot_opts.rel_tol * (tau / tol_full),
+            abs_tol=shot_opts.abs_tol * (tau / tol_full))
+        c = _label(ode, a, scaled)
         trace.append(Probe.of(c, step))
-        return c
+        return c, trace[-1].gap
+
+    def probe(a: float, step: str,
+              f_best: float = math.inf) -> tuple[Classification, float]:
+        # a loose shot whose u_min lies within its margin is shot again
+        tau = min(max(_LADDER * abs(f_best), tol_full), tol_loose)
+        c, f = shot(a, step, tau)
+        o = c.solution.opts
+        if tau > tol_full and not (
+                c.reason in ("interior minimum", "transversal zero")
+                and abs(f) > _MARGIN * (o.abs_tol + o.rel_tol * a)):
+            c, f = shot(a, "reshot", tol_full)
+        return c, f
+
+    def confirmed(c: Classification, f: float) -> tuple[Classification, float]:
+        # a final end shot loose, shot again at the search's tolerance
+        if _tol(c.solution.opts) == tol_full:
+            return c, f
+        c_full, f_full = shot(c.a, "reshot", tol_full)
+        if c_full.set is not c.set:
+            raise AmbiguousBracketError(
+                f"a = {c.a:g} classifies {c.label} at tolerance "
+                f"{_tol(c.solution.opts):g} but {c_full.label} at {tol_full:g}")
+        return c_full, f_full
 
     trace: list[Probe] = []
-    c_lo = shot(lo, "end")
+    c_lo, f_lo = probe(lo, "end")
     if c_lo.set is not ProfileClass.P:
         raise BadBracketError(
             f"lower endpoint a = {lo:g} classifies {c_lo.label} ({c_lo.reason} "
             f"at r = {c_lo.solution.r_end:g}), need P")
     turned(c_lo)
-    c_hi = shot(hi, "end")
+    c_hi, f_hi = probe(hi, "end")
     n_iter = 0
     while c_hi.set is ProfileClass.P and bracket is None and n_iter < 60:
         if hi >= a_cap:
             raise BadBracketError(
                 f"heights up to a = {a_cap:g}, where the source term nears "
                 "overflow, classify P")
-        lo, c_lo = hi, turned(c_hi)
+        lo, c_lo, f_lo = hi, turned(c_hi), f_hi
         hi = min(2.0 * hi, a_cap)
-        c_hi = shot(hi, "double")
+        c_hi, f_hi = probe(hi, "double")
         n_iter += 1
     if c_hi.set not in (ProfileClass.N, ProfileClass.N0):
         raise BadBracketError(
@@ -373,7 +434,6 @@ def find_critical_a(params: ModelParams,
 
     # zeroin's state, f being u_min: b is the end with the smaller |f|, c
     # the other end, a the last b; d is the last step and e the one before
-    f_lo, f_hi = trace[-2].gap, trace[-1].gap
     a, fa, b, fb = lo, f_lo, hi, f_hi
     c, fc, d = a, fa, b - a
     e = d
@@ -405,9 +465,8 @@ def find_critical_a(params: ModelParams,
         x = b + d
         if not lo < x < hi:     # a tolerance step at the floating-point limit
             x, step = mid, "mid"
-        c_x = shot(x, step)
+        c_x, f_x = probe(x, step, fb)
         n_iter += 1
-        f_x = trace[-1].gap
         if c_x.set is ProfileClass.P:
             lo, c_lo, f_lo = x, turned(c_x), f_x
         elif c_x.set is ProfileClass.INCONCLUSIVE:
@@ -420,6 +479,12 @@ def find_critical_a(params: ModelParams,
             e = d
         a, fa, b, fb = b, fb, x, f_x
 
+    c_lo, f_lo = confirmed(c_lo, f_lo)
+    turned(c_lo)
+    c_hi, f_hi = confirmed(c_hi, f_hi)
+    f_b, f_c = (f_lo, f_hi) if b == lo else (f_hi, f_lo)
+    if abs(f_c) < abs(f_b):     # the ends' minima at full tolerance reorder
+        b = hi if b == lo else lo
     best = c_lo if b == lo else c_hi
     R_c = c_lo.solution.events_of(EventKind.U_PRIME_ZERO)[-1].r
     return CriticalResult(b, hi - lo, R_c, n_iter, best, c_lo, c_hi,

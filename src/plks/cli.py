@@ -247,7 +247,7 @@ def cmd_find_critical(params: ModelParams, args):
         "classification": _class_block(c_mid),
         "certificates": {"lower": _class_block(res.lower),
                          "upper": _class_block(res.upper)},
-        "trace": [{"a": t.a, "step": t.step, "class": t.label,
+        "trace": [{"a": t.a, "step": t.step, "tol": t.tol, "class": t.label,
                    "reason": t.reason, "gap": t.gap, "n_steps": t.n_steps,
                    "n_rejected": t.n_rejected, "r_start": t.r_start,
                    "r_end": t.r_end}

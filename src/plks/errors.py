@@ -29,7 +29,8 @@ class BadBracketError(PlksError, ValueError):
 
 
 class AmbiguousBracketError(PlksError, ValueError):
-    """Both bracket endpoints land on the degenerate boundary case."""
+    """The a_c search cannot place a height on one side: an Inconclusive
+    probe, or a final end whose label changes at the search's tolerance."""
 
 
 class NegativeBaseError(PlksError, ValueError):

@@ -159,12 +159,12 @@ def support_radius(fp: ForwardProfile, eps: float = 1e-6) -> SupportEdge:
 
     phi' = (p-1)/(p-2) u^(1/(p-2)) u' vanishes as r -> R_0 even though
     u'(R_0) < 0, because the exponent is positive for p > 2; the returned
-    phi slope is evaluated at R_0 - eps min(1, R_0), inside the grid.
+    phi slope is evaluated at R_0 - eps min(1, R_0), inside the grid.  A
+    slow profile has its zero: solve_forward raises NoSupportRadiusError
+    on a slow run that does not vanish.
     """
     if fp.regime is not Regime.SLOW:
         raise DomainError("support radius exists in the slow regime (p > 2)")
-    if fp.support_radius is None:
-        raise NoSupportRadiusError("profile has no zero event")
     R0 = fp.support_radius
     ev = fp.sol.events_of(EventKind.U_ZERO)[-1]
     u_slope = uprime_from_w(fp.sol.ode, ev.w)

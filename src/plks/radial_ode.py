@@ -910,8 +910,12 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
             s1 = (-g7 if g7 < 0.0 else g7) * su if in_E else su
             # a ratio past ~1e154 or a zero scale raises: rejected below
             err = sqrt(0.5 * ((err_1 / s1) ** 2 + (err_w / sw) ** 2))
-            if not (err <= 0.25 and isfinite(u_new) and isfinite(w_new)):
-                if isfinite(err) and err > 0.0:
+            finite = isfinite(u_new) and isfinite(w_new)
+            if not (err <= 0.25 and finite):
+                # a non-finite state (solve_G's nan where Newton does not
+                # converge, say) is an overflow: growing h by the error's
+                # factor would only retake it
+                if finite and isfinite(err) and err > 0.0:
                     n_err += 1
                     h *= max(0.2, 0.9 * (0.25 / err) ** 0.2)
                 else:

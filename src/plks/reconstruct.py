@@ -268,8 +268,14 @@ def _tail_moment(phi: PhiProfile, j: int, m: float = 1.0) -> float:
     phim_end = float(phi.phi[-1]) ** m
     if j == 2:    # e^z Gamma(1, z) = 1
         return phim_end / (2.0 * k)
-    return (phim_end * (1.0 / k) ** (j / 2.0) / 2.0
-            * _scaled_upper_gamma(j / 2.0, k * r_end ** 2))
+    g = _scaled_upper_gamma(j / 2.0, k * r_end ** 2)
+    try:
+        return phim_end * (1.0 / k) ** (j / 2.0) / 2.0 * g
+    except OverflowError:    # a power leaves the doubles: add logarithms
+        if phim_end == 0.0:
+            return 0.0
+        log_t = math.log(phim_end) - j / 2.0 * math.log(k) + math.log(g / 2.0)
+        return math.exp(log_t) if log_t <= _LOG_DBL_MAX else math.inf
 
 
 def _log_tail_moment(phi: PhiProfile, m: float, t1: float) -> float:
@@ -338,15 +344,16 @@ def mass(phi: PhiProfile, params: ModelParams) -> float:
     """Total mass omega_N * integral_0^inf phi r^(N-1) dr: the grid's ball
     integral plus the tail model's moment; InfiniteMassError without a tail
     model or for a power tail not integrable against r^(N-1)."""
-    N = params.N
-    if phi.tail is None:
+    N, tail = params.N, phi.tail
+    if tail is None:
         raise InfiniteMassError("profile has no decaying tail model")
     extra = _tail_moment(phi, N)
     if math.isinf(extra):
-        why = ("has a moment beyond the largest double"
-               if phi.tail.exponent + N < 0.0 else "is not integrable")
-        raise InfiniteMassError(
-            f"tail exponent {phi.tail.exponent:g} {why} against r^{N - 1}")
+        if isinstance(tail, PowerTail) and tail.exponent + N >= 0.0:
+            raise InfiniteMassError(f"tail exponent {tail.exponent:g} is not "
+                                    f"integrable against r^{N - 1}")
+        raise InfiniteMassError(f"{tail.kind} tail has a moment beyond the "
+                                f"largest double against r^{N - 1}")
     return surface_area_unit_ball(N) * (float(_ball_integral(phi.r, phi.phi, N)[-1])
                                         + extra)
 

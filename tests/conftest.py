@@ -48,15 +48,16 @@ def shot_heights(monkeypatch):
 
 @pytest.fixture
 def inconclusive_third_label(monkeypatch):
-    """plks.backward._label with its third verdict made Inconclusive: in the
-    default N = 1, p = 3 a_c search, the first probe inside the bracket.
+    """plks.backward._label with the verdicts of its third height made
+    Inconclusive: in the default N = 1, p = 3 a_c search, the first probe
+    inside the bracket, shot loose and then at the search's tolerance.
     Returns the heights it labels, in call order."""
     label, heights = plks.backward._label, []
 
     def patched(ode, a, opts):
         heights.append(a)
         c = label(ode, a, opts)
-        if len(heights) != 3:
+        if len(heights) < 3 or a != heights[2]:
             return c
         return dataclasses.replace(c, set=ProfileClass.INCONCLUSIVE,
                                    reason="terminated by step-underflow")

@@ -289,9 +289,9 @@ def test_find_critical_certificates_are_the_bisection_endpoints(
                        "--format", "json"], capsys)
     assert rc == 0
     rep = json.loads(out)["results"]
-    # the two initial endpoints, then one height per iteration, a_c among
-    # them; the certificates take no integration of their own
-    assert len(shot_heights) == rep["n_iterations"] + 2
+    # every integration is a trace entry, a_c among them; the
+    # certificates take no integration of their own
+    assert len(shot_heights) == len(rep["trace"])
     res = find_critical_a(derive_params(1, 3.0))
     assert res.lower.set is ProfileClass.P
     assert res.upper.set is ProfileClass.N
@@ -353,16 +353,21 @@ def test_find_critical_json_trace(capsys):
     assert rc == 0
     res = json.loads(out)["results"]
     trace = res["trace"]
-    assert len(trace) == res["n_iterations"] + 2
-    assert all(list(t) == ["a", "step", "class", "reason", "gap", "n_steps",
-                           "n_rejected", "r_start", "r_end"] for t in trace)
+    reshots = [t for t in trace if t["step"] == "reshot"]
+    assert len(trace) == res["n_iterations"] + 2 + len(reshots)
+    assert all(list(t) == ["a", "step", "tol", "class", "reason", "gap",
+                           "n_steps", "n_rejected", "r_start", "r_end"]
+               for t in trace)
+    # ends are shot at 1e-6; a re-shot, at the search's tolerance 1e-10
+    assert [t["tol"] for t in trace[:2]] == [1e-6, 1e-6]
+    assert all(t["tol"] == 1e-10 for t in reshots)
     # each probe starts at its origin series' reach, short of any event
     assert all(0.0 < t["r_start"] < t["r_end"] for t in trace)
     assert all(t["n_rejected"] >= 0 for t in trace)
     assert [t["class"] for t in trace[:2]] == ["P", "N"]
     assert [t["step"] for t in trace[:2]] == ["end", "end"]
-    # a_c is a bracket end's own probe, not shot again
-    at_a_c = [t for t in trace if t["a"] == res["a_c"]]
+    # a_c is a bracket end's own probe at 1e-10, not shot again
+    at_a_c = [t for t in trace if t["a"] == res["a_c"] and t["tol"] == 1e-10]
     assert [t["class"] for t in at_a_c] == [res["classification"]["class"]]
     for role in ("lower", "upper"):
         assert any(t["a"] == res["certificates"][role]["a"] for t in trace)
@@ -732,6 +737,21 @@ def test_reconstruct_power_tail_moment_beyond_a_double(capsys):
     rep = json.loads(out)
     assert rep["results"]["mass"] is None
     assert "beyond the largest double" in rep["results"]["mass_note"]
+
+
+def test_reconstruct_log_quadratic_moment_beyond_a_double(capsys):
+    # N = 400, p = 2: the tail's source moment past r = 5 is beyond the
+    # largest double; the command used to end in an OverflowError traceback.
+    # psi is null at small r, where r^(N - 1) underflows (numpy warns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc, out, err = _run(["reconstruct", "--N", "400", "--p", "2", "--b", "1",
+                             "--r-max", "5", "--format", "json"], capsys)
+    assert (rc, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert res["mass"] is None
+    assert res["mass_note"] == ("log-quadratic tail has a moment beyond the "
+                                "largest double against r^399")
 
 
 def test_equilibrium_height_overflow_exit2(capsys):

@@ -22,7 +22,7 @@ from plks.errors import (
     NegativeBaseError,
     OutOfTimeDomainError,
 )
-from plks.forward import CompactTail, PowerTail, solve_forward
+from plks.forward import CompactTail, LogQuadraticTail, PowerTail, solve_forward
 from plks.radial_ode import IntegratorOptions
 from plks.reconstruct import (
     _angular_averages,
@@ -377,6 +377,26 @@ def test_mass_log_quadratic_tail_matches_quadrature():
     # overflows there and the scaled tail formula must still be finite
     deep = phi_from_forward(solve_forward(P, 0.0))
     assert math.isfinite(mass(deep, P))
+
+
+def test_log_quadratic_moment_past_a_power_overflow():
+    # k = 1e-8, j = 100: (1/k)^(j/2) = 1e400 leaves the doubles, but the
+    # moment, phi_end k^(-50) e^z Gamma(50, z) / 2 at z = 9e-8, is 3e262;
+    # the power used to raise OverflowError
+    r = np.array([1.0, 2.0, 3.0])
+    phi = PhiProfile(r, np.array([1.0, 0.5, 1e-200]), LogQuadraticTail(-1e-8))
+    want = math.exp(math.log(1e-200) + 50.0 * math.log(1e8)
+                    + math.log(_scaled_upper_gamma(50.0, 9e-8) / 2.0))
+    assert _tail_moment(phi, 100) == pytest.approx(want, rel=1e-12)
+    # N = 400, the p = 2 forward tail at r_end = 5 (k = 1/800): the moment
+    # lies past the largest double, so the mass is refused by name; its
+    # message used to read the power tail's exponent, which this tail lacks
+    phi = PhiProfile(np.linspace(1.0, 5.0, 5), np.full(5, 5e-3),
+                     LogQuadraticTail(-1.0 / 800.0))
+    assert _tail_moment(phi, 400) == math.inf
+    with pytest.raises(InfiniteMassError, match=r"^log-quadratic tail has a "
+                       r"moment beyond the largest double against r\^399$"):
+        mass(phi, derive_params(400, 2.0))
 
 
 def test_mass_infinite_without_tail():
