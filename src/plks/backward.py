@@ -26,6 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import takewhile
 from typing import Optional
 
 from .errors import (
@@ -74,7 +75,8 @@ class ProfileClass(Enum):
 @dataclass(frozen=True)
 class Classification:
     """One height's verdict; solution is None for "centre energy below G(0)",
-    and a shot's grid starts at the origin series' reach."""
+    and a shot's grid starts at the origin series' reach.  A sweep's P
+    solution may be a run at 1e-6 (_shoot), and its opts say so."""
 
     a: float
     set: ProfileClass
@@ -123,15 +125,16 @@ def classify(params: ModelParams, a: float,
     """Assign a to P, N, or N0 as _label does, but a height below (1 - 1e-12) h0,
     h0 the zero-energy height, is P with no run ("centre energy below G(0)");
     the margin covers rounding in h0's closed form.  sweep_a passes _problem,
-    the (problem, shot settings, h0) it builds once and checks its grid with."""
+    the (problem, shot settings, h0) it builds once and checks its grid with,
+    and _shoot's reach (0: no loose shot)."""
     if _problem is None:
-        _problem = (*_shots(params, opts, False), zero_energy_height(params))
+        _problem = (*_shots(params, opts, False), zero_energy_height(params), 0.0)
         _problem[0].check_height(a)
-    ode, shot_opts, h0 = _problem
+    ode, shot_opts, h0, reach = _problem
     if a < (1.0 - 1e-12) * h0:
         return Classification(a, ProfileClass.P, None, None,
                               "centre energy below G(0)", None)
-    return _label(ode, a, shot_opts)
+    return _shoot(ode, a, shot_opts, reach)[-1]
 
 
 def _label(ode: RadialODE, a: float, opts: IntegratorOptions) -> Classification:
@@ -168,6 +171,38 @@ def _label(ode: RadialODE, a: float, opts: IntegratorOptions) -> Classification:
                           f"terminated by {term.value}", sol)
 
 
+# Loose shots.  Shot at 1e-6, a height near a_c at (N, p) = (2, 3), (1, 3)
+# and (3, 2.5) takes 20-31 attempts where one at 1e-10 takes 67-143; at
+# heights a_c (1 +- 10^-k), k = 1..6, for six (N, p) with N <= 3, u_min's
+# error at tolerances 1e-8 to 1e-6 stayed below 1.9 times the tolerance
+# (N = 1: 0, u_min solves G(u) = E).  A search's probe lies nearer the root
+# than its best end, so _REACH spares it loose shots within their margin.
+_LOOSE_TOL = 1e-6
+_MARGIN = 100.0
+_REACH = 10.0
+
+
+def _shoot(ode: RadialODE, a: float, opts: IntegratorOptions,
+           reach: float) -> tuple[Classification, ...]:
+    """The runs that label a, the verdict last.  While reach, the least
+    |u_min| yet, exceeds _REACH margins, a is first shot at _LOOSE_TOL (both
+    tolerances scaled), trusted alone at a turn or a transversal zero with
+    |u_min| > _MARGIN (abs_tol' + rel_tol' a); else a is shot at opts."""
+    scale = _LOOSE_TOL / _tol(opts)
+    if scale <= 1.0:
+        return (_label(ode, a, opts),)
+    loose = replace(opts, rel_tol=opts.rel_tol * scale,
+                    abs_tol=opts.abs_tol * scale)
+    margin = _MARGIN * (loose.abs_tol + loose.rel_tol * a)
+    runs: tuple[Classification, ...] = ()
+    if reach > _REACH * margin:
+        runs = (_label(ode, a, loose),)
+        if runs[0].reason in ("interior minimum", "transversal zero") and \
+                abs(_gap(runs[0].solution)) > margin:
+            return runs
+    return runs + (_label(ode, a, opts),)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Classifications over a height grid, with the empirical set edges.
@@ -188,25 +223,25 @@ class SweepResult:
 def sweep_a(params: ModelParams, grid,
             opts: Optional[IntegratorOptions] = None) -> SweepResult:
     """Classify every height in the (increasing) grid, as classify does
-    (below h0: "centre energy below G(0)"), once all of them are checked."""
-    problem = (*_shots(params, opts, False), zero_energy_height(params))
+    (below h0: "centre energy below G(0)"), once all of them are checked.
+    While the last label is P, a height is shot at 1e-6 first (_shoot);
+    after an N or N0, and for every N and N0 row, the run is at opts."""
+    ode, shot_opts = _shots(params, opts, False)
+    h0 = zero_energy_height(params)
     heights = [float(a) for a in grid]
     for a in heights:
-        problem[0].check_height(a)
+        ode.check_height(a)
     if any(b <= a for a, b in zip(heights, heights[1:])):
         raise DomainError("height grid must be strictly increasing")
-    cls = [classify(params, a, _problem=problem) for a in heights]
-    a_1 = None
-    for c in cls:
-        if c.set is not ProfileClass.P:
-            break
-        a_1 = c.a
-    a_2 = None
-    for c in reversed(cls):
-        if c.set is not ProfileClass.N:
-            break
-        a_2 = c.a
-    return SweepResult(cls, a_1, a_2)
+    cls: list[Classification] = []
+    for a in heights:
+        reach = math.inf if not cls or cls[-1].set is ProfileClass.P else 0.0
+        cls.append(classify(params, a, _problem=(ode, shot_opts, h0, reach)))
+    head = [c.a for c in takewhile(lambda c: c.set is ProfileClass.P, cls)]
+    tail = [c.a for c in takewhile(lambda c: c.set is ProfileClass.N,
+                                   reversed(cls))]
+    return SweepResult(cls, head[-1] if head else None,
+                       tail[-1] if tail else None)
 
 
 def zero_energy_height(params: ModelParams) -> float:
@@ -247,25 +282,18 @@ class Probe:
     @classmethod
     def of(cls, c: Classification, step: str) -> "Probe":
         sol = c.solution
-        # the run's ends, read from its buffers without forming its arrays
-        gap = (sol._us[-1] if sol.termination is Termination.U_PRIME_VANISHED
-               else math.nan)
-        return cls(c.a, c.label, c.reason, gap, sol.n_steps, sol.n_rejected,
-                   sol._rs[0], sol.r_end, step, _tol(sol.opts))
+        return cls(c.a, c.label, c.reason, _gap(sol), sol.n_steps,
+                   sol.n_rejected, sol._rs[0], sol.r_end, step, _tol(sol.opts))
+
+
+def _gap(sol: ProfileSolution) -> float:
+    # u at the run's first minimum, from its buffers; nan if it ended otherwise
+    return (sol._us[-1] if sol.termination is Termination.U_PRIME_VANISHED
+            else math.nan)
 
 
 def _tol(opts: IntegratorOptions) -> float:
     return max(opts.rel_tol, opts.abs_tol)
-
-
-# find_critical_a's tolerance ladder.  Shot at 1e-6, a height near a_c at
-# (N, p) = (2, 3), (1, 3) and (3, 2.5) takes 20-31 attempts where one at
-# 1e-10 takes 67-143; at heights a_c (1 +- 10^-k), k = 1..6, for six
-# (N, p) with N <= 3, u_min's error at tolerances 1e-8 to 1e-6 stayed
-# below 1.9 times the tolerance (N = 1: 0, u_min solves G(u) = E).
-_LOOSE_TOL = 1e-6
-_LADDER = 1e-2
-_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -330,18 +358,16 @@ def find_critical_a(params: ModelParams,
     P end's last turn, and its lower end lies below h0.
 
     Only the last few probes need the search's own tolerance tol, the
-    larger of opts' rel_tol and abs_tol.  A tolerance ladder shoots each
-    probe at tau = clamp(1e-2 |u_min of the best end|, tol, 1e-6), both
-    tolerances scaled by tau / tol, and the ends and doublings, with no
-    best end yet, at 1e-6 (a search at or above 1e-6 shoots every probe
-    at tol).  A loose probe's label and u_min count only at a turn or a
-    transversal zero with |u_min| > 100 (abs_tol' + rel_tol' a), in its
-    own tolerances; any other loose probe (a touch, a nan u_min) is shot
-    again at tol.  Once the search stops, each final end shot loose is
-    shot again at tol, so lower, upper, classification, a_c and R_c come
-    from runs at tol; a label that changes there raises
-    AmbiguousBracketError.  Every integration, a discarded loose one
-    included, is a trace entry, with its tolerance.
+    larger of opts' rel_tol and abs_tol.  Each probe is shot at 1e-6 or at
+    tol, nothing in between (_shoot): the ends and doublings, with no best
+    end yet, loose, and an interior probe loose while the best end's
+    |u_min| exceeds 10 of its margins.  A loose probe counts only at a turn
+    or a transversal zero beyond its margin; any other (a touch, a nan
+    u_min) is shot again at tol.  Once the search stops, each
+    final end shot loose is shot again at tol, so lower, upper,
+    classification, a_c and R_c come from runs at tol; a label that
+    changes there raises AmbiguousBracketError.  Every integration, a
+    discarded loose one included, is a trace entry, with its tolerance.
     """
     ode, shot_opts = _shots(params, opts, True)
     if not compact_support_admissible(params.N, params.p):
@@ -376,33 +402,18 @@ def find_critical_a(params: ModelParams,
         return c
 
     tol_full = _tol(shot_opts)
-    tol_loose = max(tol_full, _LOOSE_TOL)
-
-    def shot(a: float, step: str, tau: float) -> tuple[Classification, float]:
-        scaled = shot_opts if tau == tol_full else replace(
-            shot_opts, rel_tol=shot_opts.rel_tol * (tau / tol_full),
-            abs_tol=shot_opts.abs_tol * (tau / tol_full))
-        c = _label(ode, a, scaled)
-        trace.append(Probe.of(c, step))
-        return c, trace[-1].gap
 
     def probe(a: float, step: str,
               f_best: float = math.inf) -> tuple[Classification, float]:
-        # a loose shot whose u_min lies within its margin is shot again
-        tau = min(max(_LADDER * abs(f_best), tol_full), tol_loose)
-        c, f = shot(a, step, tau)
-        o = c.solution.opts
-        if tau > tol_full and not (
-                c.reason in ("interior minimum", "transversal zero")
-                and abs(f) > _MARGIN * (o.abs_tol + o.rel_tol * a)):
-            c, f = shot(a, "reshot", tol_full)
-        return c, f
+        runs = _shoot(ode, a, shot_opts, abs(f_best))
+        trace.extend(Probe.of(r, s) for r, s in zip(runs, (step, "reshot")))
+        return runs[-1], trace[-1].gap
 
     def confirmed(c: Classification, f: float) -> tuple[Classification, float]:
         # a final end shot loose, shot again at the search's tolerance
         if _tol(c.solution.opts) == tol_full:
             return c, f
-        c_full, f_full = shot(c.a, "reshot", tol_full)
+        c_full, f_full = probe(c.a, "reshot", 0.0)
         if c_full.set is not c.set:
             raise AmbiguousBracketError(
                 f"a = {c.a:g} classifies {c.label} at tolerance "

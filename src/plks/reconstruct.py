@@ -326,16 +326,16 @@ def psi_from_phi(phi: PhiProfile, params: ModelParams,
     r = phi.r
     src = phi.phi ** m
     i1 = _ball_integral(r, src, N)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         psi_prime = -i1 / r ** (N - 1)
-    if N == 2:
-        jlog = _cumulative_simpson(r * np.log(r) * src, r)
-        psi = -np.log(r) * i1 - ((jlog[-1] - jlog) + tlog)
-    else:
-        j1 = _cumulative_simpson(r * src, r)
-        upper = (j1[-1] - j1) + t1
-        psi = (-r * i1 - upper if N == 1
-               else r ** (2 - N) * i1 / (N - 2.0) + upper / (N - 2.0))
+        if N == 2:
+            jlog = _cumulative_simpson(r * np.log(r) * src, r)
+            psi = -np.log(r) * i1 - ((jlog[-1] - jlog) + tlog)
+        else:
+            j1 = _cumulative_simpson(r * src, r)
+            upper = (j1[-1] - j1) + t1
+            psi = (-r * i1 - upper if N == 1
+                   else r ** (2 - N) * i1 / (N - 2.0) + upper / (N - 2.0))
     return PsiProfile(r, psi, psi_prime, N, detail is None, detail,
                       float(i1[-1]) + i1_tail)
 
@@ -648,6 +648,10 @@ def system_residual(phi: PhiProfile, psi: PsiProfile, params: ModelParams,
     identity couples the phi flux to psi' with the direction-dependent
     drift sign (+ backward, - forward).
     """
+    bad = phi.r[~(np.isfinite(psi.psi) & np.isfinite(psi.psi_prime))]
+    if bad.size:
+        raise DomainError(f"psi is not finite for r in [{bad[0]:g}, {bad[-1]:g}], "
+                          "where the powers of r leave the doubles")
     span = phi.span
     lo, hi = _RESIDUAL_WINDOW[0] * span, _RESIDUAL_WINDOW[1] * span
     sel = (phi.r >= lo) & (phi.r <= hi)

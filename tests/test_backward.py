@@ -325,10 +325,39 @@ def test_sweep_shoots_exactly_the_heights_from_h0(shot_heights):
     h0 = zero_energy_height(P)
     grid = np.geomspace(0.3, 3.0, 12)
     res = sweep_a(P, grid)
-    assert shot_heights == [a for a in grid if a >= (1.0 - 1e-12) * h0]
-    assert 0 < len(shot_heights) < len(grid)
+    shot = [a for a in grid if a >= (1.0 - 1e-12) * h0]
+    # a height after a P label is shot loose first; it is shot again, at
+    # the sweep's tolerance, only where that run is not trusted
+    cls = res.classifications
+    twice = [c.a for prev, c in zip(cls, cls[1:]) if prev.label == "P"
+             and c.solution is not None and c.solution.opts.rel_tol == 1e-10]
+    assert shot_heights == sorted(shot + twice)
+    assert len(twice) == 1 and 0 < len(shot) < len(grid)
     assert [c.solution is None for c in res.classifications] == [
         a < (1.0 - 1e-12) * h0 for a in grid]
+
+
+# the README sweep and the six seed-1 critical_map sweeps
+@pytest.mark.parametrize("N,p,grid", [(3, 2.5, np.geomspace(0.1, 8.0, 16))] + [
+    (N, p, np.geomspace(0.1 * a_c, 3.0 * a_c, 64)) for N, p, a_c in SEED1_SWEEPS])
+def test_sweep_rows_are_classify_rows(N, p, grid):
+    # every row is classify's at the sweep's tolerance, bit for bit; a P
+    # row from a loose run stopped at an interior minimum beyond its margin
+    P = derive_params(N, p)
+    n_loose = 0
+    for c in sweep_a(P, grid).classifications:
+        ref = classify(P, c.a)
+        assert (c.label, c.reason, c.R_of_a, c.terminal_slope) == (
+            ref.label, ref.reason, ref.R_of_a, ref.terminal_slope)
+        o = c.solution.opts if c.solution is not None else None
+        if o is not None and o.rel_tol == 1e-6:
+            assert c.label == "P" and c.reason == "interior minimum"
+            assert c.solution.u[-1] > 100.0 * (o.abs_tol + o.rel_tol * c.a)
+            n_loose += 1
+        else:
+            assert o is None or o.rel_tol == 1e-10
+    # at N = 1 every P height lies below h0 = a_c and is certified unshot
+    assert (n_loose > 0) == (N > 1)
 
 
 def test_heights_in_the_margin_are_shot(shot_heights):
@@ -626,9 +655,22 @@ def test_critical_trace_is_every_integration_in_order(N, p, shot_heights):
         tols = [t.tol for t in trace if t.a == a]
         assert len(tols) == 1 or (len(tols) == 2 and tols[0] > tols[1] == 1e-10)
     assert all(t.tol == 1e-10 for t in reshots)
-    # ends and doublings are shot at 1e-6, interior probes in between
+    # ends and doublings are shot at 1e-6, interior probes at 1e-6 or
+    # 1e-10 and nothing in between: loose only while the best bracket
+    # end's |u_min| exceeds 10 of the probe's margins at 1e-6
     assert all(t.tol == 1e-6 for t in trace if t.step in ("end", "double"))
-    assert all(1e-10 <= t.tol <= 1e-6 for t in trace)
+    assert all(t.tol in {1e-10, 1e-6} for t in trace)
+    gaps, switches = {}, set()
+    for t, after in zip(trace, trace[1:] + (None,)):
+        if t.step == "reshot":
+            continue
+        if t.step not in ("end", "double"):
+            far = min(map(abs, gaps.values())) > 10.0 * 100.0 * 1e-6 * (1.0 + t.a)
+            assert (t.tol == 1e-6) == far, t
+            switches.add(far)
+        used = after if after and (after.a, after.step) == (t.a, "reshot") else t
+        gaps[used.label == "P"] = used.gap
+    assert switches == {True, False}
     # the lower end lies below h0, yet is shot, not certified
     assert trace[0].a == 0.999 * zero_energy_height(res.lower.solution.ode.params)
     assert trace[0].reason == "interior minimum"
@@ -734,13 +776,14 @@ def test_secant_beats_bisection_by_far():
 
 def test_final_end_whose_label_changes_at_full_tolerance_is_ambiguous(
         monkeypatch):
-    # a_tol = 1e-3 stops the (2, 3) search on an N end shot loose, which
-    # is shot again at the search's tolerance; made P there, it raises
+    # a_tol = 1e-2 stops the (2, 3) search on two ends shot loose, each
+    # shot again at the search's tolerance, the N end last; made P there,
+    # it raises
     P = derive_params(2, 3.0)
-    *_, loose, last = find_critical_a(P, a_tol=1e-3).trace
+    *_, loose, _, last = find_critical_a(P, a_tol=1e-2).trace
     assert (loose.a, loose.label, last.step, last.tol) == (
         last.a, "N", "reshot", 1e-10)
-    assert loose.tol > 1e-10
+    assert loose.tol == 1e-6
     label = plks.backward._label
 
     def flipped(ode, a, opts):
@@ -751,7 +794,7 @@ def test_final_end_whose_label_changes_at_full_tolerance_is_ambiguous(
 
     monkeypatch.setattr(plks.backward, "_label", flipped)
     with pytest.raises(AmbiguousBracketError) as exc:
-        find_critical_a(P, a_tol=1e-3)
+        find_critical_a(P, a_tol=1e-2)
     assert str(exc.value) == (f"a = {last.a:g} classifies N at tolerance "
                               f"{loose.tol:g} but P at 1e-10")
     assert exc.value.exit_code == 3

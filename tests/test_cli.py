@@ -742,9 +742,10 @@ def test_reconstruct_power_tail_moment_beyond_a_double(capsys):
 def test_reconstruct_log_quadratic_moment_beyond_a_double(capsys):
     # N = 400, p = 2: the tail's source moment past r = 5 is beyond the
     # largest double; the command used to end in an OverflowError traceback.
-    # psi is null at small r, where r^(N - 1) underflows (numpy warns)
+    # psi is null at small r, where r^(N - 1) underflows; it used to print
+    # numpy warnings there, and residuals with res2 = 4.70
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         rc, out, err = _run(["reconstruct", "--N", "400", "--p", "2", "--b", "1",
                              "--r-max", "5", "--format", "json"], capsys)
     assert (rc, err) == (0, "")
@@ -752,6 +753,9 @@ def test_reconstruct_log_quadratic_moment_beyond_a_double(capsys):
     assert res["mass"] is None
     assert res["mass_note"] == ("log-quadratic tail has a moment beyond the "
                                 "largest double against r^399")
+    assert res["residuals"] is None
+    assert res["residual_note"] == ("psi is not finite for r in [1e-06, 0.167813], "
+                                    "where the powers of r leave the doubles")
 
 
 def test_equilibrium_height_overflow_exit2(capsys):

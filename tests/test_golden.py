@@ -31,7 +31,7 @@ GOLDEN = {
     "find-critical": (
         "find-critical --N 1 --p 3",
         "108d7a3501446a5fa35baa6ee13c20c03468bf26d099a8a3e6bace3757637f74",
-        "7e61a6c8dde4c364da6835fe1ef2c4885f452644c3c6b7625d60593f81ae895f"),
+        "98d9e14c25681dd567fd1d50c93d8afdf275a5f7e146512cbfa3a2e09712f902"),
     "sweep": (
         "sweep --N 3 --p 2.5 --a-grid log:0.1:8:16",
         "9d04b80661fcac86494a8c57361bc2f7f665a8e4b53c3aba2f97415a2d92161e",
