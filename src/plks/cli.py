@@ -93,17 +93,6 @@ def _json_text(report: dict) -> str:
     return _jval(report, 0) + "\n"
 
 
-def _columns(header: Sequence[str], rows: Sequence[Sequence]) -> dict:
-    cols: dict = {h: [] for h in header}
-    for row in rows:
-        for h, v in zip(header, row):
-            if v is None or isinstance(v, (str, int)):
-                cols[h].append(v)
-            else:
-                cols[h].append(float(v))
-    return cols
-
-
 # ---------------------------------------------------------------------------
 # shared blocks
 
@@ -533,7 +522,7 @@ def _emit(args, report: dict, header: Sequence[str],
           rows: Sequence[Sequence]) -> None:
     """Format and write only the streams that go out."""
     if args.output or args.format == "json":
-        report["columns"] = _columns(header, rows)
+        report["columns"] = {h: [row[i] for row in rows] for i, h in enumerate(header)}
     if args.output:
         Path(args.output + ".csv").write_text(_csv_text(header, rows))
         Path(args.output + ".json").write_text(_json_text(report))

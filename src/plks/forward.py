@@ -116,9 +116,10 @@ def solve_forward(params: ModelParams, a_or_b: float,
 
     p = 2 runs down to u = -1e3, p < 2 up to u = 1e6 (forward_ode's
     cutoffs), p > 2 to the zero of u; a center value at or beyond its
-    regime's cutoff, or not positive for p != 2, raises DomainError.  The
-    regime's strict monotonicity is verified on every accepted step.  A run
-    that ends in step underflow has no profile and raises IntegrationError.
+    regime's cutoff, or not positive for p != 2, raises DomainError, as
+    does p in about (1.992, 2), where the power tail's coefficient overflows.
+    The regime's strict monotonicity is verified on every accepted step.  A
+    run that ends in step underflow has no profile and raises IntegrationError.
     """
     a = float(a_or_b)
     ode = forward_ode(params)
@@ -136,7 +137,11 @@ def solve_forward(params: ModelParams, a_or_b: float,
         _check_monotone(sol.u, +1, regime)
         p, B, N, m = params.p, params.B, params.N, params.m
         K = (1.0 / (B * N * m)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
-        tail = PowerTail(p / (p - 2.0), K ** ((p - 1.0) / (p - 2.0)))
+        try:
+            tail = PowerTail(p / (p - 2.0), K ** ((p - 1.0) / (p - 2.0)))
+        except OverflowError:
+            raise DomainError(f"the power tail's coefficient K^((p-1)/(p-2)) overflows "
+                              f"a double at p = {p:g} (K = {K:g})") from None
         return ForwardProfile(params, a, sol, tail)
     if sol.termination is not Termination.U_CROSSED_ZERO:
         raise NoSupportRadiusError(

@@ -683,9 +683,10 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     must resolve u: eps |E| below a quarter of |g(u)| times the u
     tolerance.  A (u, w) trial that crosses a zero of w is retaken in
     (E, w) where E resolves u; an (E, w) step ends just past the turn its
-    start predicts; and a turn of an (E, w) step where u lies within
-    _EVENT_TOL of zero, or beyond it, is a zero of u: within it, a touch,
-    whose zero is recorded with w = 0.0, the slope of a tangential zero.
+    start predicts.  On every step, w's zero is located on the interpolant
+    of the step's first variable, and a turn where u lies within _EVENT_TOL
+    of zero is a touch, a zero of u recorded with w = 0.0, the slope of a
+    tangential zero; beyond zero, u's zeros on either side of the turn.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -764,16 +765,6 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
     E_inv = G(u_c) + c_K * w_c * k1u if en and neg_nm1 == 0.0 else None
     in_E = resolved = False
     fresh = True                 # the state is new: choose its variable
-
-    def newton_u(T, v):
-        # G(u) = T from v, to convergence (event location)
-        nonlocal n_newton
-        for _ in range(10):
-            v, _, n = solve_G(T, v, nt)
-            n_newton += n
-            if n < 3:
-                break
-        return v
 
     while termination is None:
         if en and fresh:
@@ -989,37 +980,38 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
         if u_cross or w_cross:
             q8 = _dense_coefficients(*ks[-12:-6]) + _dense_coefficients(*ks[-6:])
             located: list[tuple[float, int, float, float, float]] = []
-            if not in_E:
-                def state_at(th):
-                    return _dense_eval(u, w, h, q8, th)
-                for comp, crossed in ((0, u_cross), (1, w_cross)):
-                    if crossed:
-                        th, ue, we, n = _locate_zero(state_at, comp)
-                        n_bisect += n
-                        located.append((th, comp, r + th * h, ue, we))
-            else:
-                def state_at(th):
-                    Et, wt = _dense_eval(E_c, w, h, q8, th)
-                    ut = copysign((abs(wt) * inv_B) ** e_u, wt) if wt else 0.0
-                    return newton_u(Et - c_K * wt * ut, u + th * (u_new - u)), wt
-                spans = [(0.0, 1.0)] if u_cross else []
-                if w_cross:
-                    th, _, we, n = _locate_zero(
-                        lambda t: _dense_eval(E_c, w, h, q8, t), 1)
-                    n_bisect += n
-                    ue = state_at(th)[0]
-                    located.append((th, 1, r + th * h, ue, we))
-                    if not u_cross and (ue <= 0.0 if u > 0.0 else ue >= 0.0):
-                        if abs(ue) <= _EVENT_TOL:
-                            # u touches zero at the turn: a zero of slope 0
-                            located.append((th, 0, r + th * h, ue, 0.0))
-                        else:
-                            # u passes zero and turns back within the step
-                            spans = [(0.0, th), (th, 1.0)]
-                for lo, hi in spans:
-                    th, ue, we, n = _locate_zero(state_at, 0, lo, hi)
-                    n_bisect += n
-                    located.append((th, 0, r + th * h, ue, we))
+            y0 = E_c if in_E else u      # the step's first variable
+            def state_at(th):
+                nonlocal n_newton
+                yt, wt = _dense_eval(y0, w, h, q8, th)
+                if not in_E:
+                    return yt, wt
+                ut = copysign((abs(wt) * inv_B) ** e_u, wt) if wt else 0.0
+                T, v = yt - c_K * wt * ut, u + th * (u_new - u)
+                for _ in range(10):    # Newton on G(u) = T, to convergence
+                    v, _, n = solve_G(T, v, nt)
+                    n_newton += n
+                    if n < 3:
+                        break
+                return v, wt
+            spans = [(0.0, 1.0)] if u_cross else []
+            if w_cross:
+                th, _, we, n = _locate_zero(
+                    lambda t: _dense_eval(y0, w, h, q8, t), 1)
+                n_bisect += n
+                ue = state_at(th)[0]
+                located.append((th, 1, r + th * h, ue, we))
+                if not u_cross and (ue <= 0.0 if u > 0.0 else ue >= 0.0):
+                    if abs(ue) <= _EVENT_TOL:
+                        # u touches zero at the turn: a zero of slope 0
+                        located.append((th, 0, r + th * h, ue, 0.0))
+                    else:
+                        # u passes zero and turns back within the step
+                        spans = [(0.0, th), (th, 1.0)]
+            for lo, hi in spans:
+                th, ue, we, n = _locate_zero(state_at, 0, lo, hi)
+                n_bisect += n
+                located.append((th, 0, r + th * h, ue, we))
             located.sort()   # by theta; at a touch, the zero before the turn
             for th, comp, re_, ue, we in located:
                 if comp == 0:
@@ -1029,9 +1021,8 @@ def integrate(ode: RadialODE, u0: float, opts: Optional[IntegratorOptions] = Non
                         break
                 else:
                     events.append(Event(EventKind.U_PRIME_ZERO, re_, ue, we))
-                    # w rising through zero means a minimum of u.
-                    is_min = w < 0.0 <= w_new or (w < 0.0 and w_new == 0.0)
-                    if opts.stop_at_first_minimum and is_min and (
+                    # w rising through zero (from w < 0) means a minimum of u.
+                    if opts.stop_at_first_minimum and w < 0.0 and (
                             ue > 0.0 or not opts.stop_at_u_zero):
                         termination = Termination.U_PRIME_VANISHED
                         break

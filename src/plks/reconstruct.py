@@ -125,8 +125,9 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _ball_integral(r: np.ndarray, y: np.ndarray, N: int) -> np.ndarray:
     """int_0^r s^(N-1) y ds at each node: the [0, r[0]] sliver with y frozen
-    at y[0], then cumulative Simpson."""
-    return float(y[0]) * float(r[0]) ** N / N + _cumulative_simpson(r ** (N - 1) * y, r)
+    at y[0], then cumulative Simpson; inf or nan where r^(N-1) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(y[0]) * float(r[0]) ** N / N + _cumulative_simpson(r ** (N - 1) * y, r)
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,11 @@ def psi_well_posed_threshold(N: int) -> float:
     return 2.0 * math.sqrt(N / (N + 1.0))
 
 
-def _scaled_upper_gamma(s: float, z: float) -> float:
+def _scaled_upper_gamma(s: float, z: float, log: bool = False) -> float:
     """e^z Gamma(s, z) for s in {0, 1/2, 1, 3/2, ...} and z > 0, finite
-    where e^z alone overflows.  At x = s mod 1: for z >= 1 Legendre's
-    continued fraction z^x / (z + 1 - x - 1 (1 - x) / (z + 3 - x - ...)),
+    where e^z alone overflows, or with log its logarithm, finite where it
+    does.  At x = s mod 1: for z >= 1 Legendre's continued fraction
+    z^x / (z + 1 - x - 1 (1 - x) / (z + 3 - x - ...)),
     summed up from 120 terms (110 reach the last bit at z = 1, where it
     converges slowest; Numerical Recipes, 3rd ed., 6.2); below, sqrt(pi)
     e^z erfc(sqrt z) at x = 1/2 and E1's series at x = 0.  Then
@@ -239,8 +241,14 @@ def _scaled_upper_gamma(s: float, z: float) -> float:
     else:    # E1(z) = -(Euler's gamma) - ln z - sum_k (-z)^k / (k k!)
         g = math.exp(z) * (-0.5772156649015329 - math.log(z) - math.fsum(
             (-z) ** k / (k * math.factorial(k)) for k in range(1, 25)))
+    if log:
+        g = math.log(g)
     while x < s:
-        g = x * g + z ** x
+        if log:
+            a, b = math.log(x) + g if x else -math.inf, x * math.log(z)
+            g = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+        else:
+            g = x * g + z ** x
         x += 1.0
     return g
 
@@ -263,19 +271,24 @@ def _tail_moment(phi: PhiProfile, j: int, m: float = 1.0) -> float:
         except OverflowError:    # a power leaves the doubles: add logarithms
             log_t = (m * math.log(tail.coefficient)
                      + (kappa + j) * math.log(r_end) - math.log(-(kappa + j)))
-            return math.exp(log_t) if log_t <= _LOG_DBL_MAX else math.inf
-    k = -m * tail.coefficient
-    phim_end = float(phi.phi[-1]) ** m
-    if j == 2:    # e^z Gamma(1, z) = 1
-        return phim_end / (2.0 * k)
-    g = _scaled_upper_gamma(j / 2.0, k * r_end ** 2)
-    try:
-        return phim_end * (1.0 / k) ** (j / 2.0) / 2.0 * g
-    except OverflowError:    # a power leaves the doubles: add logarithms
+    else:
+        k = -m * tail.coefficient
+        phim_end = float(phi.phi[-1]) ** m
         if phim_end == 0.0:
             return 0.0
-        log_t = math.log(phim_end) - j / 2.0 * math.log(k) + math.log(g / 2.0)
-        return math.exp(log_t) if log_t <= _LOG_DBL_MAX else math.inf
+        if j == 2:    # e^z Gamma(1, z) = 1
+            return phim_end / (2.0 * k)
+        s, z = j / 2.0, k * r_end ** 2
+        try:
+            t = phim_end * (1.0 / k) ** s / 2.0 * _scaled_upper_gamma(s, z)
+        except OverflowError:
+            t = math.inf
+        if t < math.inf:
+            return t
+        # a power or the gamma factor leaves the doubles: add logarithms
+        log_t = (math.log(phim_end) - s * math.log(k) - math.log(2.0)
+                 + _scaled_upper_gamma(s, z, True))
+    return math.exp(log_t) if log_t <= _LOG_DBL_MAX else math.inf
 
 
 def _log_tail_moment(phi: PhiProfile, m: float, t1: float) -> float:
@@ -354,8 +367,10 @@ def mass(phi: PhiProfile, params: ModelParams) -> float:
                                     f"integrable against r^{N - 1}")
         raise InfiniteMassError(f"{tail.kind} tail has a moment beyond the "
                                 f"largest double against r^{N - 1}")
-    return surface_area_unit_ball(N) * (float(_ball_integral(phi.r, phi.phi, N)[-1])
-                                        + extra)
+    ball = float(_ball_integral(phi.r, phi.phi, N)[-1])
+    if not math.isfinite(ball):
+        raise InfiniteMassError(f"phi r^{N - 1} leaves the doubles on the grid")
+    return surface_area_unit_ball(N) * (ball + extra)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import time
+from array import array
 from collections import Counter
 from unittest import mock
 
@@ -798,6 +799,38 @@ def test_final_end_whose_label_changes_at_full_tolerance_is_ambiguous(
     assert str(exc.value) == (f"a = {last.a:g} classifies N at tolerance "
                               f"{loose.tol:g} but P at 1e-10")
     assert exc.value.exit_code == 3
+
+
+def test_final_ends_whose_minima_reorder_at_full_tolerance_move_a_c(
+        monkeypatch):
+    # a_tol = 0.3 stops the (1, 3) search on two ends shot loose, the lower
+    # the one with the smaller |u_min|, which is a_c; each is shot again at
+    # the search's tolerance (reach 0), the lower first.  Made a million
+    # times deeper there, the lower end's minimum passes the upper's, and
+    # a_c moves to the upper end
+    P = derive_params(1, 3.0)
+    res = find_critical_a(P, a_tol=0.3)
+    *_, lower, upper = res.trace
+    assert (lower.step, lower.a, upper.step, upper.a) == (
+        "reshot", res.lower.a, "reshot", res.upper.a)
+    assert res.a_c == res.lower.a and abs(lower.gap) < abs(upper.gap)
+    shoot = plks.backward._shoot
+
+    def deepened(ode, a, opts, reach):
+        runs = shoot(ode, a, opts, reach)
+        if reach == 0.0 and a == res.lower.a:
+            sol = runs[-1].solution
+            us = array("d", sol._us)
+            us[-1] *= 1e6
+            runs = runs[:-1] + (dataclasses.replace(
+                runs[-1], solution=dataclasses.replace(sol, _us=us)),)
+        return runs
+
+    monkeypatch.setattr(plks.backward, "_shoot", deepened)
+    moved = find_critical_a(P, a_tol=0.3)
+    assert moved.trace[-2].gap == 1e6 * lower.gap
+    assert (moved.a_c, moved.classification) == (res.upper.a, moved.upper)
+    assert moved.bracket_width == res.bracket_width
 
 
 @settings(max_examples=40, deadline=None)

@@ -758,6 +758,52 @@ def test_reconstruct_log_quadratic_moment_beyond_a_double(capsys):
                                     "where the powers of r leave the doubles")
 
 
+def test_reconstruct_ball_integral_beyond_a_double(capsys):
+    # N = 300, p = 2 at the default r_max: r^299 leaves the doubles, and phi
+    # underflows to 0 before the grid ends.  The tail's incomplete gamma
+    # used to raise OverflowError, and the ball integral printed numpy
+    # warnings and a null mass with no note
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(["reconstruct", "--N", "300", "--p", "2", "--b", "1",
+                             "--format", "json"], capsys)
+    assert (rc, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert res["mass"] is None
+    assert res["mass_note"] == "phi r^299 leaves the doubles on the grid"
+    assert res["residuals"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    "solve-forward --N 2 --p 1.999 --b 1", "reconstruct --N 2 --p 1.999 --b 1",
+    "delta-test --N 2 --p 1.999 --b 1", "solve-forward --N 4 --p 1.992 --b 1",
+    "reconstruct --N 300 --p 2 --b 1", "reconstruct --N 250 --p 2 --b 1",
+    "delta-test --N 300 --p 2 --b 1"])
+def test_tail_overflows_end_with_an_exit_code_under_warnings_as_errors(argv):
+    # the p < 2 power tail's coefficient K^((p-1)/(p-2)) leaves the doubles
+    # from about p = 1.992, and at p = 2, N = 300 the tail's incomplete gamma
+    # and r^(N - 1) do; each command used to end in a traceback
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "plks.cli", *argv.split(),
+         "--format", "json"], capture_output=True, text=True, env=_child_env())
+    assert "Traceback" not in proc.stderr
+    if proc.returncode:
+        assert proc.returncode in (2, 3, 4)
+        assert proc.stderr.startswith("error[") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+        json.loads(proc.stdout)
+
+
+def test_power_tail_coefficient_overflow_exit2(capsys):
+    rc, out, err = _run(["solve-forward", "--N", "2", "--p", "1.999", "--b", "1"],
+                        capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error[DomainError] the power tail's coefficient "
+                   "K^((p-1)/(p-2)) overflows a double at p = 1.999 "
+                   "(K = 0.000250327)\n")
+
+
 def test_equilibrium_height_overflow_exit2(capsys):
     # u* = (1/(chi m))^(1/q) = 4^1225 at N = 1, p = 1.02, chi = 100
     rc, out, err = _run(["solve-backward", "--N", "1", "--p", "1.02",

@@ -1,5 +1,6 @@
 """Integrator core: oracle agreement, events, energy law, defect audit."""
 
+import copy
 import itertools
 import math
 import re
@@ -25,6 +26,7 @@ from plks import (
     derive_params,
     energy,
     energy_derivative_check,
+    find_critical_a,
     forward_ode,
     integrate,
     kinetic_energy,
@@ -442,6 +444,16 @@ def test_dense_blocks_over_a_run_ending_at_an_event(monkeypatch):
     assert abs(w_s - ev.w) <= 8.0 * eps * (abs(sol.w[-2]) + (h + ev.r) * slope_w)
 
 
+def test_solution_has_no_other_attribute_and_copies():
+    # a name other than the views and energy is an AttributeError, as is the
+    # __setstate__ that copy looks up on an instance with no fields set yet
+    sol = integrate(_ode(1, 3.0, 1.0, "backward"), 0.85,
+                    IntegratorOptions(r_max=5.0))
+    assert getattr(sol, "missing", None) is None
+    dup = copy.copy(sol)
+    assert dup.events == sol.events and np.array_equal(dup.u, sol.u)
+
+
 def test_dense_output_hits_nodes():
     ode = _ode(2, 2.5, 1.0, "backward")
     sol = integrate(ode, 1.5, IntegratorOptions(r_max=5.0, stop_at_u_zero=False))
@@ -493,6 +505,27 @@ def test_stop_at_first_minimum():
     assert ev.u > 0.0
     # minimum: the source is negative there (w' = -g > 0 turns w upward)
     assert ode.g(ev.u) < 0.0
+
+
+@pytest.mark.parametrize("N,p,r_zero", [(2, 2.2, 4.134106794312641),
+                                        (2, 4.0, 2.9363502517613824)])
+def test_a_dip_below_zero_is_found_on_u_w_steps(N, p, r_zero):
+    # without an equilibrium no step is taken in (E, w); just above a_c, u
+    # passes zero and turns back within one (u, w) step, and the turn's
+    # rule finds the zero before it, as it does on an (E, w) step
+    P = derive_params(N, p)
+    ode = replace(backward_ode(P), equilibrium_u=None)
+    a = find_critical_a(P).a_c * (1.0 + 1e-9)
+    opts = IntegratorOptions(r0=math.inf, stop_at_u_zero=False,
+                             stop_at_first_minimum=True)
+    sol = integrate(ode, a, opts)
+    assert sol.stats.energy_steps == 0
+    assert [(e.kind, e.r) for e in sol.events[:2]] == [
+        (EventKind.U_ZERO, r_zero), (EventKind.U_PRIME_ZERO, sol.r_end)]
+    assert sol.events[0].w < 0.0 and sol.events[1].u < 0.0
+    sol = integrate(ode, a, replace(opts, stop_at_u_zero=True))
+    assert sol.termination is Termination.U_CROSSED_ZERO
+    assert sol.zeros() == [r_zero]
 
 
 def test_equilibrium_hit_and_stop():

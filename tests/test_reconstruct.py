@@ -399,6 +399,24 @@ def test_log_quadratic_moment_past_a_power_overflow():
         mass(phi, derive_params(400, 2.0))
 
 
+def test_log_quadratic_moment_past_a_gamma_overflow():
+    # N = 300 at r_end = 40 under the p = 2 tail (k = 1/4): e^z Gamma(150, z)
+    # at z = 400 is about 10^388, past the largest double, and its
+    # recurrence used to raise OverflowError.  Summed in logarithms, the
+    # moment 4^150 e^z Gamma(150, z) phi_end / 2 is finite at phi_end =
+    # 1e-300 (8.2467054348519e177 by mpmath), inf at 1e-10 and 0 at 0
+    r = np.linspace(1.0, 40.0, 5)
+    want = {1e-300: 8.246705434851935e177, 1e-10: math.inf, 0.0: 0.0}
+    for end, moment in want.items():
+        phi = PhiProfile(r, np.array([1.0, 0.5, 0.1, 1e-3, end]),
+                         LogQuadraticTail(-0.25))
+        assert _tail_moment(phi, 300) == pytest.approx(moment, rel=1e-12)
+    assert _scaled_upper_gamma(150.0, 400.0, log=True) == pytest.approx(
+        893.1918961500947, rel=1e-15)
+    with pytest.raises(OverflowError):
+        _scaled_upper_gamma(150.0, 400.0)
+
+
 def test_mass_infinite_without_tail():
     P = derive_params(2, 3.0, 1.0)
     sol = solve_backward(P, 0.5 * _critical(2, 3.0))  # positive type, no zero
